@@ -9,10 +9,10 @@ L-infinity error bounds.
 
 from .bench import EXPERIMENTS, HistoryRow, RunConfig, emit_dat, rate_fit, run
 from .bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
-from .envelope import build_samples, contact_set, envelope_gap, lower_hull
+from .envelope import build_samples, contact_set, lower_hull
 from .estimator import ErrorCertificate, indicators_and_mark, rhs0, rhs_eps, select_j
-from .geometry import InteriorBand, Rect, RectMesh, band_split, init_uniform, min_edge_length, refine
-from .hjb import HjbProblem, Policy, SymMat2, eval_F, solve, xi_of
+from .geometry import Rect, RectMesh, init_uniform, min_edge_length, refine
+from .hjb import HjbProblem, solve
 
 __all__ = [
     "EXPERIMENTS",
@@ -28,24 +28,17 @@ __all__ = [
     "norms_vs_exact",
     "build_samples",
     "contact_set",
-    "envelope_gap",
     "lower_hull",
     "ErrorCertificate",
     "indicators_and_mark",
     "rhs0",
     "rhs_eps",
     "select_j",
-    "InteriorBand",
     "Rect",
     "RectMesh",
-    "band_split",
     "init_uniform",
     "min_edge_length",
     "refine",
     "HjbProblem",
-    "Policy",
-    "SymMat2",
-    "eval_F",
     "solve",
-    "xi_of",
 ]

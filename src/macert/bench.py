@@ -9,7 +9,7 @@ normalises the density as (f/2)^2 in two dimensions).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -249,15 +249,18 @@ class RunConfig:
     max_ndof: int = 20000
     initial_level: int = 1
     quad_degree: int = 5
-    boundary_density: float = 4.0  # boundary subdivisions per boundary edge
+    boundary_segments: int = 4  # hull subdivisions of every boundary edge
     linf_samples: int = 8
-    max_iter: int = 50
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
+        if self.boundary_segments < 1:
+            raise ValueError(
+                f"boundary_segments must be at least 1, got {self.boundary_segments}"
+            )
 
     def resolved_eps(self) -> float:
         return EXPERIMENTS[self.experiment].default_eps if self.eps is None else self.eps
@@ -294,7 +297,7 @@ def prolongate(v_h: FeFunction, fine_space: BfsSpace) -> np.ndarray:
     cells = np.arange(len(coarse.mesh.cell_ids))
     lattice = _cell_grid(3)
     what = ("N", "Nx", "Ny", "Nxy")
-    vals = v_h.on_cells(cells, lattice, what=what, key="prolong-3x3")
+    vals = v_h.on_cells(cells, lattice, what=what)
     data: dict[tuple[int, int], tuple] = {}
     res = coarse.mesh.res
     for k, cid in enumerate(coarse.mesh.cell_ids):
@@ -337,23 +340,13 @@ def run(config: RunConfig, collect_steps: bool = False):
         reduction = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
         try:
-            result = solve(
-                space,
-                problem,
-                quad,
-                max_iter=config.max_iter,
-                reduction=reduction,
-                initial=initial,
-            )
+            result = solve(space, problem, quad, reduction=reduction, initial=initial)
         except SolverError as exc:
             raise RunAborted(f"solver failed at ndof {reduction.ndof}: {exc}", rows)
         v_h = result.u_h
 
         samples = env.build_samples(
-            mesh,
-            quad,
-            per_edge=max(1, int(np.ceil(config.boundary_density))),
-            min_level=_SAMPLE_LEVEL,
+            mesh, quad, per_edge=config.boundary_segments, min_level=_SAMPLE_LEVEL
         )
         fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
         hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
@@ -455,7 +448,3 @@ def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> 
     y = np.log(vals)
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)
-
-
-def with_eps(config: RunConfig, eps: float) -> RunConfig:
-    return replace(config, eps=eps)

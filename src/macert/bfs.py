@@ -75,25 +75,6 @@ def tabulate_basis(h: float, ref_pts: np.ndarray) -> dict[str, np.ndarray]:
     return out
 
 
-def shape_eval(cell, point) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Basis values, gradients and Hessians of one cell at a physical point.
-
-    Returns (values (16,), gradients (16, 2), hessians (16, 2, 2)).
-    Raises ValueError if the point lies outside the (closed) cell.
-    """
-    x, y = point
-    if not cell.contains(x, y):
-        raise ValueError(f"point {point} outside cell")
-    ref = np.array([[(x - cell.x0) / cell.hx, (y - cell.y0) / cell.hy]])
-    tab = tabulate_basis(cell.hx, ref)
-    grads = np.stack([tab["Nx"][0], tab["Ny"][0]], axis=1)
-    hess = np.empty((16, 2, 2))
-    hess[:, 0, 0] = tab["Nxx"][0]
-    hess[:, 0, 1] = hess[:, 1, 0] = tab["Nxy"][0]
-    hess[:, 1, 1] = tab["Nyy"][0]
-    return tab["N"][0], grads, hess
-
-
 @dataclass(frozen=True)
 class QuadRule:
     """Tensor Gauss-Legendre rule with ``degree`` points per coordinate.
@@ -214,9 +195,13 @@ class BfsSpace:
         levels = np.array([c[0] for c in self.mesh.cell_ids])
         return [(int(L), np.nonzero(levels == L)[0]) for L in np.unique(levels)]
 
-    def tabulation(self, level: int, ref_pts: np.ndarray, key=None):
-        """Cached basis tabulation for one cell size at fixed reference points."""
-        cache_key = (level, key if key is not None else ref_pts.tobytes())
+    def tabulation(self, level: int, ref_pts: np.ndarray):
+        """Cached basis tabulation for one cell size at fixed reference points.
+
+        The cache is keyed by the level and the bytes of ``ref_pts``, so equal
+        points share one table and different points never do.
+        """
+        cache_key = (level, ref_pts.tobytes())
         tab = self._tab_cache.get(cache_key)
         if tab is None:
             tab = tabulate_basis(0.5**level, ref_pts)
@@ -266,7 +251,7 @@ class FeFunction:
 
     # -- batched evaluation (fast path) --------------------------------------
 
-    def on_cells(self, cells: np.ndarray, ref_pts: np.ndarray, what=("N",), key=None):
+    def on_cells(self, cells: np.ndarray, ref_pts: np.ndarray, what=("N",)):
         """Evaluate derivatives at shared reference points on many cells.
 
         Returns a dict mapping each requested key (subset of N, Nx, Ny, Nxx,
@@ -280,7 +265,7 @@ class FeFunction:
             out[key_name] = np.empty((len(cells), ref_pts.shape[0]))
         for L in np.unique(levels):
             m = levels == L
-            tab = space.tabulation(int(L), ref_pts, key=key)
+            tab = space.tabulation(int(L), ref_pts)
             for key_name in what:
                 out[key_name][m] = local[m] @ tab[key_name].T
         return out
@@ -414,6 +399,6 @@ def norms_vs_exact(
     linf = float(np.max(np.abs(du))) if du.size else 0.0
     grid = _cell_grid(linf_samples)
     gpts = space.cell_points(cells, grid).reshape(-1, 2)
-    gvals = v_h.on_cells(cells, grid, what=("N",), key=("grid", linf_samples))["N"].ravel()
+    gvals = v_h.on_cells(cells, grid, what=("N",))["N"].ravel()
     linf = max(linf, float(np.max(np.abs(gvals - exact.u(gpts[:, 0], gpts[:, 1])))))
     return linf, np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(h2sq)

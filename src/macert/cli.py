@@ -28,10 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-level", type=int, default=1)
     p.add_argument("--quad-degree", type=int, default=5)
     p.add_argument(
-        "--boundary-density",
-        type=float,
-        default=4.0,
-        help="envelope boundary samples per minimal edge length",
+        "--boundary-segments",
+        type=int,
+        default=4,
+        help="hull subdivisions of every boundary edge (at least 1)",
     )
     p.add_argument("--linf-samples", type=int, default=8)
     p.add_argument("--out", required=True, help="output .dat path")
@@ -39,17 +39,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        experiment=args.experiment,
-        mode=args.mode,
-        eps=args.epsilon,
-        max_ndof=args.max_ndof,
-        initial_level=args.initial_level,
-        quad_degree=args.quad_degree,
-        boundary_density=args.boundary_density,
-        linf_samples=args.linf_samples,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = RunConfig(
+            experiment=args.experiment,
+            mode=args.mode,
+            eps=args.epsilon,
+            max_ndof=args.max_ndof,
+            initial_level=args.initial_level,
+            quad_degree=args.quad_degree,
+            boundary_segments=args.boundary_segments,
+            linf_samples=args.linf_samples,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         rows = run(config)
     except RunAborted as exc:

@@ -56,10 +56,8 @@ class SampleSet:
         rules, counts = _leaf_rules(self.mesh, self.quad, self.min_level)
         starts = np.cumsum(counts) - counts
         out = {name: np.empty(self.n_interior) for name in what}
-        for split, cells, ref, _ in rules:
-            # split 1 is the plain rule, whose tabulation the solver shares
-            key = ("quad", self.quad.degree) + ((split,) if split > 1 else ())
-            vals = v_h.on_cells(cells, ref, what=what, key=key)
+        for cells, ref, _ in rules:
+            vals = v_h.on_cells(cells, ref, what=what)
             idx = starts[cells][:, None] + np.arange(len(ref))
             for name in what:
                 out[name][idx] = vals[name]
@@ -83,11 +81,11 @@ def _side_point(side: str, t: np.ndarray) -> np.ndarray:
 def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
     """Sampling rules per group of leaves, and the sample count of each leaf.
 
-    Each rule is (split, cells, reference points, reference weights).
-    Leaves at level ``min_level`` or finer use ``quad`` itself (split 1); a
-    leaf at a coarser level L uses ``quad`` on each of its split x split
-    sub-cells, split = 2**(min_level - L), with the weights scaled to sum
-    to one.  Samples are numbered leaf by leaf in cell order.
+    Each rule is (cells, reference points, reference weights).  Leaves at
+    level ``min_level`` or finer use ``quad`` itself; a leaf at a coarser
+    level L uses ``quad`` on each of its split x split sub-cells,
+    split = 2**(min_level - L), with the weights scaled to sum to one.
+    Samples are numbered leaf by leaf in cell order.
     """
     levels = np.array([c[0] for c in mesh.cell_ids])
     splits = 2 ** np.maximum(min_level - levels, 0)
@@ -100,15 +98,14 @@ def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
             corners = np.column_stack([np.repeat(k, split), np.tile(k, split)])
             ref = ((corners[:, None, :] + ref[None, :, :]) / split).reshape(-1, 2)
             weights = np.tile(weights, split * split) / (split * split)
-        rules.append((split, cells, ref, weights))
+        rules.append((cells, ref, weights))
     return rules, quad.npoints * splits**2
 
 
 def build_samples(
     mesh: RectMesh,
     quad: QuadRule,
-    boundary_density: float | None = None,
-    per_edge: int | None = None,
+    per_edge: int,
     min_level: int = 0,
 ) -> SampleSet:
     """Sample set from quadrature points plus boundary subdivisions.
@@ -124,18 +121,12 @@ def build_samples(
     data-error quadrature, which a single 5x5 rule on the 1x1 mesh resolves
     badly.
 
-    With ``boundary_density`` each boundary edge of length h is subdivided
-    into ``ceil(h * density)`` uniform segments (at least one); with
-    ``per_edge`` every boundary edge gets that many segments regardless of
-    its length, which keeps the boundary resolution proportional to the
-    local edge size on adaptive meshes.  Corners and edge endpoints are
-    always present.  Exactly one of the two must be given.
+    Every boundary edge of the mesh is subdivided into ``per_edge`` uniform
+    segments regardless of its length, which keeps the boundary resolution
+    proportional to the local edge size on adaptive meshes.  Corners and
+    edge endpoints are always present.
     """
-    if (boundary_density is None) == (per_edge is None):
-        raise ValueError("give exactly one of boundary_density and per_edge")
-    if boundary_density is not None and boundary_density <= 0:
-        raise ValueError("boundary_density must be positive")
-    if per_edge is not None and per_edge < 1:
+    if per_edge < 1:
         raise ValueError("per_edge must be at least 1")
     if min_level < 0:
         raise ValueError("min_level must be nonnegative")
@@ -147,7 +138,7 @@ def build_samples(
     starts = np.cumsum(counts) - counts
     interior = np.empty((len(cell_index), 2))
     weights = np.empty(len(cell_index))
-    for _, cells, ref, wref in rules:
+    for cells, ref, wref in rules:
         idx = starts[cells][:, None] + np.arange(len(ref))
         interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
@@ -162,12 +153,8 @@ def build_samples(
             a = xa if side in ("bottom", "top") else ya
             b = xb if side in ("bottom", "top") else yb
             h = b - a
-            if per_edge is not None:
-                k = per_edge
-            else:
-                k = max(1, int(np.ceil(h * boundary_density - 1e-12)))
-            for i in range(k + 1):
-                params.add(a + h * i / k)
+            for i in range(per_edge + 1):
+                params.add(a + h * i / per_edge)
         side_params[side] = np.array(sorted(params))
 
     seen: set[tuple[float, float]] = set()
@@ -389,22 +376,3 @@ def boundary_residual(hull: LowerHull, g) -> float:
         gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), t.shape)
         mu = max(mu, float(np.max(np.abs(gv - hull.boundary_trace(side, t)))))
     return mu
-
-
-def envelope_gap(v_h: FeFunction, samples: SampleSet, subdiv: int = 4) -> float:
-    """Sampled sup of |v_h - nodal PL interpolant| over the induced triangulation."""
-    from scipy.spatial import Delaunay
-
-    pts = samples.points
-    vals = v_h.value(pts)
-    tri = Delaunay(pts)
-    bary = []
-    for i in range(subdiv + 1):
-        for j in range(subdiv + 1 - i):
-            bary.append((i / subdiv, j / subdiv, (subdiv - i - j) / subdiv))
-    bary = np.array(bary)
-    corners = pts[tri.simplices]  # (nt, 3, 2)
-    cvals = vals[tri.simplices]  # (nt, 3)
-    qpts = np.einsum("bk,tkd->tbd", bary, corners).reshape(-1, 2)
-    ivals = (cvals @ bary.T).ravel()
-    return float(np.max(np.abs(v_h.value(qpts) - ivals)))

@@ -40,13 +40,6 @@ class DataError:
     cell_index: np.ndarray
     dist: np.ndarray  # distance to the boundary of the unit square
 
-    def global_sq(self) -> float:
-        return float(np.sum(self.weights * self.residual**2))
-
-    def inner_sq(self, offset: float) -> float:
-        m = self.dist >= offset
-        return float(np.sum(self.weights[m] * self.residual[m] ** 2))
-
     def per_cell_sq(self, offset: float, ncells: int):
         wr2 = self.weights * self.residual**2
         total = np.bincount(self.cell_index, weights=wr2, minlength=ncells)
@@ -98,33 +91,6 @@ def make_data_error(samples: SampleSet, fvals: np.ndarray, f_h: np.ndarray) -> D
         cell_index=samples.cell_index,
         dist=_boundary_dist(samples.interior),
     )
-
-
-def data_error_norms(
-    v_h: FeFunction,
-    f,
-    contact: ContactSet,
-    samples: SampleSet,
-    band,
-    hessians=None,
-) -> tuple[float, float, dict[CellId, tuple[float, float]]]:
-    """(inner norm, global norm, per-cell squares) of f - f_h for one band.
-
-    Per-cell squares map each cell id to (||.||^2 on T, ||.||^2 on the band
-    part of T); summed over cells they reproduce the two global squares.
-    """
-    if hessians is None:
-        H = v_h.hessian(samples.interior)
-        hessians = (H[:, 0], H[:, 1], H[:, 2])
-    fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
-    data = make_data_error(samples, fvals, contact_density(hessians, contact))
-    ncells = len(samples.mesh.cell_ids)
-    total, inner = data.per_cell_sq(band.offset, ncells)
-    per_cell = {
-        cid: (float(total[i]), float(inner[i]))
-        for i, cid in enumerate(samples.mesh.cell_ids)
-    }
-    return float(np.sqrt(inner.sum())), float(np.sqrt(total.sum())), per_cell
 
 
 def bound_value(mu: float, jd: float, inner: float, glob: float) -> float:

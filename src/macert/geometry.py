@@ -37,38 +37,6 @@ class Rect:
     def area(self) -> float:
         return self.hx * self.hy
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
-
-
-@dataclass(frozen=True)
-class InteriorBand:
-    """The subdomain ``{x : dist(x, boundary) >= j * delta}`` of the unit square.
-
-    ``j * delta < 1/2`` keeps the band nonempty.  Distances to the boundary of
-    the unit square are ``min(x, 1-x, y, 1-y)``; membership tests are exact for
-    dyadic inputs.
-    """
-
-    j: int
-    delta: float
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("band index j must be nonnegative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.j * self.delta >= 0.5:
-            raise ValueError("j*delta must be < 1/2 so the band is nonempty")
-
-    @property
-    def offset(self) -> float:
-        return self.j * self.delta
-
-    def contains(self, x, y):
-        d = self.offset
-        return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y)) >= d
-
 
 def _rect_of(cid: CellId) -> Rect:
     level, ix, iy = cid
@@ -176,9 +144,6 @@ class RectMesh:
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    def is_leaf(self, cid: CellId) -> bool:
-        return cid in self._leaf_set
-
     def rect(self, cid: CellId) -> Rect:
         return _rect_of(cid)
 
@@ -276,20 +241,3 @@ def refine(mesh: RectMesh, marked: Iterable[CellId]) -> RectMesh:
         if cid in leaves:  # may have been split by closure already
             split(cid)
     return RectMesh(leaves)
-
-
-def band_split(cell: Rect, band: InteriorBand) -> tuple[float, Rect | None]:
-    """Intersection of a cell with the interior band, as (area, clipped rect).
-
-    The band is the axis-aligned square ``[jd, 1-jd]^2``, so the intersection
-    is again an axis-aligned rectangle (possibly empty).
-    """
-    d = band.offset
-    x0 = max(cell.x0, d)
-    y0 = max(cell.y0, d)
-    x1 = min(cell.x1, 1.0 - d)
-    y1 = min(cell.y1, 1.0 - d)
-    if x1 <= x0 or y1 <= y0:
-        return 0.0, None
-    clip = Rect(x0, y0, x1 - x0, y1 - y0, cell.level)
-    return clip.area, clip

@@ -1,4 +1,4 @@
-"""Pointwise HJB operator algebra for n = 2 and the Galerkin solver.
+"""Batched HJB operator kernels for n = 2 and the Galerkin solver.
 
 The operator is
 
@@ -21,47 +21,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, interpolate_boundary
-
-
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 matrix with eigen-decomposition helpers."""
-
-    m11: float
-    m12: float
-    m22: float
-
-    @property
-    def frobenius(self) -> float:
-        return float(np.sqrt(self.m11**2 + 2 * self.m12**2 + self.m22**2))
-
-    def eigenvalues(self) -> tuple[float, float]:
-        half = 0.5 * (self.m11 + self.m22)
-        rad = float(np.hypot(0.5 * (self.m11 - self.m22), self.m12))
-        return half - rad, half + rad
-
-    def angle(self) -> float:
-        """Angle of the eigenvector belonging to the larger eigenvalue."""
-        return 0.5 * float(np.arctan2(2.0 * self.m12, self.m11 - self.m22))
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12**2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Maximising control A = t v1 v1^T + (1-t) v2 v2^T of the inner problem.
-
-    v1 is the unit eigenvector of the smaller eigenvalue of M and t its
-    weight, so A places its larger weight on the flat direction of M.
-    """
-
-    t: float
-    angle: float  # eigenvector angle of the larger eigenvalue of M
-    A: SymMat2
 
 
 @dataclass(frozen=True)
@@ -123,13 +82,6 @@ def eval_F_batch(eps, fval, m11, m12, m22):
     return value, t, a11, a12, a22
 
 
-def eval_F(eps: float, fval: float, M: SymMat2) -> tuple[float, Policy]:
-    """Operator value and the maximising policy at a single matrix."""
-    value, t, a11, a12, a22 = eval_F_batch(eps, fval, M.m11, M.m12, M.m22)
-    pol = Policy(float(t), M.angle(), SymMat2(float(a11), float(a12), float(a22)))
-    return float(value), pol
-
-
 def xi_of_batch(eps, m11, m12, m22):
     """Unique root xi of xi -> F_eps(xi; M), vectorised.
 
@@ -149,11 +101,6 @@ def xi_of_batch(eps, m11, m12, m22):
         xi_in = 2.0 * np.sqrt(np.maximum(mu1 * mu2, 0.0))
     xi_clip = ((1.0 - eps) * mu1 + eps * mu2) / np.sqrt(eps * (1.0 - eps))
     return np.where(inactive, xi_in, xi_clip)
-
-
-def xi_of(eps: float, M: SymMat2) -> float:
-    """Right-hand side value making the operator vanish at Hessian M."""
-    return float(xi_of_batch(eps, M.m11, M.m12, M.m22))
 
 
 # -- Galerkin solver ----------------------------------------------------------
@@ -176,7 +123,6 @@ class _Assembler:
 
     def __init__(self, space: BfsSpace, quad: QuadRule):
         self.space = space
-        self.quad = quad
         self.groups = space.level_groups()
         self.ref = quad.ref_points
         self.wref = quad.ref_weights
@@ -189,7 +135,7 @@ class _Assembler:
         self.cols = np.tile(dofs, (1, 16)).ravel()
 
     def tab(self, level: int):
-        return self.space.tabulation(level, self.ref, key=("quad", self.quad.degree))
+        return self.space.tabulation(level, self.ref)
 
     def hessian_of(self, coeffs: np.ndarray):
         """Piecewise Hessian entries at all quadrature points: (nc, nq) each."""
@@ -258,7 +204,6 @@ def solve(
     space: BfsSpace,
     problem: HjbProblem,
     quad: QuadRule,
-    tol: float | None = None,
     max_iter: int = 50,
     reduction: Reduction | None = None,
     initial: np.ndarray | None = None,
@@ -268,9 +213,9 @@ def solve(
     Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each sweep
     freezes the pointwise argmax policy and solves the resulting linear,
     nonsymmetric system by sparse LU.  Iteration stops when the Euclidean norm
-    of the reduced residual falls below the tolerance, when the policy reaches
-    a fixed point (the residual then sits at its rounding floor), or after
-    ``max_iter`` linear solves (flagged, best iterate returned).
+    of the reduced residual falls below 1e-11 (1 + ||f||_L2), when the policy
+    reaches a fixed point (the residual then sits at its rounding floor), or
+    after ``max_iter`` linear solves (flagged, best iterate returned).
 
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
@@ -290,8 +235,7 @@ def solve(
         reduction = space.reduction(fixed)
     red = reduction
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
-    if tol is None:
-        tol = 1e-11 * (1.0 + fnorm)
+    tol = 1e-11 * (1.0 + fnorm)
 
     def solve_linear(a11, a12, a22, rhs):
         K, load = asm.linear_system(a11, a12, a22, rhs)

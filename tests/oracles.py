@@ -1,14 +1,26 @@
 """Independent brute-force oracles shared across test modules."""
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import Delaunay
 
-from macert.hjb import eval_F
+from macert.hjb import eval_F_batch
+
+
+def eigenvalues(M):
+    """Ascending eigenvalues of the symmetric matrix M = (m11, m12, m22)."""
+    m11, m12, m22 = M
+    return np.linalg.eigvalsh([[m11, m12], [m12, m22]])
+
+
+def F(eps, fval, M):
+    """Operator value F_eps(fval; M) at a single matrix M = (m11, m12, m22)."""
+    return float(eval_F_batch(eps, fval, *M)[0])
 
 
 def grid_search_F(eps, fval, M, refinements=4, n=2001):
     """Brute-force inner maximisation over the policy weight t."""
     lo, hi = eps, 1.0 - eps
-    mu1, mu2 = M.eigenvalues()
+    mu1, mu2 = eigenvalues(M)
     best_t = lo
     for _ in range(refinements):
         t = np.linspace(lo, hi, n)
@@ -24,13 +36,13 @@ def grid_search_F(eps, fval, M, refinements=4, n=2001):
 
 def bisect_xi(eps, M, tol=1e-13):
     """Independent root finder for xi: the operator is increasing in f."""
-    mu1, mu2 = M.eigenvalues()
+    mu1, mu2 = eigenvalues(M)
     scale = 1.0 + abs(mu1) + abs(mu2)
     lo, hi = -40.0 * scale, 40.0 * scale
-    assert eval_F(eps, lo, M)[0] < 0 < eval_F(eps, hi, M)[0]
+    assert F(eps, lo, M) < 0 < F(eps, hi, M)
     while hi - lo > tol * scale:
         mid = 0.5 * (lo + hi)
-        if eval_F(eps, mid, M)[0] < 0:
+        if F(eps, mid, M) < 0:
             lo = mid
         else:
             hi = mid
@@ -45,3 +57,17 @@ def lp_envelope(points, values, query):
     res = linprog(c, A_ub=A_ub, b_ub=values, bounds=[(None, None)] * 3, method="highs")
     assert res.status == 0
     return -res.fun
+
+
+def envelope_gap(v_h, samples, subdiv=4):
+    """Sampled sup of |v_h - nodal PL interpolant| over the induced triangulation."""
+    pts = samples.points
+    vals = v_h.value(pts)
+    tri = Delaunay(pts)
+    bary = np.array(
+        [(i / subdiv, j / subdiv, (subdiv - i - j) / subdiv)
+         for i in range(subdiv + 1) for j in range(subdiv + 1 - i)]
+    )
+    qpts = np.einsum("bk,tkd->tbd", bary, pts[tri.simplices]).reshape(-1, 2)
+    ivals = (vals[tri.simplices] @ bary.T).ravel()
+    return float(np.max(np.abs(v_h.value(qpts) - ivals)))

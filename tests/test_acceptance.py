@@ -204,7 +204,7 @@ def test_criterion_3_quadratic_reproduction():
         )
         linf = norms_vs_exact(result.u_h, exact, quad)[0]
         assert linf <= 1e-8
-        samples = build_samples(mesh, quad, boundary_density=512.0)
+        samples = build_samples(mesh, quad, per_edge=128)
         v_h = result.u_h
         values = np.concatenate(
             [v_h.value(samples.interior), v_h.value(samples.boundary)]

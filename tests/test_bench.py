@@ -16,6 +16,7 @@ from macert.bench import (
     run,
 )
 from macert.bfs import BfsSpace, QuadRule
+from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
 from macert.geometry import init_uniform, refine
@@ -217,6 +218,9 @@ class TestRunLoop:
             RunConfig(experiment=7)
         with pytest.raises(ValueError):
             RunConfig(experiment=1, mode="sideways")
+        for segments in (0, -3):
+            with pytest.raises(ValueError):
+                RunConfig(experiment=1, boundary_segments=segments)
 
 
 class TestCli:
@@ -235,6 +239,12 @@ class TestCli:
         payload = self._run(tmp_path, "a.dat")
         header = payload.decode().splitlines()[0]
         assert header.split() == list(DAT_COLUMNS)
+
+    def test_cli_rejects_zero_boundary_segments(self, tmp_path, capsys):
+        argv = ["--experiment", "1", "--boundary-segments", "0", "--out", str(tmp_path / "a.dat")]
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "boundary_segments must be at least 1" in capsys.readouterr().err
 
     def test_cli_deterministic(self, tmp_path):
         a = self._run(tmp_path, "a.dat")

@@ -8,7 +8,6 @@ from macert.bfs import (
     QuadRule,
     interpolate_boundary,
     norms_vs_exact,
-    shape_eval,
     tabulate_basis,
 )
 from macert.geometry import Rect, init_uniform, refine
@@ -26,24 +25,18 @@ def interpolant(space, u, ux, uy, uxy):
 
 class TestShapeEval:
     def test_hermite_duality_at_vertices(self):
-        cell = Rect(0.25, 0.5, 0.25, 0.25, 2)
-        corners = [(cell.x0, cell.y0), (cell.x1, cell.y0), (cell.x0, cell.y1), (cell.x1, cell.y1)]
-        for c, pt in enumerate(corners):
-            vals, grads, hess = shape_eval(cell, pt)
+        # reference corners of a cell of size 1/4, in local corner order
+        tab = tabulate_basis(0.25, np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
+        for c in range(4):
             for j in range(16):
                 expected = 1.0 if j == 4 * c else 0.0
-                assert vals[j] == pytest.approx(expected, abs=1e-14)
+                assert tab["N"][c, j] == pytest.approx(expected, abs=1e-14)
             # derivative DOFs are dual to the gradients at their own vertex
-            assert grads[4 * c + 1, 0] == pytest.approx(1.0, abs=1e-13)
-            assert grads[4 * c + 2, 1] == pytest.approx(1.0, abs=1e-13)
-
-    def test_point_outside_cell(self):
-        with pytest.raises(ValueError):
-            shape_eval(Rect(0, 0, 0.5, 0.5, 1), (0.75, 0.2))
+            assert tab["Nx"][c, 4 * c + 1] == pytest.approx(1.0, abs=1e-13)
+            assert tab["Ny"][c, 4 * c + 2] == pytest.approx(1.0, abs=1e-13)
 
     def test_reproduces_x2y_at_center(self):
-        cell = Rect(0.0, 0.0, 1.0, 1.0, 0)
-        vals, _, _ = shape_eval(cell, (0.5, 0.5))
+        vals = tabulate_basis(1.0, np.array([(0.5, 0.5)]))["N"][0]
         # nodal data of v = x^2 y at the four corners
         data = np.zeros(16)
         for c, (a, b) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
@@ -100,6 +93,22 @@ class TestQuadRule:
 
     def test_default_count(self):
         assert QuadRule(5).npoints == 25
+
+
+class TestTabulationCache:
+    def test_equal_points_share_a_table(self):
+        space = BfsSpace(init_uniform(1))
+        pts = QuadRule(3).ref_points
+        assert space.tabulation(2, pts) is space.tabulation(2, pts.copy())
+
+    def test_different_points_get_their_own_table(self):
+        space = BfsSpace(init_uniform(1))
+        a, b = QuadRule(3).ref_points, QuadRule(4).ref_points[:9]
+        tab_a, tab_b = space.tabulation(2, a), space.tabulation(2, b)
+        assert tab_a is not tab_b
+        for pts, tab in ((a, tab_a), (b, tab_b)):
+            expected = tabulate_basis(0.25, pts)
+            assert all(np.array_equal(tab[k], expected[k]) for k in expected)
 
 
 class TestContinuity:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lp_envelope
+from oracles import envelope_gap, lp_envelope
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.envelope import (
@@ -11,10 +11,19 @@ from macert.envelope import (
     boundary_residual,
     build_samples,
     contact_set,
-    envelope_gap,
     lower_hull,
 )
 from macert.geometry import init_uniform, refine
+
+
+def nodal_fe(mesh, u, ux, uy, uxy=lambda x, y: 0.0 * x):
+    """BFS function with the nodal values and derivatives of a given function."""
+    space = BfsSpace(mesh)
+    xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
+    coeffs = np.zeros(space.nfull)
+    for k, fn in enumerate((u, ux, uy, uxy)):
+        coeffs[k::4] = fn(xs, ys)
+    return FeFunction(space, coeffs)
 
 
 def grid_samples(n, rng=None, values=None):
@@ -41,29 +50,29 @@ def grid_samples(n, rng=None, values=None):
 
 class TestBuildSamples:
     def test_counts_single_cell(self):
-        samples = build_samples(init_uniform(0), QuadRule(1), 2.0)
+        samples = build_samples(init_uniform(0), QuadRule(1), per_edge=2)
         assert samples.n_interior == 1
         assert len(samples.boundary) == 8  # 4 corners + 4 edge midpoints
 
     def test_corners_present(self):
-        samples = build_samples(init_uniform(2), QuadRule(2), 4.0)
+        samples = build_samples(init_uniform(2), QuadRule(2), per_edge=1)
         bset = {tuple(p) for p in samples.boundary}
         assert {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)} <= bset
 
     def test_doubling_density_halves_gap(self):
-        def max_gap(density):
-            samples = build_samples(init_uniform(1), QuadRule(2), density)
+        def max_gap(per_edge):
+            samples = build_samples(init_uniform(1), QuadRule(2), per_edge)
             gaps = []
             for side in ("bottom", "top", "left", "right"):
                 p = samples.side_params[side]
                 gaps.append(np.max(np.diff(p)))
             return max(gaps)
 
-        assert max_gap(8.0) == pytest.approx(0.5 * max_gap(4.0))
+        assert max_gap(4) == pytest.approx(0.5 * max_gap(2))
 
     def test_interior_points_are_quadrature_points(self):
         quad = QuadRule(3)
-        samples = build_samples(init_uniform(1), quad, 4.0)
+        samples = build_samples(init_uniform(1), quad, per_edge=2)
         assert samples.n_interior == 4 * quad.npoints
         assert samples.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -73,7 +82,7 @@ class TestBuildSamples:
         # composite points inside the leaf, integrating a bicubic exactly
         quad = QuadRule(2)
         mesh = init_uniform(level)
-        samples = build_samples(mesh, quad, 4.0, min_level=2)
+        samples = build_samples(mesh, quad, per_edge=2 ** (2 - level), min_level=2)
         split = 2 ** (2 - level)
         assert samples.n_interior == len(mesh.cell_ids) * split**2 * quad.npoints
         p = samples.interior
@@ -106,8 +115,8 @@ class TestBuildSamples:
     def test_floor_keeps_fine_leaves(self, mesh):
         # leaves at or below the floor keep their points, in the same order
         quad = QuadRule(3)
-        plain = build_samples(mesh, quad, 4.0)
-        floored = build_samples(mesh, quad, 4.0, min_level=2)
+        plain = build_samples(mesh, quad, per_edge=1)
+        floored = build_samples(mesh, quad, per_edge=1, min_level=2)
         assert np.all(np.diff(floored.cell_index) >= 0)
         for c, cid in enumerate(mesh.cell_ids):
             a, b = plain.cell_index == c, floored.cell_index == c
@@ -121,7 +130,7 @@ class TestBuildSamples:
         mesh = refine(init_uniform(1), [(1, 0, 0)])
         space = BfsSpace(mesh)
         vh = FeFunction(space, np.random.default_rng(3).standard_normal(space.nfull))
-        samples = build_samples(mesh, QuadRule(3), 4.0, min_level=2)
+        samples = build_samples(mesh, QuadRule(3), per_edge=1, min_level=2)
         fields = samples.interior_fields(vh, ("N", "Nxx", "Nxy", "Nyy"))
         assert np.allclose(fields["N"], vh.value(samples.interior), atol=1e-12)
         H = vh.hessian(samples.interior)
@@ -220,16 +229,15 @@ def test_convexity_spot_checks(seed):
 class TestContactSet:
     def _quadratic_setup(self, fxx=1.0, fxy=0.0, fyy=1.0):
         mesh = init_uniform(2)
-        space = BfsSpace(mesh)
-        xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-        coeffs = np.zeros(space.nfull)
-        coeffs[0::4] = 0.5 * (fxx * xs**2 + 2 * fxy * xs * ys + fyy * ys**2)
-        coeffs[1::4] = fxx * xs + fxy * ys
-        coeffs[2::4] = fxy * xs + fyy * ys
-        coeffs[3::4] = fxy
-        vh = FeFunction(space, coeffs)
+        vh = nodal_fe(
+            mesh,
+            lambda x, y: 0.5 * (fxx * x**2 + 2 * fxy * x * y + fyy * y**2),
+            lambda x, y: fxx * x + fxy * y,
+            lambda x, y: fxy * x + fyy * y,
+            lambda x, y: fxy + 0.0 * x,
+        )
         quad = QuadRule(3)
-        samples = build_samples(mesh, quad, 16.0)
+        samples = build_samples(mesh, quad, per_edge=4)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         return vh, samples, lower_hull(samples, values)
 
@@ -262,13 +270,10 @@ class TestContactSet:
         # is convex with curvature only in x, so every point is contact and
         # the resulting density vanishes identically
         mesh = init_uniform(0)
-        space = BfsSpace(mesh)
-        xs = mesh.vertex_coords[:, 0]
-        coeffs = np.zeros(space.nfull)
-        coeffs[0::4] = np.abs(xs - 0.5)
-        coeffs[1::4] = np.sign(xs - 0.5)
-        vh = FeFunction(space, coeffs)
-        samples = build_samples(mesh, QuadRule(3), 8.0)
+        vh = nodal_fe(
+            mesh, lambda x, y: np.abs(x - 0.5), lambda x, y: np.sign(x - 0.5), lambda x, y: 0.0 * x
+        )
+        samples = build_samples(mesh, QuadRule(3), per_edge=8)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         hull = lower_hull(samples, values)
         contact = contact_set(hull, vh)
@@ -294,14 +299,9 @@ class TestContactSet:
 class TestBoundaryResidual:
     def test_zero_for_matching_convex_trace(self):
         mesh = init_uniform(1)
-        space = BfsSpace(mesh)
-        xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-        coeffs = np.zeros(space.nfull)
-        coeffs[0::4] = xs + ys
-        coeffs[1::4] = 1.0
-        coeffs[2::4] = 1.0
-        vh = FeFunction(space, coeffs)
-        samples = build_samples(mesh, QuadRule(2), 8.0)
+        one = lambda x, y: 1.0 + 0.0 * x
+        vh = nodal_fe(mesh, lambda x, y: x + y, one, one)
+        samples = build_samples(mesh, QuadRule(2), per_edge=4)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         hull = lower_hull(samples, values)
         mu = boundary_residual(hull, lambda x, y: x + y)
@@ -309,15 +309,13 @@ class TestBoundaryResidual:
 
     def test_zero_data_nonnegative_function(self):
         mesh = init_uniform(1)
-        space = BfsSpace(mesh)
-        xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-        coeffs = np.zeros(space.nfull)
-        bump = xs * (1 - xs) * ys * (1 - ys)
-        coeffs[0::4] = bump
-        coeffs[1::4] = (1 - 2 * xs) * ys * (1 - ys)
-        coeffs[2::4] = xs * (1 - xs) * (1 - 2 * ys)
-        vh = FeFunction(space, coeffs)
-        samples = build_samples(mesh, QuadRule(2), 8.0)
+        vh = nodal_fe(
+            mesh,
+            lambda x, y: x * (1 - x) * y * (1 - y),
+            lambda x, y: (1 - 2 * x) * y * (1 - y),
+            lambda x, y: x * (1 - x) * (1 - 2 * y),
+        )
+        samples = build_samples(mesh, QuadRule(2), per_edge=4)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         hull = lower_hull(samples, values)
         assert boundary_residual(hull, lambda x, y: 0.0 * x) == pytest.approx(0.0, abs=1e-12)
@@ -325,69 +323,47 @@ class TestBoundaryResidual:
     def test_quadratic_interp_gap(self):
         # convex quadratic data: mu equals the chord gap of the trace hull
         mesh = init_uniform(1)
-        space = BfsSpace(mesh)
-        xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-        coeffs = np.zeros(space.nfull)
-        coeffs[0::4] = 0.5 * (xs**2 + ys**2)
-        coeffs[1::4] = xs
-        coeffs[2::4] = ys
-        vh = FeFunction(space, coeffs)
-        density = 16.0
-        samples = build_samples(mesh, QuadRule(3), density)
+        vh = nodal_fe(mesh, lambda x, y: 0.5 * (x**2 + y**2), lambda x, y: x, lambda x, y: y)
+        per_edge = 8  # 16 boundary segments per unit length
+        samples = build_samples(mesh, QuadRule(3), per_edge)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         hull = lower_hull(samples, values)
         mu = boundary_residual(hull, lambda x, y: 0.5 * (x**2 + y**2))
-        assert mu == pytest.approx((1 / density) ** 2 / 8, rel=1e-10)
+        assert mu == pytest.approx((1 / 16) ** 2 / 8, rel=1e-10)
 
 
 class TestEnvelopeGap:
-    def _fe(self, mesh, u, ux, uy, uxy):
-        space = BfsSpace(mesh)
-        xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-        coeffs = np.zeros(space.nfull)
-        coeffs[0::4] = u(xs, ys)
-        coeffs[1::4] = ux(xs, ys)
-        coeffs[2::4] = uy(xs, ys)
-        coeffs[3::4] = uxy(xs, ys)
-        return FeFunction(space, coeffs)
-
     def test_affine_gap_zero(self):
         mesh = init_uniform(1)
-        vh = self._fe(
+        vh = nodal_fe(
             mesh,
             lambda x, y: 1 + 2 * x - y,
             lambda x, y: 2 * np.ones_like(x),
             lambda x, y: -np.ones_like(x),
             lambda x, y: np.zeros_like(x),
         )
-        samples = build_samples(mesh, QuadRule(2), 4.0)
+        samples = build_samples(mesh, QuadRule(2), per_edge=2)
         assert envelope_gap(vh, samples) <= 1e-12
 
     def test_refining_samples_shrinks_gap(self):
         mesh = init_uniform(1)
-        vh = self._fe(
+        vh = nodal_fe(
             mesh,
             lambda x, y: np.sin(2 * x + y),
             lambda x, y: 2 * np.cos(2 * x + y),
             lambda x, y: np.cos(2 * x + y),
             lambda x, y: -2 * np.sin(2 * x + y),
         )
-        coarse = envelope_gap(vh, build_samples(mesh, QuadRule(2), 4.0))
-        fine = envelope_gap(vh, build_samples(mesh, QuadRule(5), 10.0))
+        coarse = envelope_gap(vh, build_samples(mesh, QuadRule(2), per_edge=2))
+        fine = envelope_gap(vh, build_samples(mesh, QuadRule(5), per_edge=5))
         assert fine <= 0.5 * coarse
 
 
 def test_sandwich_inequality():
     # hull of nodal values stays within the interpolation gap of the function
     mesh = init_uniform(2)
-    space = BfsSpace(mesh)
-    xs, ys = mesh.vertex_coords[:, 0], mesh.vertex_coords[:, 1]
-    coeffs = np.zeros(space.nfull)
-    coeffs[0::4] = np.exp(xs) + ys**2
-    coeffs[1::4] = np.exp(xs)
-    coeffs[2::4] = 2 * ys
-    vh = FeFunction(space, coeffs)
-    samples = build_samples(mesh, QuadRule(3), 12.0)
+    vh = nodal_fe(mesh, lambda x, y: np.exp(x) + y**2, lambda x, y: np.exp(x), lambda x, y: 2 * y)
+    samples = build_samples(mesh, QuadRule(3), per_edge=3)
     values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
     hull = lower_hull(samples, values)
     delta = envelope_gap(vh, samples)

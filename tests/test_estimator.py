@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from oracles import bisect_xi, envelope_gap
+
 from macert.bfs import BfsSpace, FeFunction, QuadRule
-from macert.envelope import build_samples, contact_set, envelope_gap, lower_hull
+from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import (
     DataError,
     bound_value,
     contact_density,
-    data_error_norms,
     indicators_and_mark,
     make_data_error,
     max_boundary_trace_error,
@@ -15,8 +16,7 @@ from macert.estimator import (
     rhs_eps,
     select_j,
 )
-from macert.geometry import InteriorBand, init_uniform, min_edge_length
-from macert.hjb import SymMat2
+from macert.geometry import init_uniform, min_edge_length
 
 
 def quadratic_fe(mesh, m11=1.0, m12=0.0, m22=1.0):
@@ -39,36 +39,32 @@ class TestDataErrorNorms:
     def test_exact_quadratic_zero_residual(self):
         mesh = init_uniform(2)
         vh = quadratic_fe(mesh)
-        samples = build_samples(mesh, QuadRule(5), 16.0)
+        samples = build_samples(mesh, QuadRule(5), per_edge=4)
         hull = envelope_of(vh, samples)
-        contact = contact_set(hull, vh)
-        inner, glob, per_cell = data_error_norms(
-            vh, lambda x, y: 2.0 + 0 * x, contact, samples,
-            InteriorBand(1, min_edge_length(mesh)),
-        )
-        assert glob <= 1e-11
-        assert inner <= glob + 1e-15
+        g = lambda x, y: 0.5 * (x**2 + y**2)
+        cert = rhs0(vh, lambda x, y: 2.0 + 0 * x, g, hull, contact_set(hull, vh), j=1)
+        assert cert.data_err_global <= 1e-11
+        assert cert.data_err_inner <= cert.data_err_global + 1e-15
 
     def test_constant_f_zero_vh(self):
         # v_h = 0: contact everywhere with zero density, so the residual is f
         mesh = init_uniform(3)
         space = BfsSpace(mesh)
         vh = FeFunction(space, np.zeros(space.nfull))
-        samples = build_samples(mesh, QuadRule(5), 16.0)
+        samples = build_samples(mesh, QuadRule(5), per_edge=2)
         hull = envelope_of(vh, samples)
         contact = contact_set(hull, vh)
         assert contact.flags.all()
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
-            inner, glob, per_cell = data_error_norms(
-                vh, lambda x, y: 1.0 + 0 * x, contact, samples, InteriorBand(j, delta)
-            )
+            cert = rhs0(vh, lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, j=j)
+            glob, inner, jd = cert.data_err_global, cert.data_err_inner, j * delta
             assert glob == pytest.approx(1.0, abs=1e-13)
-            assert inner == pytest.approx(1.0 - 2 * j * delta, abs=1e-12)
-            totals = np.array([v[0] for v in per_cell.values()])
-            inners = np.array([v[1] for v in per_cell.values()])
-            assert totals.sum() == pytest.approx(glob**2, rel=1e-12)
-            assert inners.sum() == pytest.approx(inner**2, rel=1e-12)
+            # the band [jd, 1 - jd]^2 has area (1 - 2jd)^2
+            assert inner == pytest.approx(1.0 - 2 * jd, abs=1e-12)
+            # per-cell indicators add up to the two global squares
+            expected = jd * np.sqrt(2) * glob**2 + (1 - 2 * jd) ** 2 * inner**2
+            assert sum(cert.per_element_eta.values()) == pytest.approx(expected, rel=1e-12)
 
     def test_residual_scaling_is_linear(self):
         # scaling f - f_h by lam scales both data terms by exactly lam
@@ -86,18 +82,12 @@ class TestDataErrorNorms:
             lam * data.residual, data.f_h, data.weights, data.cell_index, data.dist
         )
         for off in (0.0, 0.1, 0.3):
-            assert np.sqrt(scaled.inner_sq(off)) == pytest.approx(
-                lam * np.sqrt(data.inner_sq(off)), rel=1e-12
+            assert np.sqrt(scaled.per_cell_sq(off, 1)[1].sum()) == pytest.approx(
+                lam * np.sqrt(data.per_cell_sq(off, 1)[1].sum()), rel=1e-12
             )
 
 
 class TestSelectJ:
-    @staticmethod
-    def _data_with_rhs0(values_by_j, delta):
-        """Synthetic residual field realising a desired RHS0 trend is hard;
-        instead drive select_j through a custom mu and residuals."""
-        return None
-
     def test_first_ascent(self):
         # residual concentrated near the boundary: shrinking the band pays
         # off until the global term's sqrt(jd) growth dominates
@@ -109,13 +99,10 @@ class TestSelectJ:
                          np.zeros(n, dtype=int), dist)
         delta = 1 / 32
         j = select_j(0.0, data, delta)
-        vals = [
-            bound_value(
-                0.0, k * delta,
-                np.sqrt(data.inner_sq(k * delta)), np.sqrt(data.global_sq()),
-            )
-            for k in range(j + 2)
-        ]
+        vals = []
+        for k in range(j + 2):
+            total, inner = data.per_cell_sq(k * delta, 1)
+            vals.append(bound_value(0.0, k * delta, np.sqrt(inner.sum()), np.sqrt(total.sum())))
         assert all(vals[k + 1] <= vals[k] for k in range(j))  # descended to j
         assert vals[j + 1] > vals[j]  # first ascent right after
 
@@ -137,7 +124,7 @@ class TestCertificates:
     def test_quadratic_certificate_small(self):
         mesh = init_uniform(2)
         vh = quadratic_fe(mesh)
-        samples = build_samples(mesh, QuadRule(5), 512.0)
+        samples = build_samples(mesh, QuadRule(5), per_edge=128)
         hull = envelope_of(vh, samples)
         contact = contact_set(hull, vh)
         g = lambda x, y: 0.5 * (x**2 + y**2)
@@ -150,7 +137,7 @@ class TestCertificates:
         mesh = init_uniform(3)
         space = BfsSpace(mesh)
         vh = FeFunction(space, np.zeros(space.nfull))
-        samples = build_samples(mesh, QuadRule(3), 8.0)
+        samples = build_samples(mesh, QuadRule(3), per_edge=1)
         hull = envelope_of(vh, samples)
         contact = contact_set(hull, vh)
         cert = rhs0(vh, lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact)
@@ -172,7 +159,7 @@ class TestCertificates:
     def test_rhs_eps_constant_hessian(self):
         mesh = init_uniform(2)
         vh = quadratic_fe(mesh)
-        samples = build_samples(mesh, QuadRule(4), 16.0)
+        samples = build_samples(mesh, QuadRule(4), per_edge=4)
         H = vh.hessian(samples.interior)
         f_h = contact_density((H[:, 0], H[:, 1], H[:, 2]),
                               contact_set(envelope_of(vh, samples), vh))
@@ -183,21 +170,18 @@ class TestCertificates:
         assert cert.rhs0 <= 1e-9
 
     def test_rhs_eps_matches_bisection_oracle(self):
-        from oracles import bisect_xi
-
         mesh = init_uniform(1)
         space = BfsSpace(mesh)
         rng = np.random.default_rng(4)
         vh = FeFunction(space, rng.standard_normal(space.nfull))
-        samples = build_samples(mesh, QuadRule(3), 8.0)
+        samples = build_samples(mesh, QuadRule(3), per_edge=4)
         H = vh.hessian(samples.interior)
         eps = 0.07
         from macert.hjb import xi_of_batch
 
         f_h = xi_of_batch(eps, H[:, 0], H[:, 1], H[:, 2])
         for k in range(0, len(f_h), 5):
-            M = SymMat2(H[k, 0], H[k, 1], H[k, 2])
-            assert f_h[k] == pytest.approx(bisect_xi(eps, M), abs=1e-9)
+            assert f_h[k] == pytest.approx(bisect_xi(eps, H[k]), abs=1e-9)
         cert = rhs_eps(vh, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, eps, samples)
         assert cert.rhs0 >= 0.0
 
@@ -205,7 +189,7 @@ class TestCertificates:
         # known exact solution: certified bound dominates the sampled error
         mesh = init_uniform(2)
         vh = quadratic_fe(mesh)
-        samples = build_samples(mesh, QuadRule(5), 64.0)
+        samples = build_samples(mesh, QuadRule(5), per_edge=16)
         hull = envelope_of(vh, samples)
         contact = contact_set(hull, vh)
         g = lambda x, y: 0.5 * (x**2 + y**2)

@@ -1,16 +1,14 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macert.geometry import (
-    InteriorBand,
-    Rect,
-    RectMesh,
-    band_split,
-    init_uniform,
-    min_edge_length,
-    refine,
-)
+from macert.bfs import QuadRule
+from macert.envelope import build_samples
+from macert.estimator import DataError, make_data_error, select_j
+from macert.geometry import Rect, RectMesh, init_uniform, min_edge_length, refine
 
 
 def brute_force_valid(mesh: RectMesh):
@@ -106,53 +104,61 @@ def test_min_edge_halves_under_uniform_refinement():
         assert min_edge_length(mesh) == previous / 2
 
 
+def band_parts(mesh, j):
+    """Per-cell (area, area of the band {dist >= j delta}) as the estimator
+    measures them: its data-error squares of a unit residual.  The 2x2 Gauss
+    rule is exact here because the band edges fall on cell edges or centres."""
+    samples = build_samples(mesh, QuadRule(2), per_edge=1)
+    ones = np.ones(samples.n_interior)
+    data = make_data_error(samples, ones, 0.0 * ones)
+    return data.per_cell_sq(j * min_edge_length(mesh), len(mesh))
+
+
 class TestInteriorBand:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            InteriorBand(j=2, delta=0.25)
-        with pytest.raises(ValueError):
-            InteriorBand(j=-1, delta=0.25)
-        InteriorBand(j=1, delta=0.25)
+        # the selected band stays nonempty, j * delta < 1/2, even when
+        # shrinking it always lowers the bound
+        n = 100
+        data = DataError(np.ones(n), np.zeros(n), np.full(n, 1.0 / n),
+                         np.zeros(n, dtype=int), np.full(n, 0.1))
+        assert select_j(0.0, data, 0.25) == 1
 
     def test_membership_exact(self):
-        band = InteriorBand(j=1, delta=0.25)
-        assert band.contains(0.25, 0.5)
-        assert not band.contains(0.25 - 1e-16, 0.5)
-        assert not band.contains(0.1, 0.9)
+        pts = np.array([(0.25, 0.5), (0.25 - 1e-16, 0.5), (0.1, 0.9)])
+        samples = SimpleNamespace(interior=pts, weights=np.ones(3), cell_index=np.arange(3))
+        _, inner = make_data_error(samples, np.ones(3), np.zeros(3)).per_cell_sq(0.25, 3)
+        assert inner.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestBandSplit:
     def test_full_cell_at_j0(self):
-        cell = Rect(0.0, 0.0, 0.25, 0.25, 2)
-        area, clip = band_split(cell, InteriorBand(j=0, delta=0.25))
-        assert area == pytest.approx(cell.area, abs=0)
-        assert clip == cell
+        total, inner = band_parts(init_uniform(2), 0)
+        assert np.array_equal(inner, total)
+        assert total == pytest.approx(np.full(16, 1 / 16), abs=1e-15)
 
     def test_boundary_cell_empty(self):
-        cell = Rect(0.0, 0.0, 0.25, 0.25, 2)
-        area, clip = band_split(cell, InteriorBand(j=1, delta=0.25))
-        assert area == 0.0 and clip is None
+        mesh = init_uniform(2)
+        total, inner = band_parts(mesh, 1)
+        assert inner[mesh.cell_ids.index((2, 0, 0))] == 0.0
+        assert inner[mesh.cell_ids.index((2, 1, 1))] == total[mesh.cell_ids.index((2, 1, 1))]
 
     def test_interval_intersection(self):
-        cell = Rect(1 / 8, 1 / 2, 1 / 4, 1 / 4, 2)
-        area, clip = band_split(cell, InteriorBand(j=1, delta=0.25))
-        assert (clip.x0, clip.y0, clip.x1, clip.y1) == (0.25, 0.5, 3 / 8, 0.75)
-        assert area == pytest.approx(clip.hx * clip.hy, abs=0)
+        # delta = 1/8: the band edge x = 1/8 halves the coarse boundary leaf
+        mesh = refine(init_uniform(2), [(2, 1, 1)])
+        _, inner = band_parts(mesh, 1)
+        assert inner[mesh.cell_ids.index((2, 0, 1))] == pytest.approx(1 / 32, abs=1e-15)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     def test_band_areas_sum(self, j):
         mesh = init_uniform(3)
-        band = InteriorBand(j=j, delta=min_edge_length(mesh))
-        total = sum(band_split(r, band)[0] for r in mesh.rects)
-        expected = (1.0 - 2 * j * band.delta) ** 2
-        assert total == pytest.approx(expected, abs=1e-12)
+        expected = (1.0 - 2 * j * min_edge_length(mesh)) ** 2
+        assert band_parts(mesh, j)[1].sum() == pytest.approx(expected, abs=1e-12)
 
     def test_band_areas_on_adaptive_mesh(self):
         mesh = refine(init_uniform(2), [(2, 1, 1), (2, 2, 2)])
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
-            band = InteriorBand(j=j, delta=delta)
-            total = sum(band_split(r, band)[0] for r in mesh.rects)
+            total = band_parts(mesh, j)[1].sum()
             assert total == pytest.approx((1.0 - 2 * j * delta) ** 2, abs=1e-12)
 
 
