@@ -352,8 +352,8 @@ def run(config: RunConfig, collect_steps: bool = False):
         hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
         values = np.concatenate([fields["N"], v_h.value(samples.boundary)])
         hull = env.lower_hull(samples, values)
-        contact = env.contact_set(hull, v_h, hessians)
-        cert = est.rhs0(v_h, exp.f, exp.g, hull, contact, hessians)
+        contact = env.contact_set(hull, hessians)
+        cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
         edge_errors, boundary_err = est.max_boundary_trace_error(v_h, exp.g)
         cert_eps = est.rhs_eps(
             v_h, exp.f, exp.g, eps, samples, hessians, boundary_err=boundary_err

@@ -3,10 +3,11 @@
 The envelope of the nodal interpolant is the lower hull of the lifted points
 (x, y, v(x, y)).  Every lower-facet plane lies below the envelope with
 equality above its own facet, so the envelope evaluates as the maximum of
-candidate facet planes; a uniform spatial bucket keeps that maximum local.
-The trace of the hull on a side of the square only depends on the samples of
-that side (the side plane supports the hull), which reduces the boundary
-residual to four 1D lower hulls.
+candidate facet planes; an index of dyadic squares, each facet filed in at
+most eight of them at its own depth, keeps that maximum local.  The trace of
+the hull on a side of the square only depends on the samples of that side
+(the side plane supports the hull), which reduces the boundary residual to
+four 1D lower hulls.
 """
 from __future__ import annotations
 
@@ -181,88 +182,51 @@ class LowerHull:
     simplices: np.ndarray  # (nf, 3) indices into samples.points
     planar: bool
     on_hull: np.ndarray = field(init=False)  # bool per sample point
-    _buckets: object = field(default=None, repr=False)
+    _buckets: tuple = field(init=False, repr=False)  # see _bucket_index
 
     def __post_init__(self):
         pts = self.samples.points
+        self._buckets = _bucket_index(pts[self.simplices], self.samples.mesh.max_level + 2)
         gap = self.values - self.evaluate(pts)
         scale = 1.0 + float(np.max(np.abs(self.values))) if len(self.values) else 1.0
         self.on_hull = gap <= 1e-10 * scale
 
-    # -- evaluation --------------------------------------------------------
-
-    def _bucket_index(self):
-        if self._buckets is not None:
-            return self._buckets
-        nf = len(self.planes)
-        G = int(np.clip(np.sqrt(max(nf, 1)), 4, 512))
-        pts = self.samples.points
-        tri = pts[self.simplices]  # (nf, 3, 2)
-        lo = np.clip((tri.min(axis=1) * G).astype(np.int64), 0, G - 1)
-        hi = np.clip((tri.max(axis=1) * G).astype(np.int64), 0, G - 1)
-        wx = hi[:, 0] - lo[:, 0] + 1
-        wy = hi[:, 1] - lo[:, 1] + 1
-        counts = wx * wy
-        # facets covering very many buckets go to a chunked full-scan list
-        big = counts > 4096
-        small = np.nonzero(~big)[0]
-        csm = counts[small]
-        total = int(csm.sum())
-        facet_ids = np.repeat(small, csm)
-        within = np.arange(total) - np.repeat(np.cumsum(csm) - csm, csm)
-        mod = np.repeat(wx[small], csm)
-        dx = within % mod
-        dy = within // mod
-        bucket_ids = (np.repeat(lo[small, 0], csm) + dx) * G + (
-            np.repeat(lo[small, 1], csm) + dy
-        )
-        order = np.argsort(bucket_ids, kind="stable")
-        facet_ids = facet_ids[order]
-        bucket_ids = bucket_ids[order]
-        starts = np.searchsorted(bucket_ids, np.arange(G * G + 1))
-        self._buckets = (G, facet_ids, starts, np.nonzero(big)[0])
-        return self._buckets
-
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        """Envelope values at query points inside the unit square."""
+        """Envelope values at query points inside the unit square.
+
+        The value at a point is the largest plane among the facets filed in
+        its squares: the facet whose triangle holds the point is one of them,
+        and no lower-facet plane rises above the envelope.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.planar:
             a0, a1, b = self.planes[0]
             return a0 * pts[:, 0] + a1 * pts[:, 1] + b
-        G, facet_ids, starts, big = self._bucket_index()
-        out = np.full(len(pts), -np.inf)
+        keys, facet_ids, depths = self._buckets
         q = np.clip(pts, 0.0, 1.0)
-        bx = np.minimum((q[:, 0] * G).astype(int), G - 1)
-        by = np.minimum((q[:, 1] * G).astype(int), G - 1)
-        bucket = bx * G + by
-        order = np.argsort(bucket, kind="stable")
-        sb = bucket[order]
-        edges = np.searchsorted(sb, np.arange(G * G + 1))
-        for b in np.unique(sb):
-            qi = order[edges[b] : edges[b + 1]]
-            cand = facet_ids[starts[b] : starts[b + 1]]
-            if len(cand) == 0:
-                continue
-            out[qi] = self._plane_max(self.planes[cand], pts[qi])
-        if len(big):
-            out = np.maximum(out, self._plane_max(self.planes[big], pts))
-        miss = ~np.isfinite(out)
-        if np.any(miss):  # isolated points whose bucket holds no facet
-            out[miss] = self._plane_max(self.planes, pts[miss])
-        return out
-
-    @staticmethod
-    def _plane_max(planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Running max over facet planes, chunked to bound the work array."""
-        out = np.full(len(pts), -np.inf)
-        for start in range(0, len(planes), 64):
-            pl = planes[start : start + 64]
-            vals = (
-                pl[:, 0][:, None] * pts[:, 0]
-                + pl[:, 1][:, None] * pts[:, 1]
-                + pl[:, 2][:, None]
-            )
-            np.maximum(out, vals.max(axis=0), out=out)
+        # facets of point i at the k-th depth: facet_ids[first[k, i]:][:count[k, i]]
+        first = np.empty((len(depths), len(pts)), dtype=np.int32)
+        count = np.empty_like(first)
+        for k, n in enumerate(np.left_shift(1, depths).tolist()):
+            key = _square_key(_square(q, n), n)
+            first[k] = np.searchsorted(keys, key, side="left")
+            count[k] = np.searchsorted(keys, key, side="right") - first[k]
+        per_point = count.sum(axis=0)
+        if not np.all(per_point):
+            raise ValueError("a query point lies in no lower facet")
+        ends = np.cumsum(per_point)
+        cuts = np.searchsorted(ends, np.arange(0, per_point.sum(), _CHUNK), "right")
+        cuts = np.unique(cuts).tolist()
+        a0, a1, b = self.planes.T
+        out = np.empty(len(pts))
+        for lo, hi in zip(cuts, cuts[1:] + [len(pts)]):
+            c = count[:, lo:hi].T.ravel()  # point-major (point, depth) runs
+            pos = np.repeat(first[:, lo:hi].T.ravel() - (np.cumsum(c) - c), c)
+            f = facet_ids[pos + np.arange(len(pos))]
+            n = per_point[lo:hi]
+            p = np.repeat(np.arange(lo, hi), n)
+            vals = a0[f] * pts[p, 0] + a1[f] * pts[p, 1] + b[f]
+            out[lo:hi] = np.maximum.reduceat(vals, np.cumsum(n) - n)
         return out
 
     def boundary_trace(self, side: str, t: np.ndarray) -> np.ndarray:
@@ -298,6 +262,47 @@ def _lower_hull_1d(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
                 break
         keep.append(i)
     return t[keep], v[keep]
+
+
+_MAX_SQUARES = 8  # index entries per facet
+_CHUNK = 1 << 16  # (point, facet) pairs per segmented max
+
+
+def _square(q: np.ndarray, n) -> np.ndarray:
+    """Column and row of the square of side 1/n that holds each point of q."""
+    return np.minimum((q * n).astype(np.int64), n - 1)
+
+
+def _square_key(ij: np.ndarray, n) -> np.ndarray:
+    """Key of each square; n = 2**depth, numbered after all coarser squares."""
+    return (n * n - 1) // 3 + ij[:, 0] * n + ij[:, 1]
+
+
+def _bucket_index(tri: np.ndarray, top: int):
+    """Sorted square keys with their facet ids, and the depths in use.
+
+    Each facet (triangle ``tri[f]`` in [0, 1]^2) is filed in every square of
+    side 2**-d its bounding box meets, d <= ``top`` the deepest depth with at
+    most ``_MAX_SQUARES`` of them; so a point's square at d holds the facet.
+    """
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    depth = np.zeros(len(tri), dtype=np.int64)
+    for d in range(1, top + 1):
+        w = _square(hi, 1 << d) - _square(lo, 1 << d) + 1
+        depth[w[:, 0] * w[:, 1] <= _MAX_SQUARES] = d
+    n = np.left_shift(1, depth)
+    i0 = _square(lo, n[:, None])
+    w = _square(hi, n[:, None]) - i0 + 1
+    facets = np.arange(len(tri), dtype=np.int32)
+    keys, ids = [], []
+    for k in range(_MAX_SQUARES):
+        offset = np.column_stack([k % w[:, 0], k // w[:, 0]])
+        m = offset[:, 1] < w[:, 1]
+        keys.append(_square_key(i0[m] + offset[m], n[m]))
+        ids.append(facets[m])
+    keys, ids = np.concatenate(keys), np.concatenate(ids)
+    order = np.argsort(keys)
+    return keys[order], ids[order], np.unique(depth)
 
 
 def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
@@ -342,26 +347,21 @@ class ContactSet:
     psd: np.ndarray
 
 
-def contact_set(hull: LowerHull, v_h: FeFunction, hessians=None) -> ContactSet:
+def contact_set(hull: LowerHull, hessians) -> ContactSet:
     """Contact flags at the interior samples of the hull's sample set.
 
     A point belongs to the approximate contact set when its lifted sample
-    lies on the lower hull and the piecewise Hessian of ``v_h`` there is
-    positive semidefinite up to a relative tolerance.
+    lies on the lower hull and the piecewise Hessian (m11, m12, m22) of v_h
+    there, given at the interior samples, is positive semidefinite up to a
+    relative tolerance.
     """
-    samples = hull.samples
-    ni = samples.n_interior
-    if hessians is None:
-        H = v_h.hessian(samples.interior)
-        m11, m12, m22 = H[:, 0], H[:, 1], H[:, 2]
-    else:
-        m11, m12, m22 = hessians
+    m11, m12, m22 = hessians
     frob = np.sqrt(m11**2 + 2 * m12**2 + m22**2)
     tol = 1e-12 * float(np.max(frob)) if len(frob) else 0.0
     half = 0.5 * (m11 + m22)
     rad = np.hypot(0.5 * (m11 - m22), m12)
     psd = half - rad >= -tol
-    on_hull = hull.on_hull[:ni]
+    on_hull = hull.on_hull[: hull.samples.n_interior]
     return ContactSet(on_hull & psd, on_hull, psd)
 
 

@@ -35,7 +35,6 @@ class DataError:
     """Pointwise residual f - f_h at the interior samples, with quadrature data."""
 
     residual: np.ndarray
-    f_h: np.ndarray
     weights: np.ndarray
     cell_index: np.ndarray
     dist: np.ndarray  # distance to the boundary of the unit square
@@ -86,7 +85,6 @@ def _boundary_dist(pts: np.ndarray) -> np.ndarray:
 def make_data_error(samples: SampleSet, fvals: np.ndarray, f_h: np.ndarray) -> DataError:
     return DataError(
         residual=fvals - f_h,
-        f_h=f_h,
         weights=samples.weights,
         cell_index=samples.cell_index,
         dist=_boundary_dist(samples.interior),
@@ -151,25 +149,22 @@ def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCer
 
 
 def rhs0(
-    v_h: FeFunction,
     f,
     g,
     hull: LowerHull,
     contact: ContactSet,
-    hessians=None,
+    hessians,
     j: int | None = None,
     lipschitz: float | None = None,
 ) -> ErrorCertificate:
     """Certificate for ||u - envelope(v_h)||_Linf from envelope outputs.
 
+    ``hessians`` is (m11, m12, m22) of v_h at the hull's interior samples.
     The sampled boundary maximum can undershoot the true supremum between
     sample points; passing a Lipschitz constant of g - envelope records the
     padded variant mu + L * (max boundary spacing) alongside.
     """
     samples = hull.samples
-    if hessians is None:
-        H = v_h.hessian(samples.interior)
-        hessians = (H[:, 0], H[:, 1], H[:, 2])
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     data = make_data_error(samples, fvals, contact_density(hessians, contact))
     mu = boundary_residual(hull, g)
@@ -190,7 +185,7 @@ def rhs_eps(
     g,
     eps: float,
     samples: SampleSet,
-    hessians=None,
+    hessians,
     boundary_err: float | None = None,
     j: int | None = None,
 ) -> ErrorCertificate:
@@ -198,11 +193,9 @@ def rhs_eps(
 
     f_h(x) = xi(D2_pw v_h(x)) makes the regularised operator vanish at v_h
     pointwise, so the bound needs no envelope; the boundary term is the trace
-    error of v_h itself.
+    error of v_h itself.  ``hessians`` is (m11, m12, m22) of v_h at the
+    interior samples.
     """
-    if hessians is None:
-        H = v_h.hessian(samples.interior)
-        hessians = (H[:, 0], H[:, 1], H[:, 2])
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     f_h = xi_of_batch(eps, *hessians)
     data = make_data_error(samples, fvals, f_h)

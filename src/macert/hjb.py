@@ -137,20 +137,6 @@ class _Assembler:
     def tab(self, level: int):
         return self.space.tabulation(level, self.ref)
 
-    def hessian_of(self, coeffs: np.ndarray):
-        """Piecewise Hessian entries at all quadrature points: (nc, nq) each."""
-        nc, nq = self.weights.shape
-        m11 = np.empty((nc, nq))
-        m12 = np.empty((nc, nq))
-        m22 = np.empty((nc, nq))
-        local = coeffs[self.space.cell_dofs]
-        for level, cells in self.groups:
-            tab = self.tab(level)
-            m11[cells] = local[cells] @ tab["Nxx"].T
-            m12[cells] = local[cells] @ tab["Nxy"].T
-            m22[cells] = local[cells] @ tab["Nyy"].T
-        return m11, m12, m22
-
     def residual_full(self, value):
         """Assemble r_i = sum_q w * F(x_q) * Lap(phi_i)(x_q) over all cells."""
         r = np.zeros(self.space.nfull)
@@ -234,6 +220,8 @@ def solve(
         fixed = interpolate_boundary(space, problem.g, problem.grad_g)
         reduction = space.reduction(fixed)
     red = reduction
+    cells = np.arange(len(space.mesh.cell_ids))
+    hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
 
@@ -251,8 +239,8 @@ def solve(
         return red.full_vector(u_red)
 
     def residual_of(coeffs):
-        m11, m12, m22 = asm.hessian_of(coeffs)
-        value, a11, a12, a22, rhs = _policy_fields(eps, fvals, m11, m12, m22)
+        H = FeFunction(space, coeffs).on_cells(cells, quad.ref_points, hess)
+        value, a11, a12, a22, rhs = _policy_fields(eps, fvals, *(H[k] for k in hess))
         r = red.reduce_vector(asm.residual_full(value))
         return float(np.linalg.norm(r)), (a11, a12, a22, rhs)
 

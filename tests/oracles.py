@@ -6,6 +6,12 @@ from scipy.spatial import Delaunay
 from macert.hjb import eval_F_batch
 
 
+def sample_hessians(vh, samples):
+    """(m11, m12, m22) of vh at the interior samples of a build_samples set."""
+    H = samples.interior_fields(vh, ("Nxx", "Nxy", "Nyy"))
+    return H["Nxx"], H["Nxy"], H["Nyy"]
+
+
 def eigenvalues(M):
     """Ascending eigenvalues of the symmetric matrix M = (m11, m12, m22)."""
     m11, m12, m22 = M

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import lp_envelope
+from oracles import lp_envelope, sample_hessians
 
 from macert.bench import RunConfig, rate_fit, run
 from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
@@ -210,8 +210,9 @@ def test_criterion_3_quadratic_reproduction():
             [v_h.value(samples.interior), v_h.value(samples.boundary)]
         )
         hull = lower_hull(samples, values)
-        contact = contact_set(hull, v_h)
-        cert = rhs0(v_h, lambda x, y: 2.0 + 0 * x, u, hull, contact)
+        hessians = sample_hessians(v_h, samples)
+        contact = contact_set(hull, hessians)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, u, hull, contact, hessians)
         assert cert.rhs0 <= 1e-6
     _report("3 quadratic reproduction", "Linf <= 1e-8, RHS0 <= 1e-6")
 
@@ -219,6 +220,7 @@ def test_criterion_3_quadratic_reproduction():
 # -- criterion 4: guaranteed bound --------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_guaranteed_bound(ex1_uniform, ex1_adaptive, ex3_uniform, ex3_adaptive_h0):
     checked = 0
     for rows in (ex1_uniform, ex1_adaptive, ex3_uniform, ex3_adaptive_h0):
@@ -233,6 +235,7 @@ def test_criterion_4_guaranteed_bound(ex1_uniform, ex1_adaptive, ex3_uniform, ex
 # -- criterion 5: experiment 1 uniform rates and row values -------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_ex1_uniform(ex1_uniform):
     rows = ex1_uniform
     assert rows[-1].ndof == 65536
@@ -257,6 +260,7 @@ def test_criterion_5_ex1_uniform(ex1_uniform):
 # -- criterion 6: experiment 1 adaptive ---------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_ex1_adaptive(ex1_adaptive):
     rows = [r for r in ex1_adaptive if r.ndof >= 100]
     assert len(rows) >= 5
@@ -270,6 +274,7 @@ def test_criterion_6_ex1_adaptive(ex1_adaptive):
 # -- criterion 7: experiment 2 ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_ex2(ex2_uniform, ex2_adaptive_steps):
     rows = ex2_uniform
     last4 = rows[-4:]
@@ -293,6 +298,7 @@ def test_criterion_7_ex2(ex2_uniform, ex2_adaptive_steps):
 # -- criterion 8: experiment 3 ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_ex3(ex3_uniform, ex3_adaptive_h0, ex3_adaptive_h5):
     rows = ex3_uniform
     eta2 = [r.eta2 for r in rows]

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import sample_hessians
 
 from macert.bench import (
     DAT_COLUMNS,
@@ -210,7 +211,8 @@ class TestRunLoop:
             samples = build_samples(vh.space.mesh, QuadRule(20), per_edge=4)
             values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
             hull = lower_hull(samples, values)
-            fine = rhs0(vh, exp.f, exp.g, hull, contact_set(hull, vh)).rhs0
+            hessians = sample_hessians(vh, samples)
+            fine = rhs0(exp.f, exp.g, hull, contact_set(hull, hessians), hessians).rhs0
             assert row.eta2 >= 0.9 * fine, f"ndof {row.ndof}: {row.eta2:.3f} vs {fine:.3f}"
 
     def test_invalid_config(self):

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import envelope_gap, lp_envelope
+from oracles import envelope_gap, lp_envelope, sample_hessians
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
+from macert.bench import EXPERIMENTS
 from macert.envelope import (
+    _CHUNK,
     SampleSet,
     _lower_hull_1d,
+    _square,
+    _square_key,
     boundary_residual,
     build_samples,
     contact_set,
@@ -226,6 +230,71 @@ def test_convexity_spot_checks(seed):
     assert np.all(vm <= lam * vx + (1 - lam) * vy + 1e-12)
 
 
+def exact_fe(mesh, experiment, zero_boundary=False):
+    """Nodal BFS interpolant of a benchmark's exact solution."""
+    exact = EXPERIMENTS[experiment].exact
+    fields = (
+        exact.u,
+        lambda x, y: exact.grad(x, y)[0],
+        lambda x, y: exact.grad(x, y)[1],
+        lambda x, y: exact.hess(x, y)[1],
+    )
+    if zero_boundary:
+        inside = lambda x, y: (0 < x) & (x < 1) & (0 < y) & (y < 1)
+        fields = [lambda x, y, fn=fn: np.where(inside(x, y), fn(x, y), 0.0) for fn in fields]
+    return nodal_fe(mesh, *fields)
+
+
+class TestBucketIndex:
+    """Indexed evaluation against the brute-force max over every lower plane."""
+
+    @staticmethod
+    def _corner_graded():
+        mesh = init_uniform(0)
+        for level in range(8):
+            mesh = refine(mesh, [(level, 0, 0)])
+        return mesh, exact_fe(mesh, 1)
+
+    @staticmethod
+    def _skinny():
+        # ex3's u with zero nodal data on the boundary (its exact Hessian is
+        # singular at the corners): long boundary-hugging facets
+        mesh = init_uniform(3)
+        return mesh, exact_fe(mesh, 3, zero_boundary=True)
+
+    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny"])
+    def test_matches_all_planes(self, setup):
+        mesh, vh = getattr(self, setup)()
+        samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
+        values = np.concatenate(
+            [samples.interior_fields(vh, ("N",))["N"], vh.value(samples.boundary)]
+        )
+        hull = lower_hull(samples, values)
+        keys, facets, depths = hull._buckets
+        assert np.bincount(facets, minlength=len(hull.planes)).max() <= 8
+
+        edge = np.random.default_rng(3).uniform(0.0, 1.0, 4000)
+        queries = np.vstack([
+            samples.points,
+            np.random.default_rng(7).uniform(0.0, 1.0, size=(2000, 2)),
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            np.column_stack([np.ones_like(edge), edge]),
+            np.column_stack([edge[::-1], np.ones_like(edge)]),
+        ])
+        pairs = 0
+        for n in 2 ** depths:
+            key = _square_key(_square(queries, n), n)
+            pairs += np.sum(np.searchsorted(keys, key, "right") - np.searchsorted(keys, key))
+        assert pairs > _CHUNK  # several chunks of the segmented max
+
+        brute = np.concatenate([
+            np.max(hull.planes[:, :2] @ q.T + hull.planes[:, 2:], axis=0)
+            for q in np.array_split(queries, 20)
+        ])
+        scale = 1.0 + np.max(np.abs(values))
+        assert np.max(np.abs(hull.evaluate(queries) - brute)) <= 1e-13 * scale
+
+
 class TestContactSet:
     def _quadratic_setup(self, fxx=1.0, fxy=0.0, fyy=1.0):
         mesh = init_uniform(2)
@@ -243,14 +312,14 @@ class TestContactSet:
 
     def test_convex_quadratic_all_flagged(self):
         vh, samples, hull = self._quadratic_setup()
-        contact = contact_set(hull, vh)
+        contact = contact_set(hull, sample_hessians(vh, samples))
         assert contact.flags.all()
 
     def test_indefinite_hessian_filtered(self):
         # weakly concave in y: some samples still sit on the lower hull, but
         # the PSD filter must reject every one of them
         vh, samples, hull = self._quadratic_setup(fyy=-0.005)
-        contact = contact_set(hull, vh)
+        contact = contact_set(hull, sample_hessians(vh, samples))
         assert contact.on_hull.any()
         assert not contact.psd.any()
         assert not contact.flags.any()
@@ -259,7 +328,7 @@ class TestContactSet:
         # density of the envelope of a PD quadratic equals det M at samples
         for m11, m12, m22 in ((1.0, 0.0, 1.0), (2.0, 0.5, 1.0), (3.0, -1.0, 2.0)):
             vh, samples, hull = self._quadratic_setup(m11, m12, m22)
-            contact = contact_set(hull, vh)
+            contact = contact_set(hull, sample_hessians(vh, samples))
             H = vh.hessian(samples.interior)
             det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
             density = np.where(contact.flags, det, 0.0)
@@ -276,7 +345,7 @@ class TestContactSet:
         samples = build_samples(mesh, QuadRule(3), per_edge=8)
         values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
         hull = lower_hull(samples, values)
-        contact = contact_set(hull, vh)
+        contact = contact_set(hull, sample_hessians(vh, samples))
         assert contact.flags.all()
         H = vh.hessian(samples.interior)
         det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
@@ -286,7 +355,7 @@ class TestContactSet:
         # brute-force global test: where v equals its true envelope, the
         # sampled approximation must flag the point as contact
         vh, samples, hull = self._quadratic_setup(2.0, 0.0, 1.0)
-        contact = contact_set(hull, vh)
+        contact = contact_set(hull, sample_hessians(vh, samples))
         pts = samples.interior
         vals = vh.value(pts)
         for k in range(0, len(pts), 7):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bisect_xi, envelope_gap
+from oracles import bisect_xi, envelope_gap, sample_hessians
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.envelope import build_samples, contact_set, lower_hull
@@ -42,7 +42,8 @@ class TestDataErrorNorms:
         samples = build_samples(mesh, QuadRule(5), per_edge=4)
         hull = envelope_of(vh, samples)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(vh, lambda x, y: 2.0 + 0 * x, g, hull, contact_set(hull, vh), j=1)
+        H = sample_hessians(vh, samples)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact_set(hull, H), H, j=1)
         assert cert.data_err_global <= 1e-11
         assert cert.data_err_inner <= cert.data_err_global + 1e-15
 
@@ -53,11 +54,13 @@ class TestDataErrorNorms:
         vh = FeFunction(space, np.zeros(space.nfull))
         samples = build_samples(mesh, QuadRule(5), per_edge=2)
         hull = envelope_of(vh, samples)
-        contact = contact_set(hull, vh)
+        H = sample_hessians(vh, samples)
+        contact = contact_set(hull, H)
         assert contact.flags.all()
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
-            cert = rhs0(vh, lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, j=j)
+            cert = rhs0(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, H,
+                        j=j)
             glob, inner, jd = cert.data_err_global, cert.data_err_inner, j * delta
             assert glob == pytest.approx(1.0, abs=1e-13)
             # the band [jd, 1 - jd]^2 has area (1 - 2jd)^2
@@ -72,15 +75,12 @@ class TestDataErrorNorms:
         n = 200
         data = DataError(
             residual=rng.uniform(-1, 1, n),
-            f_h=np.zeros(n),
             weights=rng.uniform(0, 1, n),
             cell_index=np.zeros(n, dtype=int),
             dist=rng.uniform(0, 0.5, n),
         )
         lam = 3.7
-        scaled = DataError(
-            lam * data.residual, data.f_h, data.weights, data.cell_index, data.dist
-        )
+        scaled = DataError(lam * data.residual, data.weights, data.cell_index, data.dist)
         for off in (0.0, 0.1, 0.3):
             assert np.sqrt(scaled.per_cell_sq(off, 1)[1].sum()) == pytest.approx(
                 lam * np.sqrt(data.per_cell_sq(off, 1)[1].sum()), rel=1e-12
@@ -95,8 +95,7 @@ class TestSelectJ:
         n = 4000
         dist = rng.uniform(0, 0.5, n)
         residual = np.where(dist < 0.05, 10.0, 0.01)
-        data = DataError(residual, np.zeros(n), np.full(n, 1.0 / n),
-                         np.zeros(n, dtype=int), dist)
+        data = DataError(residual, np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
         delta = 1 / 32
         j = select_j(0.0, data, delta)
         vals = []
@@ -112,7 +111,6 @@ class TestSelectJ:
         n = 1000
         data = DataError(
             residual=np.ones(n),
-            f_h=np.zeros(n),
             weights=np.full(n, 1.0 / n),
             cell_index=np.zeros(n, dtype=int),
             dist=np.full(n, 0.49),
@@ -126,9 +124,10 @@ class TestCertificates:
         vh = quadratic_fe(mesh)
         samples = build_samples(mesh, QuadRule(5), per_edge=128)
         hull = envelope_of(vh, samples)
-        contact = contact_set(hull, vh)
+        H = sample_hessians(vh, samples)
+        contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(vh, lambda x, y: 2.0 + 0 * x, g, hull, contact)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact, H)
         assert cert.rhs0 <= 1e-6
         assert cert.rhs0 >= cert.mu >= 0.0
         assert cert.sigma == pytest.approx(cert.rhs0 - cert.mu, abs=1e-15)
@@ -139,8 +138,9 @@ class TestCertificates:
         vh = FeFunction(space, np.zeros(space.nfull))
         samples = build_samples(mesh, QuadRule(3), per_edge=1)
         hull = envelope_of(vh, samples)
-        contact = contact_set(hull, vh)
-        cert = rhs0(vh, lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact)
+        H = sample_hessians(vh, samples)
+        contact = contact_set(hull, H)
+        cert = rhs0(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, H)
         jd = cert.j * cert.delta
         expected = (
             cert.mu
@@ -160,12 +160,11 @@ class TestCertificates:
         mesh = init_uniform(2)
         vh = quadratic_fe(mesh)
         samples = build_samples(mesh, QuadRule(4), per_edge=4)
-        H = vh.hessian(samples.interior)
-        f_h = contact_density((H[:, 0], H[:, 1], H[:, 2]),
-                              contact_set(envelope_of(vh, samples), vh))
+        H = sample_hessians(vh, samples)
+        f_h = contact_density(H, contact_set(envelope_of(vh, samples), H))
         assert np.allclose(f_h, 2.0, atol=1e-10)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs_eps(vh, lambda x, y: 2.0 + 0 * x, g, 0.1, samples)
+        cert = rhs_eps(vh, lambda x, y: 2.0 + 0 * x, g, 0.1, samples, H)
         # xi(I) = 2 = f everywhere and the trace is exact
         assert cert.rhs0 <= 1e-9
 
@@ -182,7 +181,7 @@ class TestCertificates:
         f_h = xi_of_batch(eps, H[:, 0], H[:, 1], H[:, 2])
         for k in range(0, len(f_h), 5):
             assert f_h[k] == pytest.approx(bisect_xi(eps, H[k]), abs=1e-9)
-        cert = rhs_eps(vh, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, eps, samples)
+        cert = rhs_eps(vh, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, eps, samples, tuple(H.T))
         assert cert.rhs0 >= 0.0
 
     def test_guaranteed_bound_on_quadratic(self):
@@ -191,9 +190,10 @@ class TestCertificates:
         vh = quadratic_fe(mesh)
         samples = build_samples(mesh, QuadRule(5), per_edge=16)
         hull = envelope_of(vh, samples)
-        contact = contact_set(hull, vh)
+        H = sample_hessians(vh, samples)
+        contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(vh, lambda x, y: 2.0 + 0 * x, g, hull, contact)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact, H)
         pts = np.random.default_rng(1).uniform(0, 1, size=(500, 2))
         lhs = float(np.max(np.abs(g(pts[:, 0], pts[:, 1]) - hull.evaluate(pts))))
         # the certified bound controls the true envelope; the computed hull

@@ -119,8 +119,8 @@ class TestInteriorBand:
         # the selected band stays nonempty, j * delta < 1/2, even when
         # shrinking it always lowers the bound
         n = 100
-        data = DataError(np.ones(n), np.zeros(n), np.full(n, 1.0 / n),
-                         np.zeros(n, dtype=int), np.full(n, 0.1))
+        data = DataError(np.ones(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int),
+                         np.full(n, 0.1))
         assert select_j(0.0, data, 0.25) == 1
 
     def test_membership_exact(self):
