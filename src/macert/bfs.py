@@ -51,13 +51,14 @@ def _hermite1d(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def tabulate_basis(h: float, ref_pts: np.ndarray) -> dict[str, np.ndarray]:
+def tabulate_basis(h: float | np.ndarray, ref_pts: np.ndarray) -> dict[str, np.ndarray]:
     """All 16 basis functions and derivatives at reference points of a cell.
 
     ``ref_pts`` has shape (n, 2) with coordinates in [0,1]^2; ``h`` is the
-    physical cell size.  Returns arrays of shape (n, 16) for keys
-    N, Nx, Ny, Nxx, Nxy, Nyy.  Local DOF ordering is 4*corner + kind with
-    corners (0,0), (1,0), (0,1), (1,1) and kinds (V, DX, DY, DXY).
+    physical cell size, a scalar or one size per point.  Returns arrays of
+    shape (n, 16) for keys N, Nx, Ny, Nxx, Nxy, Nyy.  Local DOF ordering is
+    4*corner + kind with corners (0,0), (1,0), (0,1), (1,1) and kinds
+    (V, DX, DY, DXY).
     """
     s = np.asarray(ref_pts)[:, 0]
     t = np.asarray(ref_pts)[:, 1]
@@ -277,16 +278,15 @@ class FeFunction:
         mesh = space.mesh
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cells = np.array([mesh.locate(x, y) for x, y in pts])
+        ids = np.array([mesh.cell_ids[c] for c in cells]).reshape(-1, 3)
+        h = 0.5 ** ids[:, 0]
+        tab = tabulate_basis(h, (pts - ids[:, 1:] * h[:, None]) / h[:, None])
         out = {k: np.empty(len(pts)) for k in what}
         for ci in np.unique(cells):
             m = cells == ci
-            cid = mesh.cell_ids[ci]
-            h = 0.5 ** cid[0]
-            ref = (pts[m] - np.array([cid[1] * h, cid[2] * h])) / h
-            tab = tabulate_basis(h, ref)
             local = self.coeffs[space.cell_dofs[ci]]
             for k in what:
-                out[k][m] = tab[k] @ local
+                out[k][m] = tab[k][m] @ local
         return out
 
     def value(self, pts):

@@ -98,28 +98,30 @@ def bound_value(mu: float, jd: float, inner: float, glob: float) -> float:
 def select_j(mu: float, data: DataError, delta: float) -> int:
     """Smallest j whose bound is not improved by shrinking the band once more.
 
-    Walks j = 0, 1, ... while j*delta < 1/2 and returns the first j with
-    RHS0(j+1) > RHS0(j); the sweep reuses a single distance sort.
+    Among j = 0, 1, ... with j*delta < 1/2 returns the first j with
+    RHS0(j+1) > RHS0(j), or the last j when the bound never rises.  ``delta``
+    is a power of two (a cell size), so there are ceil(1/(2 delta))
+    candidates: millions on finely graded meshes, while the answer is usually
+    a few bands.  They are evaluated in array blocks of growing length over a
+    single distance sort, stopping at the block with the first rise.
     """
     order = np.argsort(data.dist, kind="stable")
     wr2 = (data.weights * data.residual**2)[order]
     dist_sorted = data.dist[order]
     suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
-    total = float(suffix[0])
-
-    def rhs0_at(j: int) -> float:
-        k = np.searchsorted(dist_sorted, j * delta, side="left")
-        return bound_value(mu, j * delta, np.sqrt(max(suffix[k], 0.0)), np.sqrt(total))
-
-    j = 0
-    current = rhs0_at(0)
-    while (j + 1) * delta < 0.5:
-        nxt = rhs0_at(j + 1)
-        if nxt > current:
-            return j
-        j += 1
-        current = nxt
-    return j
+    glob = np.sqrt(suffix[0])
+    n = max(1, int(np.ceil(0.5 / delta)))
+    lo, hi = 0, min(n, 64)
+    while True:
+        jd = np.arange(lo, hi) * delta
+        k = np.searchsorted(dist_sorted, jd, side="left")
+        vals = bound_value(mu, jd, np.sqrt(np.maximum(suffix[k], 0.0)), glob)
+        rises = np.flatnonzero(vals[1:] > vals[:-1])
+        if rises.size:
+            return lo + int(rises[0])
+        if hi == n:
+            return n - 1
+        lo, hi = hi - 1, min(n, 8 * hi)  # overlap one j to compare across blocks
 
 
 def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCertificate:

@@ -108,10 +108,21 @@ def xi_of_batch(eps, m11, m12, m22):
 
 @dataclass
 class SolveResult:
+    """Best iterate of policy iteration and why the iteration stopped.
+
+    ``stop`` is "tol" (residual below tolerance), "policy" (policy fixed
+    point), "floor" (residual stalled below the rounding floor) or
+    "max_iter".  Only "max_iter" counts as not converged.
+    """
+
     u_h: FeFunction
     niter: int
     residual: float
-    converged: bool
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "max_iter"
 
 
 class SolverError(RuntimeError):
@@ -198,10 +209,16 @@ def solve(
 
     Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each sweep
     freezes the pointwise argmax policy and solves the resulting linear,
-    nonsymmetric system by sparse LU.  Iteration stops when the Euclidean norm
-    of the reduced residual falls below 1e-11 (1 + ||f||_L2), when the policy
-    reaches a fixed point (the residual then sits at its rounding floor), or
-    after ``max_iter`` linear solves (flagged, best iterate returned).
+    nonsymmetric system by sparse LU (SuperLU, row partial pivoting).  All
+    policy matrices on one mesh share a sparsity pattern, so the column
+    ordering is computed once, by minimum degree on K^T K (``MMD_ATA``) in
+    the first factorisation, and every later matrix is factorised with its
+    columns already in that order (``NATURAL``).  Iteration stops when the
+    Euclidean norm of the reduced residual falls below 1e-11 (1 + ||f||_L2)
+    ("tol"), when the policy reaches a fixed point ("policy"), when the
+    residual stalls below 1e-6 (1 + ||f||_L2) ("floor"), or after
+    ``max_iter`` linear solves ("max_iter": not converged, best iterate
+    returned); ``SolveResult.stop`` records which.
 
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
@@ -224,14 +241,21 @@ def solve(
     hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
+    q = None  # inverse of the first factorisation's column permutation
 
     def solve_linear(a11, a12, a22, rhs):
+        nonlocal q
         K, load = asm.linear_system(a11, a12, a22, rhs)
-        Kr = red.reduce_matrix(K)
+        Kr = red.reduce_matrix(K).tocsc()
         Fr = red.reduce_vector(load - K @ red.offset)
         try:
-            lu = spla.splu(Kr.tocsc())
-            u_red = lu.solve(Fr)
+            if q is None:
+                lu = spla.splu(Kr, permc_spec="MMD_ATA")
+                q = np.argsort(lu.perm_c)
+                u_red = lu.solve(Fr)
+            else:
+                u_red = np.empty_like(Fr)
+                u_red[q] = spla.splu(Kr[:, q], permc_spec="NATURAL").solve(Fr)
         except RuntimeError as exc:  # singular factorisation
             raise SolverError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(u_red)):
@@ -253,12 +277,12 @@ def solve(
     niter = 1
     res, policy = residual_of(coeffs)
     best_res, best_coeffs = res, coeffs
-    converged = res <= tol
+    stop = "tol" if res <= tol else None
     # below this, a stalled residual is attributed to rounding in the
     # pointwise Hessians rather than to the outer iteration
     floor = 1e-6 * (1.0 + fnorm)
     stall = 0
-    while not converged and niter < max_iter:
+    while stop is None and niter < max_iter:
         new_coeffs = solve_linear(*policy)
         niter += 1
         new_res, new_policy = residual_of(new_coeffs)
@@ -276,14 +300,15 @@ def solve(
         if res < best_res:
             best_res, best_coeffs = res, coeffs
         if res <= tol or policy_fixed:
-            converged = True
+            stop = "tol" if res <= tol else "policy"
             break
         stall = 0 if improved else stall + 1
         if stall >= 2 and res <= floor:
-            converged = True  # residual reached its attainable floor
+            stop = "floor"  # residual reached its attainable floor
             break
 
-    return SolveResult(FeFunction(space, best_coeffs), niter, best_res, converged)
+    stop = stop or "max_iter"
+    return SolveResult(FeFunction(space, best_coeffs), niter, best_res, stop)
 
 
 def _policy_close(p, q) -> bool:

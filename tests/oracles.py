@@ -3,6 +3,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
+from macert.estimator import bound_value
 from macert.hjb import eval_F_batch
 
 
@@ -77,3 +78,25 @@ def envelope_gap(v_h, samples, subdiv=4):
     qpts = np.einsum("bk,tkd->tbd", bary, pts[tri.simplices]).reshape(-1, 2)
     ivals = (vals[tri.simplices] @ bary.T).ravel()
     return float(np.max(np.abs(v_h.value(qpts) - ivals)))
+
+
+def select_j_scalar(mu, data, delta):
+    """Band index by a scalar sweep: j = 0, 1, ... until RHS0(j+1) > RHS0(j)."""
+    order = np.argsort(data.dist, kind="stable")
+    wr2 = (data.weights * data.residual**2)[order]
+    dist_sorted = data.dist[order]
+    suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
+
+    def rhs0_at(j):
+        k = np.searchsorted(dist_sorted, j * delta, side="left")
+        return bound_value(mu, j * delta, np.sqrt(max(suffix[k], 0.0)), np.sqrt(suffix[0]))
+
+    j = 0
+    current = rhs0_at(0)
+    while (j + 1) * delta < 0.5:
+        nxt = rhs0_at(j + 1)
+        if nxt > current:
+            return j
+        j += 1
+        current = nxt
+    return j

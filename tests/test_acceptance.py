@@ -196,7 +196,7 @@ def test_criterion_3_quadratic_reproduction():
     space = BfsSpace(mesh)
     for eps in (0.2, 0.05):
         result = solve(space, HjbProblem(eps, lambda x, y: 2.0 + 0 * x, u, grad), quad)
-        assert result.converged
+        assert result.converged and result.stop in ("tol", "policy")
         from macert.bench import ExactSolution
 
         exact = ExactSolution(

@@ -111,6 +111,32 @@ class TestTabulationCache:
             assert all(np.array_equal(tab[k], expected[k]) for k in expected)
 
 
+class TestPointEvaluation:
+    def test_matches_per_cell_tabulation_on_corner_graded_mesh(self):
+        mesh = init_uniform(1)
+        for level in range(1, 7):
+            mesh = refine(mesh, [(level, 0, 0)])
+        space = BfsSpace(mesh)
+        rng = np.random.default_rng(3)
+        vh = FeFunction(space, rng.standard_normal(space.nfull))
+        pts = np.vstack([
+            rng.uniform(0, 1, (1500, 2)),
+            rng.uniform(0, 1 / 32, (500, 2)),
+            mesh.vertex_coords,
+        ])
+        keys = ("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy")
+        got = vh._eval_points(pts, keys)
+        cells = np.array([mesh.locate(x, y) for x, y in pts])
+        for ci in np.unique(cells):
+            m = cells == ci
+            level, ix, iy = mesh.cell_ids[ci]
+            h = 0.5**level
+            tab = tabulate_basis(h, (pts[m] - np.array([ix * h, iy * h])) / h)
+            local = vh.coeffs[space.cell_dofs[ci]]
+            for k in keys:
+                assert np.array_equal(got[k][m], tab[k] @ local), k
+
+
 class TestContinuity:
     @staticmethod
     def edge_jump(vh, cell_a, ref_a, cell_b, ref_b):

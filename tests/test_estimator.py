@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bisect_xi, envelope_gap, sample_hessians
+from oracles import bisect_xi, envelope_gap, sample_hessians, select_j_scalar
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.envelope import build_samples, contact_set, lower_hull
@@ -116,6 +116,36 @@ class TestSelectJ:
             dist=np.full(n, 0.49),
         )
         assert select_j(0.0, data, 1 / 16) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_sweep(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        dist = rng.uniform(0, 0.5, n) ** rng.uniform(0.5, 4.0)
+        residual = rng.standard_normal(n) * np.exp(-dist / rng.uniform(0.01, 0.5))
+        data = DataError(residual, rng.uniform(0, 1e-3, n), np.zeros(n, dtype=int), dist)
+        mu = float(rng.uniform(0, 1e-2))
+        for delta in (1.0, 0.5, 1 / 4, 1 / 64, 2.0**-12):
+            assert select_j(mu, data, delta) == select_j_scalar(mu, data, delta)
+
+    @pytest.mark.parametrize(
+        "j, delta",
+        [(63, 2.0**-16), (64, 2.0**-16), (65, 2.0**-16), (511, 2.0**-22), (512, 2.0**-22)],
+    )
+    def test_first_ascent_far_out(self, j, delta):
+        # one unit of residual in each of the first j bands: every shrink
+        # drops more inner mass than the sqrt(jd) term adds, until band j
+        dist = np.append((np.arange(j) + 0.5) * delta, 0.49)
+        weights = np.append(np.ones(j), 1e-3)
+        data = DataError(np.ones(j + 1), weights, np.zeros(j + 1, dtype=int), dist)
+        assert select_j(0.0, data, delta) == select_j_scalar(0.0, data, delta) == j
+
+    def test_zero_residual_walks_to_the_last_band(self):
+        n = 500
+        dist = np.random.default_rng(7).uniform(0, 0.5, n)
+        data = DataError(np.zeros(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
+        delta = 2.0**-16
+        assert select_j(0.0, data, delta) == select_j_scalar(0.0, data, delta) == 2**15 - 1
 
 
 class TestCertificates:

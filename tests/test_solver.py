@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from macert.bench import EXPERIMENTS, ExactSolution
 from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
@@ -91,3 +92,49 @@ class TestBenchmarkSolves:
         )
         assert res.niter == 2
         assert not res.converged
+        assert res.stop == "max_iter"
+
+
+def _record_splu(monkeypatch):
+    """Replace scipy's splu by a wrapper that records (matrix, permc_spec, lu)."""
+    calls = []
+    splu = spla.splu
+
+    def recording(A, permc_spec=None, **kwargs):
+        lu = splu(A, permc_spec=permc_spec, **kwargs)
+        calls.append((A, permc_spec, lu))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+class TestOrderingReuse:
+    @staticmethod
+    def _solve(monkeypatch):
+        exp = EXPERIMENTS[1]
+        problem = HjbProblem(1e-3, exp.f, exp.g, exp.grad_g)
+        calls = _record_splu(monkeypatch)
+        res = solve(BfsSpace(init_uniform(3)), problem, QuadRule(5))
+        assert res.converged and len(calls) >= 3
+        return calls
+
+    def test_one_ordering_per_solve(self, monkeypatch):
+        specs = [spec for _, spec, _ in self._solve(monkeypatch)]
+        assert specs[0] == "MMD_ATA"
+        assert set(specs[1:]) == {"NATURAL"}
+
+    def test_reused_ordering_matches_fresh_factorisation(self, monkeypatch):
+        # a later policy matrix, factorised in the first matrix's column
+        # order, gives bitwise the solution of its own MMD_ATA factorisation
+        calls = self._solve(monkeypatch)
+        perm_c = calls[0][2].perm_c
+        q = np.argsort(perm_c)
+        permuted = calls[-1][0]
+        A = permuted[:, perm_c]  # undo the column permutation
+        b = np.random.default_rng(0).standard_normal(A.shape[0])
+        fresh = spla.splu(A, permc_spec="MMD_ATA")
+        assert np.array_equal(fresh.perm_c, perm_c)
+        reused = np.empty_like(b)
+        reused[q] = spla.splu(permuted, permc_spec="NATURAL").solve(b)
+        assert np.array_equal(reused, fresh.solve(b))
