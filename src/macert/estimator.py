@@ -51,12 +51,7 @@ class DataError:
 
 @dataclass
 class ErrorCertificate:
-    """Certified bound with its localisation data.
-
-    ``mu_safeguarded``/``rhs0_safeguarded`` hold the conservative variant in
-    which the sampled boundary maximum is padded by a Lipschitz bound times
-    the boundary sample spacing; they stay None unless requested.
-    """
+    """Certified bound with its localisation data."""
 
     mu: float
     j: int
@@ -66,8 +61,6 @@ class ErrorCertificate:
     rhs0: float
     per_element_eta: dict[CellId, float]
     sigma: float
-    mu_safeguarded: float | None = None
-    rhs0_safeguarded: float | None = None
 
 
 def contact_density(v_h_hessians, contact: ContactSet) -> np.ndarray:
@@ -103,7 +96,9 @@ def select_j(mu: float, data: DataError, delta: float) -> int:
     is a power of two (a cell size), so there are ceil(1/(2 delta))
     candidates: millions on finely graded meshes, while the answer is usually
     a few bands.  They are evaluated in array blocks of growing length over a
-    single distance sort, stopping at the block with the first rise.
+    single distance sort, stopping at the block with the first rise.  A data
+    error that vanishes at every sample makes every band's bound mu, so the
+    answer is then the last j without a sweep.
     """
     order = np.argsort(data.dist, kind="stable")
     wr2 = (data.weights * data.residual**2)[order]
@@ -111,6 +106,8 @@ def select_j(mu: float, data: DataError, delta: float) -> int:
     suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
     glob = np.sqrt(suffix[0])
     n = max(1, int(np.ceil(0.5 / delta)))
+    if suffix[0] == 0.0:
+        return n - 1
     lo, hi = 0, min(n, 64)
     while True:
         jd = np.arange(lo, hi) * delta
@@ -157,28 +154,18 @@ def rhs0(
     contact: ContactSet,
     hessians,
     j: int | None = None,
-    lipschitz: float | None = None,
 ) -> ErrorCertificate:
     """Certificate for ||u - envelope(v_h)||_Linf from envelope outputs.
 
     ``hessians`` is (m11, m12, m22) of v_h at the hull's interior samples.
-    The sampled boundary maximum can undershoot the true supremum between
-    sample points; passing a Lipschitz constant of g - envelope records the
-    padded variant mu + L * (max boundary spacing) alongside.
+    ``mu`` is the boundary residual at the boundary samples, which can
+    undershoot the true supremum between them.
     """
     samples = hull.samples
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     data = make_data_error(samples, fvals, contact_density(hessians, contact))
     mu = boundary_residual(hull, g)
-    cert = _certificate(mu, data, samples.mesh, j)
-    if lipschitz is not None:
-        spacing = max(
-            float(np.max(np.diff(samples.side_params[s]))) for s in samples.side_params
-        )
-        # midpoints are sampled too, so the unseen gap is half a segment
-        cert.mu_safeguarded = mu + lipschitz * 0.5 * spacing
-        cert.rhs0_safeguarded = cert.rhs0 - mu + cert.mu_safeguarded
-    return cert
+    return _certificate(mu, data, samples.mesh, j)
 
 
 def rhs_eps(

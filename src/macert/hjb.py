@@ -113,12 +113,15 @@ class SolveResult:
     ``stop`` is "tol" (residual below tolerance), "policy" (policy fixed
     point), "floor" (residual stalled below the rounding floor) or
     "max_iter".  Only "max_iter" counts as not converged.
+    ``backward_error`` is the largest ||K_r u - F_r|| / ||F_r|| over its
+    linear solves.
     """
 
     u_h: FeFunction
     niter: int
     residual: float
     stop: str
+    backward_error: float
 
     @property
     def converged(self) -> bool:
@@ -209,16 +212,16 @@ def solve(
 
     Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each sweep
     freezes the pointwise argmax policy and solves the resulting linear,
-    nonsymmetric system by sparse LU (SuperLU, row partial pivoting).  All
-    policy matrices on one mesh share a sparsity pattern, so the column
-    ordering is computed once, by minimum degree on K^T K (``MMD_ATA``) in
-    the first factorisation, and every later matrix is factorised with its
-    columns already in that order (``NATURAL``).  Iteration stops when the
-    Euclidean norm of the reduced residual falls below 1e-11 (1 + ||f||_L2)
-    ("tol"), when the policy reaches a fixed point ("policy"), when the
-    residual stalls below 1e-6 (1 + ||f||_L2) ("floor"), or after
-    ``max_iter`` linear solves ("max_iter": not converged, best iterate
-    returned); ``SolveResult.stop`` records which.
+    nonsymmetric system K_r u = F_r by sparse LU (SuperLU) with diagonal
+    pivots in a minimum-degree order of K_r + K_r^T.  No row interchange is
+    needed: A has eigenvalues in [eps, 1-eps] and unit trace, and the
+    Miranda-Talenti identity holds under the Gauss rule, so v^T K_r v >=
+    eps v^T B_r v with B_r = ((Lap w, Lap phi)) SPD, and no pivot vanishes.
+    Iteration stops when the Euclidean norm of the reduced residual falls
+    below 1e-11 (1 + ||f||_L2) ("tol"), when the policy reaches a fixed
+    point ("policy"), when the residual stalls below 1e-6 (1 + ||f||_L2)
+    ("floor"), or after ``max_iter`` linear solves ("max_iter": not
+    converged, best iterate returned); ``SolveResult.stop`` records which.
 
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
@@ -241,25 +244,22 @@ def solve(
     hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
-    q = None  # inverse of the first factorisation's column permutation
+    berrs = []  # ||Kr u - Fr|| / ||Fr|| of every linear solve
 
     def solve_linear(a11, a12, a22, rhs):
-        nonlocal q
         K, load = asm.linear_system(a11, a12, a22, rhs)
         Kr = red.reduce_matrix(K).tocsc()
         Fr = red.reduce_vector(load - K @ red.offset)
         try:
-            if q is None:
-                lu = spla.splu(Kr, permc_spec="MMD_ATA")
-                q = np.argsort(lu.perm_c)
-                u_red = lu.solve(Fr)
-            else:
-                u_red = np.empty_like(Fr)
-                u_red[q] = spla.splu(Kr[:, q], permc_spec="NATURAL").solve(Fr)
+            u_red = spla.splu(
+                Kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            ).solve(Fr)
         except RuntimeError as exc:  # singular factorisation
             raise SolverError(f"linear solve failed: {exc}") from exc
         if not np.all(np.isfinite(u_red)):
             raise SolverError("linear solve produced non-finite values")
+        berrs.append(np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0))
         return red.full_vector(u_red)
 
     def residual_of(coeffs):
@@ -307,8 +307,8 @@ def solve(
             stop = "floor"  # residual reached its attainable floor
             break
 
-    stop = stop or "max_iter"
-    return SolveResult(FeFunction(space, best_coeffs), niter, best_res, stop)
+    best = FeFunction(space, best_coeffs)
+    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs))
 
 
 def _policy_close(p, q) -> bool:

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import bisect_xi, envelope_gap, sample_hessians, select_j_scalar
 
+from macert import estimator
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import (
@@ -146,6 +147,19 @@ class TestSelectJ:
         data = DataError(np.zeros(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
         delta = 2.0**-16
         assert select_j(0.0, data, delta) == select_j_scalar(0.0, data, delta) == 2**15 - 1
+
+    def test_zero_residual_skips_the_sweep(self, monkeypatch):
+        # every band's bound is mu, so the last band is known without
+        # evaluating any of the 2**21 candidates
+        n = 500
+        dist = np.random.default_rng(7).uniform(0, 0.5, n)
+        data = DataError(np.zeros(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
+
+        def unexpected(*args):
+            raise AssertionError("bound_value called")
+
+        monkeypatch.setattr(estimator, "bound_value", unexpected)
+        assert select_j(1e-3, data, 2.0**-22) == 2**21 - 1
 
 
 class TestCertificates:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from macert.bench import EXPERIMENTS, ExactSolution
-from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
+from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
 from macert.geometry import init_uniform, refine
-from macert.hjb import HjbProblem, solve
+from macert.hjb import HjbProblem, _Assembler, eval_F_batch, solve
 
 
 def quadratic_exact():
@@ -82,6 +83,14 @@ class TestBenchmarkSolves:
         assert 1 <= res.niter <= 50
         assert res.residual >= 0.0
 
+    @pytest.mark.parametrize("number, eps", [(1, 1e-3), (2, 0.1), (3, 1e-4)])
+    def test_backward_error_measured(self, number, eps):
+        exp = EXPERIMENTS[number]
+        mesh = _corner_graded_mesh(2)
+        res = solve(BfsSpace(mesh), HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        assert np.isfinite(res.backward_error)
+        assert 0.0 <= res.backward_error < 1e-8
+
     def test_max_iter_flags_without_raising(self):
         exp = EXPERIMENTS[3]
         res = solve(
@@ -96,45 +105,73 @@ class TestBenchmarkSolves:
 
 
 def _record_splu(monkeypatch):
-    """Replace scipy's splu by a wrapper that records (matrix, permc_spec, lu)."""
+    """Replace scipy's splu by a wrapper that records (kwargs, lu) per call."""
     calls = []
     splu = spla.splu
 
-    def recording(A, permc_spec=None, **kwargs):
-        lu = splu(A, permc_spec=permc_spec, **kwargs)
-        calls.append((A, permc_spec, lu))
+    def recording(A, **kwargs):
+        lu = splu(A, **kwargs)
+        calls.append((kwargs, lu))
         return lu
 
     monkeypatch.setattr(spla, "splu", recording)
     return calls
 
 
-class TestOrderingReuse:
-    @staticmethod
-    def _solve(monkeypatch):
-        exp = EXPERIMENTS[1]
-        problem = HjbProblem(1e-3, exp.f, exp.g, exp.grad_g)
+def _corner_graded_mesh(times):
+    mesh = init_uniform(2)
+    for level in range(2, 2 + times):
+        mesh = refine(mesh, [(level, 0, 0)])
+    return mesh
+
+
+class TestDiagonalPivoting:
+    @pytest.mark.parametrize(
+        "number, eps, mesh",
+        [(1, 1e-3, _corner_graded_mesh(3)), (3, 1e-4, init_uniform(3))],
+        ids=["ex1-graded", "ex3-uniform"],
+    )
+    def test_one_factorisation_per_solve_without_row_interchanges(
+        self, monkeypatch, number, eps, mesh
+    ):
+        exp = EXPERIMENTS[number]
         calls = _record_splu(monkeypatch)
-        res = solve(BfsSpace(init_uniform(3)), problem, QuadRule(5))
-        assert res.converged and len(calls) >= 3
-        return calls
+        res = solve(BfsSpace(mesh), HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        assert res.converged and len(calls) == res.niter >= 2
+        for kwargs, lu in calls:
+            assert kwargs == {
+                "permc_spec": "MMD_AT_PLUS_A",
+                "diag_pivot_thresh": 0.0,
+                "options": {"SymmetricMode": True},
+            }
+            assert np.array_equal(lu.perm_r, lu.perm_c)
 
-    def test_one_ordering_per_solve(self, monkeypatch):
-        specs = [spec for _, spec, _ in self._solve(monkeypatch)]
-        assert specs[0] == "MMD_ATA"
-        assert set(specs[1:]) == {"NATURAL"}
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_policy_matrices_are_coercive(self, eps):
+        # v^T K_r(A) v >= eps v^T K_r(I) v for every policy A with eigenvalues
+        # in [eps, 1-eps] and unit trace: a few rounds of the pointwise policy
+        # that minimises A:D^2 v Lap v for the worst v found so far
+        mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
+        assert mesh.hanging
+        space, quad = BfsSpace(mesh), QuadRule(5)
+        asm = _Assembler(space, quad)
+        zero = lambda x, y: 0.0 * x
+        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        ones = np.ones(asm.weights.shape)
 
-    def test_reused_ordering_matches_fresh_factorisation(self, monkeypatch):
-        # a later policy matrix, factorised in the first matrix's column
-        # order, gives bitwise the solution of its own MMD_ATA factorisation
-        calls = self._solve(monkeypatch)
-        perm_c = calls[0][2].perm_c
-        q = np.argsort(perm_c)
-        permuted = calls[-1][0]
-        A = permuted[:, perm_c]  # undo the column permutation
-        b = np.random.default_rng(0).standard_normal(A.shape[0])
-        fresh = spla.splu(A, permc_spec="MMD_ATA")
-        assert np.array_equal(fresh.perm_c, perm_c)
-        reused = np.empty_like(b)
-        reused[q] = spla.splu(permuted, permc_spec="NATURAL").solve(b)
-        assert np.array_equal(reused, fresh.solve(b))
+        def reduced(a11, a12, a22):
+            return red.reduce_matrix(asm.linear_system(a11, a12, a22, 0 * ones)[0]).toarray()
+
+        B = reduced(ones, 0 * ones, ones)
+        cells = np.arange(len(mesh.cell_ids))
+        v = np.random.default_rng(0).standard_normal(red.ndof)
+        hess = ("Nxx", "Nxy", "Nyy")
+        for _ in range(5):
+            H = FeFunction(space, red.full_vector(v)).on_cells(cells, quad.ref_points, hess)
+            sign = np.sign(H["Nxx"] + H["Nyy"])
+            # with f = 0 the operator's policy minimises A:(sign D^2 v)
+            policy = eval_F_batch(eps, 0.0 * sign, *(sign * H[k] for k in hess))[2:]
+            K = reduced(*policy)
+            lam, vecs = sla.eigh(0.5 * (K + K.T), B)
+            assert lam[0] >= eps * (1.0 - 1e-8)
+            v = vecs[:, 0]
