@@ -118,6 +118,10 @@ class BfsSpace:
         self.cell_dofs = (4 * mesh.cell_corners[:, :, None] + np.arange(4)).reshape(-1, 16)
         self._slave_rows = self._hanging_constraints()
         self._tab_cache: dict = {}
+        levels = mesh.levels
+        self._level_groups = [
+            (int(L), np.flatnonzero(levels == L)) for L in np.unique(levels)
+        ]
 
     # -- hanging-node constraints ------------------------------------------
 
@@ -192,9 +196,11 @@ class BfsSpace:
     # -- batched tabulation --------------------------------------------------
 
     def level_groups(self) -> list[tuple[int, np.ndarray]]:
-        """Cell indices grouped by refinement level (cells share size)."""
-        levels = np.array([c[0] for c in self.mesh.cell_ids])
-        return [(int(L), np.nonzero(levels == L)[0]) for L in np.unique(levels)]
+        """Cell indices grouped by refinement level (cells share size).
+
+        Cells are sorted by level, so each group is a contiguous range.
+        """
+        return self._level_groups
 
     def tabulation(self, level: int, ref_pts: np.ndarray):
         """Cached basis tabulation for one cell size at fixed reference points.
@@ -211,9 +217,8 @@ class BfsSpace:
 
     def cell_points(self, cells: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
         """Physical coordinates of reference points on each cell: (nc, np, 2)."""
-        ids = [self.mesh.cell_ids[c] for c in cells]
-        h = np.array([0.5 ** c[0] for c in ids])
-        orig = np.array([[c[1], c[2]] for c in ids], dtype=float) * h[:, None]
+        h = self.mesh.cell_sizes()[cells]
+        orig = self.mesh.cell_array[cells, 1:] * h[:, None]
         return orig[:, None, :] + h[:, None, None] * ref_pts[None, :, :]
 
 
@@ -240,6 +245,12 @@ class Reduction:
         return self.P.T @ r
 
 
+def _runs(order: np.ndarray, keys: np.ndarray):
+    """Pieces of ``order`` over which the sorted nonnegative ``keys`` are equal."""
+    bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class FeFunction:
     """Member of a BfsSpace, stored through its full coefficient vector."""
 
@@ -259,16 +270,15 @@ class FeFunction:
         Nxy, Nyy) to an array of shape (ncells, npoints).
         """
         space = self.space
-        local = self.coeffs[space.cell_dofs[cells]]  # (nc, 16)
-        out = {}
-        levels = np.array([space.mesh.cell_ids[c][0] for c in cells])
-        for key_name in what:
-            out[key_name] = np.empty((len(cells), ref_pts.shape[0]))
-        for L in np.unique(levels):
-            m = levels == L
-            tab = space.tabulation(int(L), ref_pts)
-            for key_name in what:
-                out[key_name][m] = local[m] @ tab[key_name].T
+        cells = np.asarray(cells)
+        levels = space.mesh.levels[cells]
+        order = np.argsort(levels, kind="stable")  # the identity for sorted cells
+        out = {k: np.empty((len(cells), ref_pts.shape[0])) for k in what}
+        for idx in _runs(order, levels[order]):
+            tab = space.tabulation(int(levels[idx[0]]), ref_pts)
+            local = self.coeffs[space.cell_dofs[cells[idx]]]  # (n, 16)
+            for k in what:
+                out[k][idx] = local @ tab[k].T
         return out
 
     # -- pointwise evaluation --------------------------------------------------
@@ -277,16 +287,16 @@ class FeFunction:
         space = self.space
         mesh = space.mesh
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cells = np.array([mesh.locate(x, y) for x, y in pts])
-        ids = np.array([mesh.cell_ids[c] for c in cells]).reshape(-1, 3)
-        h = 0.5 ** ids[:, 0]
-        tab = tabulate_basis(h, (pts - ids[:, 1:] * h[:, None]) / h[:, None])
+        cells = mesh.locate(pts[:, 0], pts[:, 1])
+        h = mesh.cell_sizes()[cells]
+        ref = (pts - mesh.cell_array[cells, 1:] * h[:, None]) / h[:, None]
+        tab = tabulate_basis(h, ref)
         out = {k: np.empty(len(pts)) for k in what}
-        for ci in np.unique(cells):
-            m = cells == ci
-            local = self.coeffs[space.cell_dofs[ci]]
+        order = np.argsort(cells, kind="stable")
+        for idx in _runs(order, cells[order]):
+            local = self.coeffs[space.cell_dofs[cells[idx[0]]]]
             for k in what:
-                out[k][m] = tab[k][m] @ local
+                out[k][idx] = tab[k][idx] @ local
         return out
 
     def value(self, pts):

@@ -88,8 +88,7 @@ def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
     split = 2**(min_level - L), with the weights scaled to sum to one.
     Samples are numbered leaf by leaf in cell order.
     """
-    levels = np.array([c[0] for c in mesh.cell_ids])
-    splits = 2 ** np.maximum(min_level - levels, 0)
+    splits = 2 ** np.maximum(min_level - mesh.levels, 0)
     rules = []
     for split in np.unique(splits).tolist():
         cells = np.nonzero(splits == split)[0]
@@ -133,7 +132,7 @@ def build_samples(
         raise ValueError("min_level must be nonnegative")
     ncells = len(mesh.cell_ids)
     sizes = mesh.cell_sizes()
-    origins = np.array([[c[1], c[2]] for c in mesh.cell_ids], dtype=float) * sizes[:, None]
+    origins = mesh.cell_array[:, 1:] * sizes[:, None]
     rules, counts = _leaf_rules(mesh, quad, min_level)
     cell_index = np.repeat(np.arange(ncells), counts)
     starts = np.cumsum(counts) - counts

@@ -57,9 +57,11 @@ class RectMesh:
         if not ids:
             raise ValueError("mesh needs at least one cell")
         self.cell_ids: tuple[CellId, ...] = tuple(ids)
-        self._leaf_set = frozenset(ids)
-        self.max_level = max(c[0] for c in ids)
-        self.min_level = min(c[0] for c in ids)
+        # (level, ix, iy) per cell; sorted ids keep each level contiguous
+        self.cell_array = np.array(ids, dtype=np.int64)
+        self.levels = self.cell_array[:, 0]
+        self.max_level = int(self.levels[-1])
+        self.min_level = int(self.levels[0])
         # integer resolution: unit square is [0, R] x [0, R]
         self.res = 2 ** (self.max_level + 1)
         self._build_topology()
@@ -144,15 +146,12 @@ class RectMesh:
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    def rect(self, cid: CellId) -> Rect:
-        return _rect_of(cid)
-
     @property
     def rects(self) -> list[Rect]:
         return [_rect_of(c) for c in self.cell_ids]
 
     def cell_sizes(self) -> np.ndarray:
-        return np.array([0.5 ** c[0] for c in self.cell_ids])
+        return np.ldexp(1.0, -self.levels)
 
     def max_cell_size(self) -> float:
         return 0.5**self.min_level
@@ -170,26 +169,43 @@ class RectMesh:
             return (r.x1, r.y0), (r.x1, r.y1)
         raise ValueError(side)
 
-    def locate(self, x: float, y: float) -> int:
-        """Index of a leaf containing (x, y); ties on cell borders pick one leaf."""
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise ValueError(f"point ({x}, {y}) outside the unit square")
-        for level in range(self.max_level, self.min_level - 1, -1):
-            n = 1 << level
-            ix = min(int(x * n), n - 1)
-            iy = min(int(y * n), n - 1)
-            cid = (level, ix, iy)
-            if cid in self._leaf_set:
-                return self._cell_index(cid)
-        raise RuntimeError("point not covered; mesh invariant violated")
+    def locate(self, x, y):
+        """Indices of the leaves containing the points (x, y).
 
-    def _cell_index(self, cid: CellId) -> int:
-        # cell_ids is sorted, so bisect would work too; dict is simpler
-        try:
-            return self._id_to_index[cid]
-        except AttributeError:
-            self._id_to_index = {c: i for i, c in enumerate(self.cell_ids)}
-            return self._id_to_index[cid]
+        ``x`` and ``y`` broadcast together; the result has their shape, or is
+        an int for scalars.  A point on cell borders goes to the leaf whose
+        half-open cell [ix, ix+1) x [iy, iy+1) / 2**level holds it, closed at
+        x = 1 and y = 1.  Each level is one ``searchsorted`` over its sorted
+        keys ix * 2**level + iy, finest level first.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+        if not np.all(inside):
+            bad = np.flatnonzero(~inside.ravel())[0]
+            raise ValueError(
+                f"point ({x.flat[bad]}, {y.flat[bad]}) outside the unit square"
+            )
+        xs, ys = x.ravel(), y.ravel()
+        cells = np.empty(xs.size, dtype=np.int64)
+        todo = np.arange(xs.size)
+        bounds = np.searchsorted(self.levels, np.arange(self.max_level + 2))
+        for level in range(self.max_level, self.min_level - 1, -1):
+            start, stop = bounds[level], bounds[level + 1]
+            if start == stop or todo.size == 0:
+                continue
+            n = 1 << level
+            ix = np.minimum((xs[todo] * n).astype(np.int64), n - 1)
+            iy = np.minimum((ys[todo] * n).astype(np.int64), n - 1)
+            ids = self.cell_array[start:stop]
+            keys = ids[:, 1] * n + ids[:, 2]
+            query = ix * n + iy
+            pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+            hit = keys[pos] == query
+            cells[todo[hit]] = start + pos[hit]
+            todo = todo[~hit]
+        if todo.size:
+            raise RuntimeError("point not covered; mesh invariant violated")
+        return cells.reshape(x.shape) if x.ndim else int(cells[0])
 
 
 def init_uniform(levels: int) -> RectMesh:

@@ -133,65 +133,83 @@ class SolverError(RuntimeError):
 
 
 class _Assembler:
-    """Per-mesh workspace: tabulations, quadrature geometry, COO index maps."""
+    """Per-mesh workspace shared by every policy solve on one mesh.
+
+    Holds the quadrature points and weights; per level, Lap(phi_i) at the
+    quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q) *
+    H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); and the CSR pattern of the
+    full matrix with the slot of each of the nc*256 element-block entries.
+    """
 
     def __init__(self, space: BfsSpace, quad: QuadRule):
         self.space = space
-        self.groups = space.level_groups()
-        self.ref = quad.ref_points
-        self.wref = quad.ref_weights
+        ref = quad.ref_points
         cells = np.arange(len(space.mesh.cell_ids))
-        self.points = space.cell_points(cells, self.ref)  # (nc, nq, 2)
+        self.points = space.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
-        self.weights = areas[:, None] * self.wref[None, :]  # (nc, nq)
-        dofs = space.cell_dofs
-        self.rows = np.repeat(dofs, 16, axis=1).ravel()
-        self.cols = np.tile(dofs, (1, 16)).ravel()
+        self.weights = areas[:, None] * quad.ref_weights[None, :]  # (nc, nq)
+        # (cell slice, Lap phi (nq, 16), M (3 nq, 256)) per level; sorted ids
+        # keep the cells of a level contiguous
+        self.groups = []
+        for level, group in space.level_groups():
+            tab = space.tabulation(level, ref)
+            lap = tab["Nxx"] + tab["Nyy"]
+            table = np.vstack([
+                (lap[:, :, None] * H[:, None, :]).reshape(len(lap), 256)
+                for H in (tab["Nxx"], 2.0 * tab["Nxy"], tab["Nyy"])
+            ])
+            self.groups.append((slice(group[0], group[-1] + 1), lap, table))
+        # Block entry (c, i, j) sits at row dofs[c, i] and column dofs[c, j],
+        # with dofs = 4 * vertex + kind.  The pattern is that of the vertex
+        # pairs sharing a cell, each expanded to 4 x 4: row 4v + k holds the
+        # columns 4w + l of every neighbour w of v in ascending order.
+        corners = space.mesh.cell_corners
+        nc, nv = len(corners), space.nvertices
+        pairs = (corners[:, :, None] * nv + corners[:, None, :]).ravel()
+        unique, pair_slot = np.unique(pairs, return_inverse=True)
+        degree = np.bincount(unique // nv, minlength=nv)  # neighbours per vertex
+        first = (np.cumsum(degree) - degree)[corners][:, :, None]  # (nc, a, 1)
+        base = 16 * first + 4 * (pair_slot.reshape(nc, 4, 4) - first)  # (nc, a, b)
+        row_len = 4 * degree[corners]  # (nc, a)
+        k = np.arange(4)
+        self.slot = (
+            base[:, :, None, :, None]
+            + row_len[:, :, None, None, None] * k[:, None, None]
+            + k
+        ).ravel()  # (c, a, k, b, l) order, i = 4a + k and j = 4b + l
+        self.indices = np.empty(16 * len(unique), dtype=np.int32)
+        self.indices[self.slot] = np.broadcast_to(
+            space.cell_dofs[:, None, :], (nc, 16, 16)
+        ).ravel()
+        row_nnz = np.repeat(4 * degree, 4)
+        self.indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
 
-    def tab(self, level: int):
-        return self.space.tabulation(level, self.ref)
-
-    def residual_full(self, value):
-        """Assemble r_i = sum_q w * F(x_q) * Lap(phi_i)(x_q) over all cells."""
-        r = np.zeros(self.space.nfull)
-        wV = self.weights * value
-        for level, cells in self.groups:
-            tab = self.tab(level)
-            lap = tab["Nxx"] + tab["Nyy"]  # (nq, 16)
-            contrib = wV[cells] @ lap  # (ncells, 16)
+    def load(self, vals):
+        """Assemble r_i = sum_q w * vals(x_q) * Lap(phi_i)(x_q) over all cells."""
+        nfull = self.space.nfull
+        r = np.zeros(nfull)
+        wV = self.weights * vals
+        for s, lap, _ in self.groups:
+            contrib = wV[s] @ lap  # (ncells, 16)
             r += np.bincount(
-                self.space.cell_dofs[cells].ravel(),
-                weights=contrib.ravel(),
-                minlength=self.space.nfull,
+                self.space.cell_dofs[s].ravel(), weights=contrib.ravel(), minlength=nfull
             )
         return r
 
     def linear_system(self, a11, a12, a22, rhs_vals):
-        """Matrix of (A:D^2 w, Lap phi) and load vector of (rhs, Lap phi)."""
+        """Matrix of (A:D^2 w, Lap phi) and load vector of (rhs, Lap phi).
+
+        Each level's element blocks are one product [w a11 | w a12 | w a22]
+        @ M, summed into the fixed CSR pattern by one ``bincount``.
+        """
         nfull = self.space.nfull
-        blocks = np.empty((self.weights.shape[0], 16, 16))
-        load = np.zeros(nfull)
-        for level, cells in self.groups:
-            tab = self.tab(level)
-            lap = tab["Nxx"] + tab["Nyy"]
-            G = (
-                a11[cells, :, None] * tab["Nxx"][None, :, :]
-                + 2.0 * a12[cells, :, None] * tab["Nxy"][None, :, :]
-                + a22[cells, :, None] * tab["Nyy"][None, :, :]
-            )  # (nc, nq, 16)
-            w = self.weights[cells]
-            blocks[cells] = np.einsum("cq,qi,cqj->cij", w, lap, G, optimize=True)
-            contrib = (w * rhs_vals[cells]) @ lap
-            load += np.bincount(
-                self.space.cell_dofs[cells].ravel(),
-                weights=contrib.ravel(),
-                minlength=nfull,
-            )
-        K = sp.coo_matrix(
-            (blocks.ravel(), (self.rows, self.cols)),
-            shape=(nfull, nfull),
-        ).tocsr()
-        return K, load
+        blocks = np.empty((self.weights.shape[0], 256))
+        for s, _, table in self.groups:
+            w = self.weights[s]
+            np.matmul(np.hstack([w * a11[s], w * a12[s], w * a22[s]]), table, out=blocks[s])
+        data = np.bincount(self.slot, weights=blocks.ravel(), minlength=len(self.indices))
+        K = sp.csr_matrix((data, self.indices, self.indptr), shape=(nfull, nfull))
+        return K, self.load(rhs_vals)
 
 
 def _policy_fields(eps, fvals, m11, m12, m22):
@@ -242,6 +260,7 @@ def solve(
     red = reduction
     cells = np.arange(len(space.mesh.cell_ids))
     hess = ("Nxx", "Nxy", "Nyy")
+    ref = quad.ref_points
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
     berrs = []  # ||Kr u - Fr|| / ||Fr|| of every linear solve
@@ -263,9 +282,9 @@ def solve(
         return red.full_vector(u_red)
 
     def residual_of(coeffs):
-        H = FeFunction(space, coeffs).on_cells(cells, quad.ref_points, hess)
+        H = FeFunction(space, coeffs).on_cells(cells, ref, hess)
         value, a11, a12, a22, rhs = _policy_fields(eps, fvals, *(H[k] for k in hess))
-        r = red.reduce_vector(asm.residual_full(value))
+        r = red.reduce_vector(asm.load(value))
         return float(np.linalg.norm(r)), (a11, a12, a22, rhs)
 
     if initial is None:

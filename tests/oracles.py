@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared across test modules."""
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
@@ -100,3 +101,36 @@ def select_j_scalar(mu, data, delta):
         j += 1
         current = nxt
     return j
+
+
+def assemble_reference(space, quad, a11, a12, a22):
+    """Policy matrix by an einsum per level and a COO -> CSR conversion."""
+    nc = len(space.mesh.cell_ids)
+    weights = (space.mesh.cell_sizes() ** 2)[:, None] * quad.ref_weights[None, :]
+    blocks = np.empty((nc, 16, 16))
+    for level, cells in space.level_groups():
+        tab = space.tabulation(level, quad.ref_points)
+        lap = tab["Nxx"] + tab["Nyy"]
+        G = (
+            a11[cells, :, None] * tab["Nxx"][None, :, :]
+            + 2.0 * a12[cells, :, None] * tab["Nxy"][None, :, :]
+            + a22[cells, :, None] * tab["Nyy"][None, :, :]
+        )
+        blocks[cells] = np.einsum("cq,qi,cqj->cij", weights[cells], lap, G, optimize=True)
+    dofs = space.cell_dofs
+    rows = np.repeat(dofs, 16, axis=1).ravel()
+    cols = np.tile(dofs, (1, 16)).ravel()
+    return sp.coo_matrix(
+        (blocks.ravel(), (rows, cols)), shape=(space.nfull, space.nfull)
+    ).tocsr()
+
+
+def locate_scalar(mesh, x, y):
+    """Leaf index of (x, y) by a walk from the finest level down, point by point."""
+    index = {cid: i for i, cid in enumerate(mesh.cell_ids)}
+    for level in range(mesh.max_level, mesh.min_level - 1, -1):
+        n = 1 << level
+        cid = (level, min(int(x * n), n - 1), min(int(y * n), n - 1))
+        if cid in index:
+            return index[cid]
+    raise RuntimeError("point not covered")

@@ -137,6 +137,25 @@ class TestPointEvaluation:
                 assert np.array_equal(got[k][m], tab[k] @ local), k
 
 
+class TestOnCells:
+    def test_any_cell_order_matches_cell_by_cell(self):
+        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)])
+        space = BfsSpace(mesh)
+        vh = FeFunction(space, np.random.default_rng(6).standard_normal(space.nfull))
+        ref = QuadRule(3).ref_points
+        keys = ("N", "Nxy")
+        scale = 1e-12 * np.max(np.abs(vh.coeffs)) * 4**mesh.max_level
+        coarse_last = np.r_[np.arange(len(mesh))[::-1], 0, 3]  # repeats too
+        for cells in (coarse_last, np.random.default_rng(7).permutation(coarse_last)):
+            got = vh.on_cells(cells, ref, what=keys)
+            for row, ci in enumerate(cells):
+                one = vh.on_cells(np.array([ci]), ref, what=keys)
+                assert all(
+                    np.allclose(got[k][row], one[k][0], rtol=0, atol=scale) for k in keys
+                )
+        assert vh.on_cells(np.array([], dtype=int), ref)["N"].shape == (0, len(ref))
+
+
 class TestContinuity:
     @staticmethod
     def edge_jump(vh, cell_a, ref_a, cell_b, ref_b):

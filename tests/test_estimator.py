@@ -17,7 +17,7 @@ from macert.estimator import (
     rhs_eps,
     select_j,
 )
-from macert.geometry import init_uniform, min_edge_length
+from macert.geometry import init_uniform, min_edge_length, refine
 
 
 def quadratic_fe(mesh, m11=1.0, m12=0.0, m22=1.0):
@@ -308,3 +308,24 @@ def test_boundary_trace_error_per_edge():
     assert worst <= 1e-12  # quadratic trace is in the space
     per_edge, worst = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)
     assert worst == pytest.approx(1.0, abs=1e-12)  # |g - v_h| peaks at (1,1)
+
+
+def test_boundary_trace_error_matches_pointwise_evaluation():
+    # edges of several levels on every side, evaluated one group at a time
+    mesh = init_uniform(1)
+    for cid in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
+        mesh = refine(mesh, [cid])
+    space = BfsSpace(mesh)
+    vh = FeFunction(space, np.random.default_rng(4).standard_normal(space.nfull))
+    g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+    per_edge, worst = max_boundary_trace_error(vh, g, points_per_edge=9)
+    assert list(per_edge) == list(mesh.boundary_edges)
+    assert len({mesh.cell_ids[ci][0] for ci, _ in per_edge}) >= 3
+    t = np.linspace(0.0, 1.0, 9)
+    scale = 1.0 + float(np.max(np.abs(vh.coeffs)))
+    for (ci, side), err in per_edge.items():
+        (xa, ya), (xb, yb) = mesh.boundary_edge_segment(ci, side)
+        pts = np.column_stack([xa + (xb - xa) * t, ya + (yb - ya) * t])
+        expected = np.max(np.abs(g(pts[:, 0], pts[:, 1]) - vh.value(pts)))
+        assert err == pytest.approx(expected, abs=1e-12 * scale)
+    assert worst == max(per_edge.values())

@@ -10,6 +10,8 @@ from macert.envelope import build_samples
 from macert.estimator import DataError, make_data_error, select_j
 from macert.geometry import Rect, RectMesh, init_uniform, min_edge_length, refine
 
+from oracles import locate_scalar
+
 
 def brute_force_valid(mesh: RectMesh):
     """Oracle for the mesh invariants: cover, no overlap, 1-irregularity."""
@@ -170,3 +172,44 @@ def test_locate_and_ids_stable():
     assert mesh.cell_ids[ci] == (1, 1, 1)
     # parent-child path encoding: the surviving coarse ids are unchanged
     assert (1, 1, 1) in mesh.cell_ids
+
+
+class TestLocate:
+    @staticmethod
+    def graded_mesh():
+        mesh = init_uniform(1)
+        for level in range(1, 7):
+            mesh = refine(mesh, [(level, 0, 0)])
+        mesh = refine(mesh, [(1, 1, 1)])
+        return refine(mesh, [(2, 2, 3)])
+
+    def test_matches_scalar_walk(self):
+        mesh = self.graded_mesh()
+        rng = np.random.default_rng(5)
+        verts = mesh.vertex_coords
+        t = rng.uniform(0.0, 1.0, len(verts))
+        ones = np.ones(200)
+        pts = np.vstack([
+            rng.uniform(0.0, 1.0, (1000, 2)),
+            rng.uniform(0.0, 1 / 64, (300, 2)),
+            verts,  # cell corners and hanging vertices
+            np.column_stack([verts[:, 0], t]),  # on vertical cell edges
+            np.column_stack([t, verts[:, 1]]),  # on horizontal cell edges
+            np.column_stack([ones, rng.uniform(0.0, 1.0, 200)]),  # x = 1
+            np.column_stack([rng.uniform(0.0, 1.0, 200), ones]),  # y = 1
+        ])
+        got = mesh.locate(pts[:, 0], pts[:, 1])
+        expected = [locate_scalar(mesh, x, y) for x, y in pts]
+        assert got.dtype.kind == "i" and np.array_equal(got, expected)
+        assert mesh.locate(pts[:5, 0].reshape(5, 1), pts[:3, 1]).shape == (5, 3)
+
+    def test_scalar_point_gives_int(self):
+        mesh = self.graded_mesh()
+        ci = mesh.locate(1.0, 1.0)
+        assert isinstance(ci, int) and ci == locate_scalar(mesh, 1.0, 1.0)
+
+    @pytest.mark.parametrize("x, y", [(-0.1, 0.5), (0.5, 1.0 + 2**-52), (np.nan, 0.5)])
+    def test_outside_raises(self, x, y):
+        mesh = self.graded_mesh()
+        with pytest.raises(ValueError, match="outside the unit square"):
+            mesh.locate(np.array([0.5, x]), np.array([0.5, y]))

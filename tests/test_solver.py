@@ -8,6 +8,8 @@ from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, nor
 from macert.geometry import init_uniform, refine
 from macert.hjb import HjbProblem, _Assembler, eval_F_batch, solve
 
+from oracles import assemble_reference
+
 
 def quadratic_exact():
     u = lambda x, y: 0.5 * (x**2 + y**2)
@@ -175,3 +177,41 @@ class TestDiagonalPivoting:
             lam, vecs = sla.eigh(0.5 * (K + K.T), B)
             assert lam[0] >= eps * (1.0 - 1e-8)
             v = vecs[:, 0]
+
+
+def _random_policy(shape, seed):
+    rng = np.random.default_rng(seed)
+    a11 = rng.uniform(0.0, 1.0, shape)
+    return a11, rng.uniform(-0.5, 0.5, shape), 1.0 - a11
+
+
+class TestAssembly:
+    MESHES = {
+        "ex1-graded": _corner_graded_mesh(3),
+        "graded-20-levels": _corner_graded_mesh(18),  # entries scale like 4^level
+        "ex3-uniform": init_uniform(3),
+    }
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_matches_coo_assembly(self, name):
+        mesh = self.MESHES[name]
+        space, quad = BfsSpace(mesh), QuadRule(5)
+        asm = _Assembler(space, quad)
+        policy = _random_policy(asm.weights.shape, 0)
+        K = asm.linear_system(*policy, np.ones(asm.weights.shape))[0]
+        ref = assemble_reference(space, quad, *policy)
+        assert ref.has_canonical_format  # sorted indices, no duplicates
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        row_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
+        scale = np.repeat(row_max, np.diff(ref.indptr))
+        assert np.all(np.abs(K.data - ref.data) <= 1e-13 * scale)
+
+    def test_repeat_calls_are_bitwise_equal(self):
+        space, quad = BfsSpace(self.MESHES["ex1-graded"]), QuadRule(5)
+        asm = _Assembler(space, quad)
+        policy = _random_policy(asm.weights.shape, 2)
+        rhs = np.ones(asm.weights.shape)
+        K1, load1 = asm.linear_system(*policy, rhs)
+        K2, load2 = asm.linear_system(*policy, rhs)
+        assert np.array_equal(K1.data, K2.data) and np.array_equal(load1, load2)
