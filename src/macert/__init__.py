@@ -11,7 +11,7 @@ from .bench import EXPERIMENTS, HistoryRow, RunConfig, emit_dat, rate_fit, run
 from .bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
 from .envelope import build_samples, contact_set, lower_hull
 from .estimator import ErrorCertificate, indicators_and_mark, rhs0, rhs_eps, select_j
-from .geometry import Rect, RectMesh, init_uniform, min_edge_length, refine
+from .geometry import RectMesh, init_uniform, min_edge_length, refine
 from .hjb import HjbProblem, solve
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "rhs0",
     "rhs_eps",
     "select_j",
-    "Rect",
     "RectMesh",
     "init_uniform",
     "min_edge_length",

@@ -290,32 +290,25 @@ def prolongate(v_h: FeFunction, fine_space: BfsSpace) -> np.ndarray:
 
     Every fine vertex is a corner, edge midpoint or centre of some coarse
     leaf, so the nodal data comes from a 3x3 lattice evaluation per coarse
-    cell.  The mixed derivative may jump across coarse edges; either side is
-    fine for a warm start.
+    cell, keyed by its vertex key at the coarse resolution.  The mixed
+    derivative may jump across coarse edges; the last cell in cell order
+    that holds a point gives its value, which is fine for a warm start.
     """
-    coarse = v_h.space
-    cells = np.arange(len(coarse.mesh.cell_ids))
+    coarse = v_h.space.mesh
     lattice = _cell_grid(3)
-    what = ("N", "Nx", "Ny", "Nxy")
-    vals = v_h.on_cells(cells, lattice, what=what)
-    data: dict[tuple[int, int], tuple] = {}
-    res = coarse.mesh.res
-    for k, cid in enumerate(coarse.mesh.cell_ids):
-        level, ix, iy = cid
-        step = res >> (level + 1)  # half the cell in mesh-resolution units
-        x0, y0 = 2 * ix * step, 2 * iy * step
-        for p, (a, b) in enumerate((int(2 * s), int(2 * t)) for s, t in lattice):
-            key = (x0 + a * step, y0 + b * step)
-            data[key] = (
-                vals["N"][k, p], vals["Nx"][k, p], vals["Ny"][k, p], vals["Nxy"][k, p]
-            )
-    fine_mesh = fine_space.mesh
-    scale = fine_mesh.res // res  # fine keys live at a finer resolution
-    coeffs = np.empty(fine_space.nfull)
-    for vi, (kx, ky) in enumerate(fine_mesh.vertex_keys):
-        v, dx, dy, dxy = data[(kx // scale, ky // scale)]
-        coeffs[4 * vi : 4 * vi + 4] = (v, dx, dy, dxy)
-    return coeffs
+    vals = v_h.on_cells(np.arange(len(coarse)), lattice, what=("N", "Nx", "Ny", "Nxy"))
+    data = np.stack([vals[k] for k in ("N", "Nx", "Ny", "Nxy")], axis=-1).reshape(-1, 4)
+    R = coarse.res
+    step = (R >> (coarse.levels + 1))[:, None]  # half a cell at the coarse resolution
+    a, b = (2 * lattice.T).astype(np.int64)
+    kx = 2 * coarse.cell_array[:, 1:2] * step + a * step
+    ky = 2 * coarse.cell_array[:, 2:3] * step + b * step
+    # last occurrence of each key: first occurrence in the reversed order
+    keys, first = np.unique((ky * (R + 1) + kx).ravel()[::-1], return_index=True)
+    scale = fine_space.mesh.res // R  # fine keys live at a finer resolution
+    fx, fy = (fine_space.mesh.vertex_keys // scale).T
+    rows = (len(data) - 1 - first)[np.searchsorted(keys, fy * (R + 1) + fx)]
+    return data[rows].ravel()
 
 
 def run(config: RunConfig, collect_steps: bool = False):

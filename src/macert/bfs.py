@@ -10,10 +10,13 @@ traces of value and normal derivative along a cell edge are cubics in the
 edge parameter, so evaluating those cubics (and their edge derivative) at the
 midpoint expresses all four slave DOFs as linear combinations of the eight
 master DOFs.  This keeps the space C1 across hanging edges by construction.
+On a 1-irregular mesh no master is itself hanging, so every slave DOF is one
+constraint row; chained constraints are rejected.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,7 +84,8 @@ class QuadRule:
     """Tensor Gauss-Legendre rule with ``degree`` points per coordinate.
 
     Exact for bivariate polynomials up to degree 2*degree - 1 per coordinate;
-    all points are interior to the cell.
+    all points are interior to the cell.  Points and weights are computed once
+    and are read-only, because tabulation caches are keyed by their bytes.
     """
 
     degree: int = 5
@@ -90,18 +94,21 @@ class QuadRule:
         if self.degree < 1:
             raise ValueError("quadrature degree must be >= 1")
 
-    @property
+    @cached_property
     def ref_points(self) -> np.ndarray:
         nodes, _ = np.polynomial.legendre.leggauss(self.degree)
         x = 0.5 * (nodes + 1.0)
         xx, yy = np.meshgrid(x, x, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        pts.flags.writeable = False
+        return pts
 
-    @property
+    @cached_property
     def ref_weights(self) -> np.ndarray:
         _, w = np.polynomial.legendre.leggauss(self.degree)
-        w = 0.5 * w
-        return np.outer(w, w).ravel()
+        w = np.outer(0.5 * w, 0.5 * w).ravel()
+        w.flags.writeable = False
+        return w
 
     @property
     def npoints(self) -> int:
@@ -116,82 +123,70 @@ class BfsSpace:
         self.nvertices = len(mesh.vertex_keys)
         self.nfull = 4 * self.nvertices
         self.cell_dofs = (4 * mesh.cell_corners[:, :, None] + np.arange(4)).reshape(-1, 16)
-        self._slave_rows = self._hanging_constraints()
         self._tab_cache: dict = {}
         levels = mesh.levels
         self._level_groups = [
             (int(L), np.flatnonzero(levels == L)) for L in np.unique(levels)
         ]
 
-    # -- hanging-node constraints ------------------------------------------
-
-    def _hanging_constraints(self) -> dict[int, list[tuple[int, float]]]:
-        """Linear combinations expressing each slave DOF in master DOFs."""
-        rows: dict[int, list[tuple[int, float]]] = {}
-        for s, (p, q, axis, h) in self.mesh.hanging.items():
-            if axis == 0:  # edge along x: trace in x couples (V,DX), (DY,DXY)
-                pairs = ((V, DX), (DY, DXY))
-            else:  # edge along y: trace in y couples (V,DY), (DX,DXY)
-                pairs = ((V, DY), (DX, DXY))
-            for val_k, der_k in pairs:
-                vp, dp = 4 * p + val_k, 4 * p + der_k
-                vq, dq = 4 * q + val_k, 4 * q + der_k
-                # Hermite cubic through (val, der) at both ends, at t = 1/2
-                rows[4 * s + val_k] = [
-                    (vp, 0.5), (vq, 0.5), (dp, h / 8.0), (dq, -h / 8.0),
-                ]
-                rows[4 * s + der_k] = [
-                    (vp, -1.5 / h), (vq, 1.5 / h), (dp, -0.25), (dq, -0.25),
-                ]
-        return rows
-
     # -- reductions ---------------------------------------------------------
 
     def reduction(self, fixed: dict[int, float]) -> "Reduction":
         """Prolongation from free DOFs to the full vector, with fixed offsets.
 
-        ``fixed`` maps Dirichlet DOFs to their values.  Slave DOFs are expanded
-        recursively (a master may itself be a slave on meshes where level jumps
-        chain across corners).
+        ``fixed`` maps Dirichlet DOFs to their values.  Each slave DOF is a
+        combination of the four master DOFs (vp, vq, dp, dq) of its master
+        edge: free masters give its row of P, fixed ones its offset, summed
+        in that order.  On a 1-irregular mesh no master is a slave: a master
+        p is a corner of the coarse cell K (level L) and of a finer cell F
+        (level L+1) across K's edge, and for p to be the midpoint of a leaf
+        edge, that leaf would have to face F from level L-1 or coarser.
+        Raises ``ValueError`` when a master is a slave.
         """
-        slave = self._slave_rows
-        memo: dict[int, tuple[dict[int, float], float]] = {}
+        nfull = self.nfull
+        dofs = np.fromiter(fixed, dtype=np.int64, count=len(fixed))
+        value = np.zeros(nfull)
+        value[dofs] = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
+        is_fixed = np.zeros(nfull, dtype=bool)
+        is_fixed[dofs] = True
 
-        def expand(dof: int) -> tuple[dict[int, float], float]:
-            got = memo.get(dof)
-            if got is not None:
-                return got
-            if dof in fixed:
-                res = ({}, fixed[dof])
-            elif dof in slave:
-                combo: dict[int, float] = {}
-                const = 0.0
-                for m, c in slave[dof]:
-                    sub, sub_const = expand(m)
-                    const += c * sub_const
-                    for g, cg in sub.items():
-                        combo[g] = combo.get(g, 0.0) + c * cg
-                res = (combo, const)
-            else:
-                res = ({dof: 1.0}, 0.0)
-            memo[dof] = res
-            return res
+        # per (value, edge derivative) kind pair that the edge trace couples,
+        # two rows: the Hermite cubic through (val, der) at both ends, and
+        # its edge derivative, at t = 1/2
+        s, p, q, axis = self.mesh.hanging.T
+        keys = self.mesh.vertex_keys
+        h = ((keys[q, axis] - keys[p, axis]) / self.mesh.res)[:, None]
+        kinds = np.array([[[V, DX], [DY, DXY]], [[V, DY], [DX, DXY]]])[axis]
+        slaves = (4 * s[:, None, None] + kinds).ravel()  # by vertex, pair, row
+        ends = 4 * np.column_stack([p, q])[:, None, None, :] + kinds[..., None]
+        masters = np.repeat(ends.reshape(-1, 4), 2, axis=0)
+        one = np.ones_like(h)
+        coefs = np.tile(np.stack([
+            np.hstack([0.5 * one, 0.5 * one, h / 8.0, -h / 8.0]),
+            np.hstack([-1.5 / h, 1.5 / h, -0.25 * one, -0.25 * one]),
+        ], axis=1), (1, 2, 1)).reshape(-1, 4)
+        keep = ~is_fixed[slaves]
+        slaves, masters, coefs = slaves[keep], masters[keep], coefs[keep]
 
-        free = [d for d in range(self.nfull) if d not in fixed and d not in slave]
-        col_of = {d: i for i, d in enumerate(free)}
-        rows, cols, vals = [], [], []
-        offset = np.zeros(self.nfull)
-        for dof in range(self.nfull):
-            combo, const = expand(dof)
-            offset[dof] = const
-            for g, c in combo.items():
-                rows.append(dof)
-                cols.append(col_of[g])
-                vals.append(c)
-        P = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.nfull, len(free))
-        )
-        return Reduction(self, P, offset, np.array(free, dtype=np.int64))
+        is_slave = np.zeros(nfull, dtype=bool)
+        is_slave[slaves] = True
+        if np.any(is_slave[masters]):
+            raise ValueError("a master DOF is itself a slave: hanging-node constraints "
+                             "chain, so the mesh is not 1-irregular")
+        free = np.flatnonzero(~is_fixed & ~is_slave)
+        col = np.full(nfull, -1)
+        col[free] = np.arange(len(free))
+        offset = np.where(is_fixed, value, 0.0)
+        offset[slaves] = 0.0
+        for k in range(4):
+            offset[slaves] += coefs[:, k] * value[masters[:, k]]
+
+        entry = ~is_fixed[masters]
+        rows = np.concatenate([free, np.repeat(slaves, entry.sum(axis=1))])
+        cols = np.concatenate([np.arange(len(free)), col[masters[entry]]])
+        vals = np.concatenate([np.ones(len(free)), coefs[entry]])
+        P = sp.csr_matrix((vals, (rows, cols)), shape=(nfull, len(free)))
+        return Reduction(self, P, offset, free)
 
     # -- batched tabulation --------------------------------------------------
 

@@ -28,7 +28,8 @@ class SampleSet:
 
     Interior points keep their owning cell and quadrature weight so the same
     set drives both the envelope and the data-error quadrature.  Boundary
-    points are stored per side, ordered by arclength, corners included.
+    points are stored per side, ordered by arclength, corners included, in
+    the layout of ``_side_positions``.
     """
 
     mesh: RectMesh
@@ -77,6 +78,19 @@ def _side_point(side: str, t: np.ndarray) -> np.ndarray:
     if side == "right":
         return np.column_stack([one, t])
     raise ValueError(side)
+
+
+def _side_positions(side_params) -> dict[str, np.ndarray]:
+    """Row of each side sample in ``SampleSet.boundary``.
+
+    The boundary lists the sides in ``_SIDES`` order, each by increasing
+    parameter, and keeps each corner at its first side.
+    """
+    nb, nr, nt, nl = (len(side_params[s]) for s in _SIDES)
+    right = nb - 1 + np.arange(nr)  # from (1, 0), the last point of bottom
+    top = np.append(right[-1] + 1 + np.arange(nt - 1), right[-1])  # to (1, 1)
+    left = np.concatenate([[0], top[-2] + 1 + np.arange(nl - 2), top[:1]])
+    return dict(zip(_SIDES, (np.arange(nb), right, top, left)))
 
 
 def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
@@ -143,29 +157,19 @@ def build_samples(
         interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
 
+    last = np.left_shift(1, mesh.levels) - 1
+    ix, iy = mesh.cell_array[:, 1], mesh.cell_array[:, 2]
+    i = np.arange(per_edge + 1)
     side_params: dict[str, np.ndarray] = {}
-    for side in _SIDES:
-        params: set[float] = {0.0, 1.0}
-        for ci, s in mesh.boundary_edges:
-            if s != side:
-                continue
-            (xa, ya), (xb, yb) = mesh.boundary_edge_segment(ci, s)
-            a = xa if side in ("bottom", "top") else ya
-            b = xb if side in ("bottom", "top") else yb
-            h = b - a
-            for i in range(per_edge + 1):
-                params.add(a + h * i / per_edge)
-        side_params[side] = np.array(sorted(params))
-
-    seen: set[tuple[float, float]] = set()
-    bpts = []
-    for side in _SIDES:
-        for p in _side_point(side, side_params[side]):
-            key = (p[0], p[1])
-            if key not in seen:
-                seen.add(key)
-                bpts.append(key)
-    boundary = np.array(bpts)
+    # per side: its leaves and the coordinate that runs along it
+    for side, cells, axis in zip(
+        _SIDES, (iy == 0, ix == last, iy == last, ix == 0), (0, 1, 0, 1)
+    ):
+        a, h = origins[cells, axis, None], sizes[cells, None]
+        side_params[side] = np.unique(np.append([0.0, 1.0], a + h * i / per_edge))
+    boundary = np.empty((sum(map(len, side_params.values())) - 4, 2))
+    for side, pos in _side_positions(side_params).items():
+        boundary[pos] = _side_point(side, side_params[side])
     return SampleSet(
         mesh, interior, cell_index, weights, boundary, side_params, quad, min_level
     )
@@ -234,18 +238,11 @@ class LowerHull:
         Equals the 1D lower hull of the side's own samples because the side
         plane of the square supports the full 3D hull.
         """
-        params = self.samples.side_params[side]
-        pts = _side_point(side, params)
-        vals = self._value_at_sample(pts)
-        hull_t, hull_v = _lower_hull_1d(params, vals)
+        samples = self.samples
+        params = samples.side_params[side]
+        pos = _side_positions(samples.side_params)[side]
+        hull_t, hull_v = _lower_hull_1d(params, self.values[samples.n_interior + pos])
         return np.interp(t, hull_t, hull_v)
-
-    def _value_at_sample(self, pts: np.ndarray) -> np.ndarray:
-        """Sample values looked up by coordinates (boundary points only)."""
-        allpts = self.samples.points
-        index = {(p[0], p[1]): i for i, p in enumerate(allpts[self.samples.n_interior :])}
-        idx = [index[(p[0], p[1])] + self.samples.n_interior for p in pts]
-        return self.values[idx]
 
 
 def _lower_hull_1d(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

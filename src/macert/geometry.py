@@ -2,63 +2,50 @@
 
 Cells are axis-aligned squares ``[ix, ix+1] x [iy, iy+1] / 2**level`` and are
 identified by the tuple ``(level, ix, iy)``.  Ids encode the parent-child path,
-so they stay stable across refinement.  All coordinates are dyadic rationals
-and therefore exact in binary floating point.
+so they stay stable across refinement.  A mesh holds its cells as one sorted
+integer array and derives vertices, hanging nodes and boundary edges from
+integer keys by ``np.unique`` and ``searchsorted``, so every coordinate is an
+exact dyadic rational.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 CellId = tuple[int, int, int]
 
-
-@dataclass(frozen=True)
-class Rect:
-    """Closed axis-aligned rectangle with its quadtree depth."""
-
-    x0: float
-    y0: float
-    hx: float
-    hy: float
-    level: int = 0
-
-    @property
-    def x1(self) -> float:
-        return self.x0 + self.hx
-
-    @property
-    def y1(self) -> float:
-        return self.y0 + self.hy
-
-    @property
-    def area(self) -> float:
-        return self.hx * self.hy
+_SIDES = ("bottom", "top", "left", "right")  # boundary edge order per cell
+# per side: the two local corners of its edge (local corner order (0,0),
+# (1,0), (0,1), (1,1) as in cell_corners) and the axis the edge runs along
+_EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
 
 
-def _rect_of(cid: CellId) -> Rect:
-    level, ix, iy = cid
-    h = 0.5**level
-    return Rect(ix * h, iy * h, h, h, level)
+def _as_cells(cell_ids) -> np.ndarray:
+    """(n, 3) int64 array of (level, ix, iy) rows from ids or an array."""
+    if not isinstance(cell_ids, np.ndarray):
+        cell_ids = list(cell_ids)
+    return np.asarray(cell_ids, dtype=np.int64).reshape(-1, 3)
 
 
 class RectMesh:
     """Immutable quadtree partition of the closed unit square.
 
-    Vertices are keyed by integer coordinates at resolution ``2**(max_level+1)``
-    so that edge midpoints are representable; this makes hanging-node detection
-    an exact set lookup.
+    ``vertex_keys`` holds the integer coordinates (kx, ky) of each vertex at
+    resolution ``res = 2**(max_level+1)``, so that edge midpoints are
+    representable; vertices are numbered by the key ``ky * (res + 1) + kx``.
+    ``hanging`` holds one row (slave, p, q, axis) per hanging vertex, sorted
+    by slave: the slave is the midpoint of the leaf edge p-q, which runs
+    along ``axis`` (0 for x).
     """
 
     def __init__(self, cell_ids: Iterable[CellId]):
-        ids = sorted(set(cell_ids))
-        if not ids:
+        cells = _as_cells(cell_ids)
+        if not len(cells):
             raise ValueError("mesh needs at least one cell")
-        self.cell_ids: tuple[CellId, ...] = tuple(ids)
-        # (level, ix, iy) per cell; sorted ids keep each level contiguous
-        self.cell_array = np.array(ids, dtype=np.int64)
+        # (level, ix, iy) per cell, sorted, so each level is contiguous
+        self.cell_array = np.unique(cells, axis=0)
+        self.cell_ids: tuple[CellId, ...] = tuple(map(tuple, self.cell_array.tolist()))
         self.levels = self.cell_array[:, 0]
         self.max_level = int(self.levels[-1])
         self.min_level = int(self.levels[0])
@@ -70,104 +57,49 @@ class RectMesh:
 
     def _build_topology(self):
         R = self.res
-        corner_keys: dict[tuple[int, int], int] = {}
-        cell_corners = np.empty((len(self.cell_ids), 4), dtype=np.int64)
-        for ci, (level, ix, iy) in enumerate(self.cell_ids):
-            step = R >> level
-            x0, y0 = ix * step, iy * step
-            # local corner order (0,0), (1,0), (0,1), (1,1)
-            for k, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-                key = (x0 + dx * step, y0 + dy * step)
-                idx = corner_keys.get(key)
-                if idx is None:
-                    idx = len(corner_keys)
-                    corner_keys[key] = idx
-                cell_corners[ci, k] = idx
-        # renumber vertices lexicographically for determinism
-        order = sorted(corner_keys, key=lambda k: (k[1], k[0]))
-        remap = np.empty(len(order), dtype=np.int64)
-        for new, key in enumerate(order):
-            remap[corner_keys[key]] = new
-        self.vertex_keys: list[tuple[int, int]] = order
-        self.cell_corners = remap[cell_corners]
-        self.vertex_coords = np.array(order, dtype=float) / R
-        self._key_to_vidx = {key: i for i, key in enumerate(order)}
+        level, ix, iy = self.cell_array.T
+        step = R >> level
+        # corner keys in local corner order (0,0), (1,0), (0,1), (1,1)
+        cx = (ix * step)[:, None] + step[:, None] * np.array([0, 1, 0, 1])
+        cy = (iy * step)[:, None] + step[:, None] * np.array([0, 0, 1, 1])
+        keys, corners = np.unique(cy * (R + 1) + cx, return_inverse=True)
+        self.cell_corners = corners.reshape(-1, 4)
+        # (kx, ky) per vertex, numbered y-major by their keys
+        self.vertex_keys = np.column_stack([keys % (R + 1), keys // (R + 1)])
+        self.vertex_coords = self.vertex_keys / R
 
-        # hanging vertices: midpoint of a leaf edge that exists as a vertex.
-        # With 1-irregularity the neighbour across is exactly one level finer.
-        # record: slave vidx -> (p_vidx, q_vidx, axis, edge length)
-        self.hanging: dict[int, tuple[int, int, int, float]] = {}
-        for ci, (level, ix, iy) in enumerate(self.cell_ids):
-            step = R >> level
-            x0, y0 = ix * step, iy * step
-            h = step / R
-            half = step >> 1
-            edges = (
-                ((x0, y0), (x0 + step, y0), (x0 + half, y0), 0),        # bottom
-                ((x0, y0 + step), (x0 + step, y0 + step), (x0 + half, y0 + step), 0),  # top
-                ((x0, y0), (x0, y0 + step), (x0, y0 + half), 1),        # left
-                ((x0 + step, y0), (x0 + step, y0 + step), (x0 + step, y0 + half), 1),  # right
-            )
-            for pkey, qkey, midkey, axis in edges:
-                mid = self._key_to_vidx.get(midkey)
-                if mid is not None:
-                    self.hanging[mid] = (
-                        self._key_to_vidx[pkey],
-                        self._key_to_vidx[qkey],
-                        axis,
-                        h,
-                    )
+        # hanging vertices: midpoints of leaf edges p-q that are vertices
+        p, q = self.cell_corners[:, _EDGES[:, 0]], self.cell_corners[:, _EDGES[:, 1]]
+        mid = (keys[p] + keys[q]) // 2  # below the key of q, so pos is in range
+        pos = np.searchsorted(keys, mid)
+        cell, side = np.nonzero(keys[pos] == mid)
+        records = np.column_stack(
+            [pos[cell, side], p[cell, side], q[cell, side], _EDGES[side, 2]]
+        )
+        self.hanging = records[np.argsort(records[:, 0], kind="stable")]
 
-        # boundary classification of vertices
-        xk = np.array([k[0] for k in order])
-        yk = np.array([k[1] for k in order])
-        self.vertex_on_left = xk == 0
-        self.vertex_on_right = xk == R
-        self.vertex_on_bottom = yk == 0
-        self.vertex_on_top = yk == R
+        kx, ky = self.vertex_keys.T
+        self.vertex_on_left = kx == 0
+        self.vertex_on_right = kx == R
+        self.vertex_on_bottom = ky == 0
+        self.vertex_on_top = ky == R
 
-        # boundary edges: (owner cell index, side) where side in
-        # {"bottom", "top", "left", "right"}; sorted for determinism.
-        bedges = []
-        for ci, (level, ix, iy) in enumerate(self.cell_ids):
-            n = 1 << level
-            if iy == 0:
-                bedges.append((ci, "bottom"))
-            if iy == n - 1:
-                bedges.append((ci, "top"))
-            if ix == 0:
-                bedges.append((ci, "left"))
-            if ix == n - 1:
-                bedges.append((ci, "right"))
-        self.boundary_edges: tuple[tuple[int, str], ...] = tuple(bedges)
+        # boundary edges: (owner cell index, side), by cell then _SIDES order
+        last = (1 << level) - 1
+        owner, side = np.nonzero(np.column_stack([iy == 0, iy == last, ix == 0, ix == last]))
+        names = np.array(_SIDES)[side].tolist()
+        self.boundary_edges: tuple[tuple[int, str], ...] = tuple(zip(owner.tolist(), names))
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    @property
-    def rects(self) -> list[Rect]:
-        return [_rect_of(c) for c in self.cell_ids]
-
     def cell_sizes(self) -> np.ndarray:
         return np.ldexp(1.0, -self.levels)
 
     def max_cell_size(self) -> float:
         return 0.5**self.min_level
-
-    def boundary_edge_segment(self, ci: int, side: str):
-        """Endpoints ((xa, ya), (xb, yb)) of a boundary edge of cell ci."""
-        r = _rect_of(self.cell_ids[ci])
-        if side == "bottom":
-            return (r.x0, r.y0), (r.x1, r.y0)
-        if side == "top":
-            return (r.x0, r.y1), (r.x1, r.y1)
-        if side == "left":
-            return (r.x0, r.y0), (r.x0, r.y1)
-        if side == "right":
-            return (r.x1, r.y0), (r.x1, r.y1)
-        raise ValueError(side)
 
     def locate(self, x, y):
         """Indices of the leaves containing the points (x, y).
@@ -188,32 +120,41 @@ class RectMesh:
         xs, ys = x.ravel(), y.ravel()
         cells = np.empty(xs.size, dtype=np.int64)
         todo = np.arange(xs.size)
-        bounds = np.searchsorted(self.levels, np.arange(self.max_level + 2))
         for level in range(self.max_level, self.min_level - 1, -1):
-            start, stop = bounds[level], bounds[level + 1]
-            if start == stop or todo.size == 0:
-                continue
+            if not todo.size:
+                break
             n = 1 << level
             ix = np.minimum((xs[todo] * n).astype(np.int64), n - 1)
             iy = np.minimum((ys[todo] * n).astype(np.int64), n - 1)
-            ids = self.cell_array[start:stop]
-            keys = ids[:, 1] * n + ids[:, 2]
-            query = ix * n + iy
-            pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-            hit = keys[pos] == query
-            cells[todo[hit]] = start + pos[hit]
+            found = self._find(level, ix, iy)
+            hit = found >= 0
+            cells[todo[hit]] = found[hit]
             todo = todo[~hit]
         if todo.size:
             raise RuntimeError("point not covered; mesh invariant violated")
         return cells.reshape(x.shape) if x.ndim else int(cells[0])
+
+    def _find(self, level: int, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+        """Index of the leaf (level, ix, iy) for each pair, or -1 if none.
+
+        One ``searchsorted`` over the level's sorted keys ix * 2**level + iy.
+        """
+        start, stop = np.searchsorted(self.levels, [level, level + 1])
+        n = 1 << level
+        keys = self.cell_array[start:stop, 1] * n + self.cell_array[start:stop, 2]
+        query = ix * n + iy
+        pos = np.searchsorted(keys, query)
+        hit = pos < len(keys)
+        hit[hit] = keys[pos[hit]] == query[hit]
+        return np.where(hit, start + pos, -1)
 
 
 def init_uniform(levels: int) -> RectMesh:
     """Uniform mesh of ``4**levels`` congruent squares."""
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    n = 1 << levels
-    return RectMesh([(levels, ix, iy) for iy in range(n) for ix in range(n)])
+    iy, ix = np.divmod(np.arange(4**levels), 1 << levels)
+    return RectMesh(np.column_stack([np.full_like(ix, levels), ix, iy]))
 
 
 def min_edge_length(mesh: RectMesh) -> float:
@@ -224,36 +165,33 @@ def min_edge_length(mesh: RectMesh) -> float:
 def refine(mesh: RectMesh, marked: Iterable[CellId]) -> RectMesh:
     """Split every marked leaf into 4 children and restore 1-irregularity.
 
-    Closure splits any face neighbour that would end up two or more levels
-    coarser than a new child.  Terminates because splits only move upward in
-    level and levels of required splits are bounded by the marked cells.
+    On a 1-irregular mesh the leaf covering a face neighbour of a level-L
+    leaf is at level L - 1 or finer, and the children of a split at level L
+    may only face leaves at level L or finer.  So a split at level L forces
+    the split of each level-(L-1) leaf covering one of its in-domain face
+    neighbours, and one pass over the levels, finest first, closes the
+    marking.  The mesh must be 1-irregular, as ``init_uniform`` and
+    ``refine`` make it.
     """
-    leaves = set(mesh.cell_ids)
-
-    def covering_ancestor(level: int, ix: int, iy: int) -> CellId | None:
-        while level >= 0:
-            if (level, ix, iy) in leaves:
-                return (level, ix, iy)
-            level, ix, iy = level - 1, ix >> 1, iy >> 1
-        return None
-
-    def split(cid: CellId):
-        level, ix, iy = cid
-        n = 1 << level
-        for nx, ny in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-            if 0 <= nx < n and 0 <= ny < n:
-                anc = covering_ancestor(level, nx, ny)
-                if anc is not None and anc[0] < level:
-                    split(anc)
-        leaves.remove(cid)
-        for dy in (0, 1):
-            for dx in (0, 1):
-                leaves.add((level + 1, 2 * ix + dx, 2 * iy + dy))
-
-    for cid in sorted(set(marked)):
-        if cid not in leaves:
-            raise ValueError(f"marked cell {cid} is not a leaf")
-    for cid in sorted(set(marked)):
-        if cid in leaves:  # may have been split by closure already
-            split(cid)
-    return RectMesh(leaves)
+    marked = _as_cells(marked)
+    size = np.ldexp(1.0, -marked[:, 0])
+    leaf = mesh.locate((marked[:, 1] + 0.5) * size, (marked[:, 2] + 0.5) * size)
+    wrong = np.any(mesh.cell_array[leaf] != marked, axis=1)
+    if np.any(wrong):
+        cid = tuple(marked[np.argmax(wrong)].tolist())
+        raise ValueError(f"marked cell {cid} is not a leaf")
+    level, ix, iy = mesh.cell_array.T
+    split = np.zeros(len(mesh), dtype=bool)
+    split[leaf] = True
+    for L in range(mesh.max_level, mesh.min_level, -1):
+        cells = np.flatnonzero(split & (level == L))
+        n = 1 << L
+        nx = ix[cells, None] + np.array([-1, 1, 0, 0])
+        ny = iy[cells, None] + np.array([0, 0, -1, 1])
+        inside = (nx >= 0) & (nx < n) & (ny >= 0) & (ny < n)
+        parent = mesh._find(L - 1, nx[inside] >> 1, ny[inside] >> 1)
+        split[parent[parent >= 0]] = True
+    parents = mesh.cell_array[split]
+    d = np.array([[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]])
+    children = (parents * [1, 2, 2])[:, None, :] + d
+    return RectMesh(np.vstack([mesh.cell_array[~split], children.reshape(-1, 3)]))

@@ -1,4 +1,6 @@
 """Independent brute-force oracles shared across test modules."""
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -134,3 +136,176 @@ def locate_scalar(mesh, x, y):
         if cid in index:
             return index[cid]
     raise RuntimeError("point not covered")
+
+
+# -- the dict and tuple mesh code that the integer-array mesh replaced --------
+
+
+def cell_rect(cid):
+    """Corners, size and level of the leaf ``cid`` = (level, ix, iy)."""
+    level, ix, iy = cid
+    h = 0.5**level
+    x0, y0 = ix * h, iy * h
+    return SimpleNamespace(x0=x0, y0=y0, x1=x0 + h, y1=y0 + h, h=h, level=level)
+
+
+def boundary_edge_segment(mesh, ci, side):
+    """Endpoints ((xa, ya), (xb, yb)) of a boundary edge of cell ci."""
+    r = cell_rect(mesh.cell_ids[ci])
+    return {
+        "bottom": ((r.x0, r.y0), (r.x1, r.y0)),
+        "top": ((r.x0, r.y1), (r.x1, r.y1)),
+        "left": ((r.x0, r.y0), (r.x0, r.y1)),
+        "right": ((r.x1, r.y0), (r.x1, r.y1)),
+    }[side]
+
+
+def refine_reference(mesh, marked):
+    """Sorted leaves after splitting ``marked`` with recursive closure."""
+    leaves = set(mesh.cell_ids)
+
+    def covering_ancestor(level, ix, iy):
+        while level >= 0:
+            if (level, ix, iy) in leaves:
+                return (level, ix, iy)
+            level, ix, iy = level - 1, ix >> 1, iy >> 1
+        return None
+
+    def split(cid):
+        level, ix, iy = cid
+        n = 1 << level
+        for nx, ny in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+            if 0 <= nx < n and 0 <= ny < n:
+                anc = covering_ancestor(level, nx, ny)
+                if anc is not None and anc[0] < level:
+                    split(anc)
+        leaves.remove(cid)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                leaves.add((level + 1, 2 * ix + dx, 2 * iy + dy))
+
+    for cid in sorted(set(marked)):
+        if cid not in leaves:
+            raise ValueError(f"marked cell {cid} is not a leaf")
+    for cid in sorted(set(marked)):
+        if cid in leaves:  # may have been split by closure already
+            split(cid)
+    return sorted(leaves)
+
+
+def topology_reference(mesh):
+    """Vertex keys, cell corners, hanging records and boundary edges by dicts.
+
+    ``hanging`` maps a slave vertex to (p, q, axis, edge length).
+    """
+    R = mesh.res
+    corner_keys = {}
+    cell_corners = np.empty((len(mesh.cell_ids), 4), dtype=np.int64)
+    for ci, (level, ix, iy) in enumerate(mesh.cell_ids):
+        step = R >> level
+        x0, y0 = ix * step, iy * step
+        for k, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+            key = (x0 + dx * step, y0 + dy * step)
+            cell_corners[ci, k] = corner_keys.setdefault(key, len(corner_keys))
+    order = sorted(corner_keys, key=lambda k: (k[1], k[0]))
+    remap = np.empty(len(order), dtype=np.int64)
+    for new, key in enumerate(order):
+        remap[corner_keys[key]] = new
+    vidx = {key: i for i, key in enumerate(order)}
+
+    hanging = {}
+    bedges = []
+    for ci, (level, ix, iy) in enumerate(mesh.cell_ids):
+        step = R >> level
+        x0, y0 = ix * step, iy * step
+        half = step >> 1
+        edges = (
+            ((x0, y0), (x0 + step, y0), (x0 + half, y0), 0),
+            ((x0, y0 + step), (x0 + step, y0 + step), (x0 + half, y0 + step), 0),
+            ((x0, y0), (x0, y0 + step), (x0, y0 + half), 1),
+            ((x0 + step, y0), (x0 + step, y0 + step), (x0 + step, y0 + half), 1),
+        )
+        for pkey, qkey, midkey, axis in edges:
+            mid = vidx.get(midkey)
+            if mid is not None:
+                hanging[mid] = (vidx[pkey], vidx[qkey], axis, step / R)
+        n = 1 << level
+        for side, on in (("bottom", iy == 0), ("top", iy == n - 1),
+                         ("left", ix == 0), ("right", ix == n - 1)):
+            if on:
+                bedges.append((ci, side))
+    return SimpleNamespace(
+        vertex_keys=order,
+        cell_corners=remap[cell_corners],
+        hanging=hanging,
+        boundary_edges=tuple(bedges),
+    )
+
+
+def reduction_reference(space, fixed):
+    """(P, offset, free DOFs) by recursive expansion of the slave DOFs."""
+    V, DX, DY, DXY = 0, 1, 2, 3
+    slave = {}
+    for s, (p, q, axis, h) in topology_reference(space.mesh).hanging.items():
+        pairs = ((V, DX), (DY, DXY)) if axis == 0 else ((V, DY), (DX, DXY))
+        for val_k, der_k in pairs:
+            vp, dp = 4 * p + val_k, 4 * p + der_k
+            vq, dq = 4 * q + val_k, 4 * q + der_k
+            slave[4 * s + val_k] = [(vp, 0.5), (vq, 0.5), (dp, h / 8.0), (dq, -h / 8.0)]
+            slave[4 * s + der_k] = [(vp, -1.5 / h), (vq, 1.5 / h), (dp, -0.25), (dq, -0.25)]
+    memo = {}
+
+    def expand(dof):
+        got = memo.get(dof)
+        if got is not None:
+            return got
+        if dof in fixed:
+            res = ({}, fixed[dof])
+        elif dof in slave:
+            combo, const = {}, 0.0
+            for m, c in slave[dof]:
+                sub, sub_const = expand(m)
+                const += c * sub_const
+                for g, cg in sub.items():
+                    combo[g] = combo.get(g, 0.0) + c * cg
+            res = (combo, const)
+        else:
+            res = ({dof: 1.0}, 0.0)
+        memo[dof] = res
+        return res
+
+    free = [d for d in range(space.nfull) if d not in fixed and d not in slave]
+    col_of = {d: i for i, d in enumerate(free)}
+    rows, cols, vals = [], [], []
+    offset = np.zeros(space.nfull)
+    for dof in range(space.nfull):
+        combo, const = expand(dof)
+        offset[dof] = const
+        for g, c in combo.items():
+            rows.append(dof)
+            cols.append(col_of[g])
+            vals.append(c)
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(space.nfull, len(free)))
+    return P, offset, np.array(free, dtype=np.int64)
+
+
+def prolongate_reference(v_h, fine_space):
+    """Fine coefficients from a dict of coarse 3x3-lattice data per key."""
+    coarse = v_h.space
+    cells = np.arange(len(coarse.mesh.cell_ids))
+    t = np.linspace(0.0, 1.0, 3)
+    lattice = np.column_stack([np.repeat(t, 3), np.tile(t, 3)])
+    vals = v_h.on_cells(cells, lattice, what=("N", "Nx", "Ny", "Nxy"))
+    data = {}
+    res = coarse.mesh.res
+    for k, (level, ix, iy) in enumerate(coarse.mesh.cell_ids):
+        step = res >> (level + 1)
+        x0, y0 = 2 * ix * step, 2 * iy * step
+        for p, (s, t) in enumerate(lattice):
+            key = (x0 + int(2 * s) * step, y0 + int(2 * t) * step)
+            data[key] = (vals["N"][k, p], vals["Nx"][k, p], vals["Ny"][k, p], vals["Nxy"][k, p])
+    scale = fine_space.mesh.res // res
+    coeffs = np.empty(fine_space.nfull)
+    for vi, (kx, ky) in enumerate(topology_reference(fine_space.mesh).vertex_keys):
+        coeffs[4 * vi : 4 * vi + 4] = data[(kx // scale, ky // scale)]
+    return coeffs

@@ -10,7 +10,9 @@ from macert.bfs import (
     norms_vs_exact,
     tabulate_basis,
 )
-from macert.geometry import Rect, init_uniform, refine
+from macert.geometry import RectMesh, init_uniform, refine
+
+from oracles import cell_rect
 
 
 def interpolant(space, u, ux, uy, uxy):
@@ -47,7 +49,6 @@ class TestShapeEval:
         assert vals @ data == pytest.approx(0.25 * 0.5, abs=1e-14)
 
     def test_hessian_of_x3y3_matches_finite_differences(self):
-        cell = Rect(0.5, 0.25, 0.25, 0.25, 2)
         space = BfsSpace(init_uniform(2))
         vh = interpolant(
             space,
@@ -56,7 +57,8 @@ class TestShapeEval:
             lambda x, y: x**3 * 3 * y**2,
             lambda x, y: 9 * x**2 * y**2,
         )
-        center = np.array([[cell.x0 + cell.hx / 2, cell.y0 + cell.hy / 2]])
+        cell = cell_rect((2, 2, 1))
+        center = np.array([[cell.x0 + cell.h / 2, cell.y0 + cell.h / 2]])
         hess = vh.hessian(center)[0]
         x, y = center[0]
         exact = (6 * x * y**3, 9 * x**2 * y**2, x**3 * 6 * y)
@@ -93,6 +95,15 @@ class TestQuadRule:
 
     def test_default_count(self):
         assert QuadRule(5).npoints == 25
+
+    def test_points_and_weights_are_computed_once_and_read_only(self):
+        quad = QuadRule(4)
+        assert quad.ref_points is quad.ref_points
+        assert quad.ref_weights is quad.ref_weights
+        for arr in (quad.ref_points, quad.ref_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert quad == QuadRule(4) and hash(quad) == hash(QuadRule(4))
 
 
 class TestTabulationCache:
@@ -168,7 +179,7 @@ class TestContinuity:
     def test_c1_across_hanging_edges(self):
         mesh = refine(init_uniform(1), [(1, 0, 0)])
         space = BfsSpace(mesh)
-        assert mesh.hanging
+        assert len(mesh.hanging)
         rng = np.random.default_rng(0)
         red = space.reduction({})
         vh = FeFunction(space, red.full_vector(rng.standard_normal(red.ndof)))
@@ -228,7 +239,7 @@ class TestBoundaryInterpolation:
         corner = [
             vi
             for vi, key in enumerate(space.mesh.vertex_keys)
-            if key == (space.mesh.res, space.mesh.res)
+            if tuple(key) == (space.mesh.res, space.mesh.res)
         ][0]
         assert fixed[4 * corner + 0] == pytest.approx(1.0)
         assert fixed[4 * corner + 1] == pytest.approx(1.0)
@@ -301,7 +312,7 @@ class TestNorms:
         center = [
             vi
             for vi, key in enumerate(space.mesh.vertex_keys)
-            if key == (space.mesh.res // 2, space.mesh.res // 2)
+            if tuple(key) == (space.mesh.res // 2, space.mesh.res // 2)
         ][0]
         coeffs[4 * center] = 1.0
         vh = FeFunction(space, coeffs)
@@ -330,3 +341,17 @@ def test_hanging_constraints_reproduce_bicubics():
     red = space.reduction({})
     recovered = red.full_vector(vh.coeffs[red.free_dofs])
     assert np.allclose(recovered, vh.coeffs, atol=1e-12)
+
+
+def test_chained_constraints_rejected():
+    # 2-irregular: the level-3 block faces level-1 leaves across level-2
+    # ones, so the masters of slaves 5 and 10 hang themselves
+    mesh = RectMesh([
+        (1, 0, 0), (2, 2, 0), (3, 4, 2), (3, 5, 2), (3, 4, 3), (3, 5, 3),
+        (2, 3, 0), (2, 3, 1), (1, 0, 1), (1, 1, 1),
+    ])
+    slaves = mesh.hanging[:, 0]
+    masters = mesh.hanging[:, 1:3]
+    assert sorted(slaves[np.isin(masters, slaves).any(axis=1)]) == [5, 10]
+    with pytest.raises(ValueError, match="not 1-irregular"):
+        BfsSpace(mesh).reduction({})

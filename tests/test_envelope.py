@@ -10,6 +10,8 @@ from macert.envelope import (
     _CHUNK,
     SampleSet,
     _lower_hull_1d,
+    _side_point,
+    _side_positions,
     _square,
     _square_key,
     boundary_residual,
@@ -57,6 +59,19 @@ class TestBuildSamples:
         samples = build_samples(init_uniform(0), QuadRule(1), per_edge=2)
         assert samples.n_interior == 1
         assert len(samples.boundary) == 8  # 4 corners + 4 edge midpoints
+
+    def test_boundary_layout(self):
+        # each point once, sides in order, first occurrence of each corner
+        # kept, and _side_positions addresses every side's points
+        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 0)])
+        samples = build_samples(mesh, QuadRule(2), per_edge=3)
+        expected = []
+        for side in ("bottom", "right", "top", "left"):
+            pts = _side_point(side, samples.side_params[side])
+            expected += [tuple(p) for p in pts if tuple(p) not in expected]
+            pos = _side_positions(samples.side_params)[side]
+            assert np.array_equal(samples.boundary[pos], pts)
+        assert [tuple(p) for p in samples.boundary] == expected
 
     def test_corners_present(self):
         samples = build_samples(init_uniform(2), QuadRule(2), per_edge=1)

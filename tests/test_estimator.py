@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import bisect_xi, envelope_gap, sample_hessians, select_j_scalar
+from oracles import (
+    bisect_xi,
+    boundary_edge_segment,
+    envelope_gap,
+    sample_hessians,
+    select_j_scalar,
+)
 
 from macert import estimator
 from macert.bfs import BfsSpace, FeFunction, QuadRule
@@ -324,7 +330,7 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     t = np.linspace(0.0, 1.0, 9)
     scale = 1.0 + float(np.max(np.abs(vh.coeffs)))
     for (ci, side), err in per_edge.items():
-        (xa, ya), (xb, yb) = mesh.boundary_edge_segment(ci, side)
+        (xa, ya), (xb, yb) = boundary_edge_segment(mesh, ci, side)
         pts = np.column_stack([xa + (xb - xa) * t, ya + (yb - ya) * t])
         expected = np.max(np.abs(g(pts[:, 0], pts[:, 1]) - vh.value(pts)))
         assert err == pytest.approx(expected, abs=1e-12 * scale)

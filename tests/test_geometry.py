@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macert.bfs import QuadRule
+from macert.bench import prolongate
+from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary
 from macert.envelope import build_samples
 from macert.estimator import DataError, make_data_error, select_j
-from macert.geometry import Rect, RectMesh, init_uniform, min_edge_length, refine
+from macert.geometry import RectMesh, init_uniform, min_edge_length, refine
 
-from oracles import locate_scalar
+from oracles import (
+    cell_rect,
+    locate_scalar,
+    prolongate_reference,
+    reduction_reference,
+    refine_reference,
+    topology_reference,
+)
 
 
 def brute_force_valid(mesh: RectMesh):
     """Oracle for the mesh invariants: cover, no overlap, 1-irregularity."""
-    rects = mesh.rects
-    assert abs(sum(r.area for r in rects) - 1.0) < 1e-14
+    rects = [cell_rect(cid) for cid in mesh.cell_ids]
+    assert abs(sum(r.h * r.h for r in rects) - 1.0) < 1e-14
     for i, a in enumerate(rects):
         for b in rects[i + 1 :]:
             ox = min(a.x1, b.x1) - max(a.x0, b.x0)
@@ -31,14 +39,15 @@ class TestInitUniform:
     def test_single_cell(self):
         mesh = init_uniform(0)
         assert len(mesh) == 1
-        assert mesh.rects[0] == Rect(0.0, 0.0, 1.0, 1.0, 0)
+        assert mesh.cell_ids == ((0, 0, 0),)
+        assert mesh.cell_sizes().tolist() == [1.0]
 
     def test_two_levels_counts(self):
         mesh = init_uniform(2)
         assert len(mesh) == 16
         assert len(mesh.vertex_keys) == 25
-        assert all(r.hx == r.hy == 0.25 for r in mesh.rects)
-        assert not mesh.hanging
+        assert np.all(mesh.cell_sizes() == 0.25)
+        assert len(mesh.hanging) == 0
 
     def test_level_three_min_edge(self):
         assert min_edge_length(init_uniform(3)) == pytest.approx(1 / 8, abs=0)
@@ -52,7 +61,7 @@ class TestRefine:
     def test_uniform_refinement(self):
         mesh = refine(init_uniform(1), init_uniform(1).cell_ids)
         assert len(mesh) == 16
-        assert not mesh.hanging
+        assert len(mesh.hanging) == 0
 
     def test_single_cell_split(self):
         mesh = refine(init_uniform(0), [(0, 0, 0)])
@@ -96,6 +105,64 @@ def test_random_refinement_keeps_invariants(plan):
         mesh = refine(mesh, marked)
     brute_force_valid(mesh)
     assert min_edge_length(mesh) == 0.5**mesh.max_level
+
+
+def assert_matches_reference(coarse, marked, rng):
+    """Refinement, topology, constraints and prolongation against the
+    dict-and-recursion references, all bitwise."""
+    mesh = refine(coarse, marked)
+    assert list(mesh.cell_ids) == refine_reference(coarse, marked)
+    ref = topology_reference(mesh)
+    assert np.array_equal(mesh.vertex_keys, np.array(ref.vertex_keys))
+    assert np.array_equal(mesh.cell_corners, ref.cell_corners)
+    hanging = sorted((s, p, q, axis) for s, (p, q, axis, _h) in ref.hanging.items())
+    assert np.array_equal(mesh.hanging, np.array(hanging, dtype=np.int64).reshape(-1, 4))
+    assert mesh.boundary_edges == ref.boundary_edges
+
+    space = BfsSpace(mesh)
+    g = lambda x, y: np.sin(x + 2 * y)
+    boundary = interpolate_boundary(space, g, lambda x, y: (np.cos(x + 2 * y), 2 * np.cos(x + 2 * y)))
+    # any DOFs may be fixed, slaves and several masters of one slave too
+    some = rng.choice(space.nfull, space.nfull // 3, replace=False).tolist()
+    for fixed in (boundary, dict(zip(some, rng.standard_normal(len(some)).tolist()))):
+        red = space.reduction(fixed)
+        P, offset, free = reduction_reference(space, fixed)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(red.P, name), getattr(P, name))
+        assert np.array_equal(red.offset, offset)
+        assert np.array_equal(red.free_dofs, free)
+
+    # arbitrary full coefficients jump across cells, so the cell that
+    # supplies a shared lattice point matters
+    coarse_space = BfsSpace(coarse)
+    v_h = FeFunction(coarse_space, rng.standard_normal(coarse_space.nfull))
+    assert np.array_equal(prolongate(v_h, space), prolongate_reference(v_h, space))
+    return mesh
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+    st.lists(
+        st.tuples(st.integers(0, 12), st.lists(st.integers(0, 10**6), min_size=1, max_size=3)),
+        max_size=4,
+    ),
+)
+def test_array_mesh_matches_reference(corner, extra):
+    # twelve corner-graded steps with random markings spliced in
+    steps = [None] * 12
+    for at, picks in sorted(extra, key=lambda e: -e[0]):
+        steps.insert(at, picks)
+    rng = np.random.default_rng(len(extra))
+    mesh = init_uniform(1)
+    for picks in steps:
+        ids = mesh.cell_ids
+        if picks is None:
+            marked = {ids[mesh.locate(*corner)]}
+        else:
+            marked = {ids[k % len(ids)] for k in picks}
+        mesh = assert_matches_reference(mesh, marked, rng)
+    assert mesh.max_level - mesh.min_level >= 10
 
 
 def test_min_edge_halves_under_uniform_refinement():

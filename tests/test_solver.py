@@ -42,7 +42,7 @@ class TestQuadraticReproduction:
         exact = quadratic_exact()
         problem = HjbProblem(0.2, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
         mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
-        assert mesh.hanging
+        assert len(mesh.hanging)
         res = solve(BfsSpace(mesh), problem, QuadRule(5))
         linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
         assert linf <= 1e-8
@@ -154,7 +154,7 @@ class TestDiagonalPivoting:
         # in [eps, 1-eps] and unit trace: a few rounds of the pointwise policy
         # that minimises A:D^2 v Lap v for the worst v found so far
         mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
-        assert mesh.hanging
+        assert len(mesh.hanging)
         space, quad = BfsSpace(mesh), QuadRule(5)
         asm = _Assembler(space, quad)
         zero = lambda x, y: 0.0 * x
