@@ -26,8 +26,8 @@ from .geometry import RectMesh
 # DOF kinds per vertex
 V, DX, DY, DXY = 0, 1, 2, 3
 _KIND_EXPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (x-kind, y-kind)
-# local corner order within a cell, matching RectMesh.cell_corners
-_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+# derivative orders (mx, my) of each tabulated key
+_DERIVS = {"N": (0, 0), "Nx": (1, 0), "Ny": (0, 1), "Nxx": (2, 0), "Nxy": (1, 1), "Nyy": (0, 2)}
 
 
 def _hermite1d(t: np.ndarray) -> np.ndarray:
@@ -61,21 +61,21 @@ def tabulate_basis(h: float | np.ndarray, ref_pts: np.ndarray) -> dict[str, np.n
     physical cell size, a scalar or one size per point.  Returns arrays of
     shape (n, 16) for keys N, Nx, Ny, Nxx, Nxy, Nyy.  Local DOF ordering is
     4*corner + kind with corners (0,0), (1,0), (0,1), (1,1) and kinds
-    (V, DX, DY, DXY).
+    (V, DX, DY, DXY), so j = 8b + 4a + 2ky + kx for the corner (a, b) and the
+    kind (kx, ky): each key is one broadcast product of the 1D tables in
+    (b, a, ky, kx) order, scaled by h**(kx + ky - mx - my).
     """
-    s = np.asarray(ref_pts)[:, 0]
-    t = np.asarray(ref_pts)[:, 1]
-    X = _hermite1d(s)
-    Y = _hermite1d(t)
-    n = s.shape[0]
-    out = {key: np.empty((n, 16)) for key in ("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy")}
-    derivs = {"N": (0, 0), "Nx": (1, 0), "Ny": (0, 1), "Nxx": (2, 0), "Nxy": (1, 1), "Nyy": (0, 2)}
-    for c, (a, b) in enumerate(_CORNERS):
-        for k, (kx, ky) in enumerate(_KIND_EXPONENTS):
-            j = 4 * c + k
-            for key, (mx, my) in derivs.items():
-                scale = h ** (kx + ky - mx - my)
-                out[key][:, j] = scale * X[a, kx, mx] * Y[b, ky, my]
+    ref_pts = np.asarray(ref_pts)
+    n = ref_pts.shape[0]
+    X = np.moveaxis(_hermite1d(ref_pts[:, 0]), -1, 0)  # (n, a, kx, mx)
+    Y = np.moveaxis(_hermite1d(ref_pts[:, 1]), -1, 0)  # (n, b, ky, my)
+    powers = np.asarray(h, dtype=float)[..., None] ** np.arange(-2, 3)  # h**-2 .. h**2
+    kind_power = np.tile([kx + ky for kx, ky in _KIND_EXPONENTS], 4) + 2  # column of h**(kx + ky) in powers
+    prod = np.empty((n, 2, 2, 2, 2))  # C order, so each table is too
+    out = {}
+    for key, (mx, my) in _DERIVS.items():
+        np.multiply(Y[:, :, None, :, None, my], X[:, None, :, None, :, mx], out=prod)
+        out[key] = prod.reshape(n, 16) * powers[..., kind_power - mx - my]
     return out
 
 
@@ -233,8 +233,15 @@ class Reduction:
     def full_vector(self, u_free: np.ndarray) -> np.ndarray:
         return self.P @ u_free + self.offset
 
-    def reduce_matrix(self, K: sp.spmatrix) -> sp.csr_matrix:
-        return (self.P.T @ (K @ self.P)).tocsr()
+    def reduce_matrix(self, K: sp.spmatrix) -> sp.csc_matrix:
+        """P^T K P in CSC, the format SuperLU takes, with sorted indices.
+
+        P^T is CSC, so the product is CSC already; only its row indices
+        within each column come out unsorted.
+        """
+        Kr = self.P.T @ (K @ self.P)
+        Kr.sort_indices()
+        return Kr
 
     def reduce_vector(self, r: np.ndarray) -> np.ndarray:
         return self.P.T @ r

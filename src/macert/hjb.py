@@ -111,10 +111,11 @@ class SolveResult:
     """Best iterate of policy iteration and why the iteration stopped.
 
     ``stop`` is "tol" (residual below tolerance), "policy" (policy fixed
-    point), "floor" (residual stalled below the rounding floor) or
-    "max_iter".  Only "max_iter" counts as not converged.
+    point), "floor" (residual down to the residual of its own frozen-policy
+    linear system) or "max_iter".  Only "max_iter" counts as not converged.
     ``backward_error`` is the largest ||K_r u - F_r|| / ||F_r|| over its
-    linear solves.
+    linear solves.  ``history`` holds one (residual, linear residual) pair
+    per full policy step, before any damping.
     """
 
     u_h: FeFunction
@@ -122,6 +123,7 @@ class SolveResult:
     residual: float
     stop: str
     backward_error: float
+    history: list[tuple[float, float]]
 
     @property
     def converged(self) -> bool:
@@ -237,14 +239,22 @@ def solve(
     eps v^T B_r v with B_r = ((Lap w, Lap phi)) SPD, and no pivot vanishes.
     Iteration stops when the Euclidean norm of the reduced residual falls
     below 1e-11 (1 + ||f||_L2) ("tol"), when the policy reaches a fixed
-    point ("policy"), when the residual stalls below 1e-6 (1 + ||f||_L2)
-    ("floor"), or after ``max_iter`` linear solves ("max_iter": not
-    converged, best iterate returned); ``SolveResult.stop`` records which.
+    point ("policy"), when a full step's residual is at most twice the
+    residual r_lin of the frozen-policy linear system it solved ("floor":
+    the nonlinear residual has reached the rounding floor of the linear
+    solve and further steps cannot lower it), or after ``max_iter`` linear
+    solves ("max_iter": not converged, best iterate returned);
+    ``SolveResult.stop`` records which.  r_lin = ||P^T (rhs - A:D^2 u_h,
+    Lap phi)|| is taken through the same quadrature as the residual.  A
+    full step that overshoots the previous residual, without reaching the
+    floor, is damped.
 
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
     so it need not satisfy the boundary conditions.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     eps = problem.eps
     asm = _Assembler(space, quad)
     pts = asm.points.reshape(-1, 2)
@@ -267,7 +277,7 @@ def solve(
 
     def solve_linear(a11, a12, a22, rhs):
         K, load = asm.linear_system(a11, a12, a22, rhs)
-        Kr = red.reduce_matrix(K).tocsc()
+        Kr = red.reduce_matrix(K)
         Fr = red.reduce_vector(load - K @ red.offset)
         try:
             u_red = spla.splu(
@@ -281,53 +291,61 @@ def solve(
         berrs.append(np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0))
         return red.full_vector(u_red)
 
-    def residual_of(coeffs):
+    def reduced_norm(vals):
+        return float(np.linalg.norm(red.reduce_vector(asm.load(vals))))
+
+    def residual_of(coeffs, solved_policy=None):
+        """Residual, linear residual and policy at ``coeffs``.
+
+        The linear residual is that of the frozen-policy system ``coeffs``
+        solves, ``solved_policy``; it is None without one.
+        """
         H = FeFunction(space, coeffs).on_cells(cells, ref, hess)
-        value, a11, a12, a22, rhs = _policy_fields(eps, fvals, *(H[k] for k in hess))
-        r = red.reduce_vector(asm.load(value))
-        return float(np.linalg.norm(r)), (a11, a12, a22, rhs)
+        hxx, hxy, hyy = (H[k] for k in hess)
+        value, a11, a12, a22, rhs = _policy_fields(eps, fvals, hxx, hxy, hyy)
+        r_lin = None
+        if solved_policy is not None:
+            p11, p12, p22, p_rhs = solved_policy
+            r_lin = reduced_norm(p_rhs - (p11 * hxx + 2.0 * p12 * hxy + p22 * hyy))
+        return reduced_norm(value), r_lin, (a11, a12, a22, rhs)
 
     if initial is None:
         ones = np.ones_like(fvals)
-        coeffs = solve_linear(0.5 * ones, 0.0 * ones, 0.5 * ones, 0.5 * fvals)
+        policy = (0.5 * ones, 0.0 * ones, 0.5 * ones, 0.5 * fvals)
     else:
-        _, start_policy = residual_of(np.asarray(initial, dtype=float))
-        coeffs = solve_linear(*start_policy)
-    niter = 1
-    res, policy = residual_of(coeffs)
-    best_res, best_coeffs = res, coeffs
-    stop = "tol" if res <= tol else None
-    # below this, a stalled residual is attributed to rounding in the
-    # pointwise Hessians rather than to the outer iteration
-    floor = 1e-6 * (1.0 + fnorm)
-    stall = 0
+        _, _, policy = residual_of(np.asarray(initial, dtype=float))
+    history = []  # (residual, linear residual) of every full policy step
+    niter, stop = 0, None
+    coeffs, res = None, np.inf
+    best_res, best_coeffs = np.inf, None
     while stop is None and niter < max_iter:
         new_coeffs = solve_linear(*policy)
         niter += 1
-        new_res, new_policy = residual_of(new_coeffs)
-        if new_res > res:
+        new_res, r_lin, new_policy = residual_of(new_coeffs, policy)
+        history.append((new_res, r_lin))
+        # the residual has reached what the linear solve itself leaves
+        at_floor = new_res <= 2.0 * r_lin
+        if new_res > res and not at_floor:
             # damped fallback when the full policy step overshoots
             for alpha in (0.5, 0.25, 0.125):
                 trial = coeffs + alpha * (new_coeffs - coeffs)
-                trial_res, trial_policy = residual_of(trial)
+                trial_res, _, trial_policy = residual_of(trial)
                 if trial_res < new_res:
                     new_coeffs, new_res, new_policy = trial, trial_res, trial_policy
                     break
-        improved = new_res < 0.5 * res
-        policy_fixed = _policy_close(policy, new_policy)
+        policy_fixed = niter > 1 and _policy_close(policy, new_policy)
         coeffs, res, policy = new_coeffs, new_res, new_policy
-        if res < best_res:
+        if best_coeffs is None or res < best_res:
             best_res, best_coeffs = res, coeffs
-        if res <= tol or policy_fixed:
-            stop = "tol" if res <= tol else "policy"
-            break
-        stall = 0 if improved else stall + 1
-        if stall >= 2 and res <= floor:
-            stop = "floor"  # residual reached its attainable floor
-            break
+        if res <= tol:
+            stop = "tol"
+        elif policy_fixed:
+            stop = "policy"
+        elif at_floor:
+            stop = "floor"
 
     best = FeFunction(space, best_coeffs)
-    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs))
+    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs), history)
 
 
 def _policy_close(p, q) -> bool:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
+from macert.bfs import _hermite1d
 from macert.estimator import bound_value
 from macert.hjb import eval_F_batch
 
@@ -103,6 +104,21 @@ def select_j_scalar(mu, data, delta):
         j += 1
         current = nxt
     return j
+
+
+def tabulate_basis_reference(h, ref_pts):
+    """Basis tabulation filled one column and one derivative key at a time."""
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+    kinds = ((0, 0), (1, 0), (0, 1), (1, 1))
+    derivs = {"N": (0, 0), "Nx": (1, 0), "Ny": (0, 1), "Nxx": (2, 0), "Nxy": (1, 1), "Nyy": (0, 2)}
+    X = _hermite1d(np.asarray(ref_pts)[:, 0])
+    Y = _hermite1d(np.asarray(ref_pts)[:, 1])
+    out = {key: np.empty((len(ref_pts), 16)) for key in derivs}
+    for c, (a, b) in enumerate(corners):
+        for k, (kx, ky) in enumerate(kinds):
+            for key, (mx, my) in derivs.items():
+                out[key][:, 4 * c + k] = h ** (kx + ky - mx - my) * X[a, kx, mx] * Y[b, ky, my]
+    return out
 
 
 def assemble_reference(space, quad, a11, a12, a22):

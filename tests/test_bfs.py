@@ -12,7 +12,7 @@ from macert.bfs import (
 )
 from macert.geometry import RectMesh, init_uniform, refine
 
-from oracles import cell_rect
+from oracles import cell_rect, tabulate_basis_reference
 
 
 def interpolant(space, u, ux, uy, uxy):
@@ -36,6 +36,18 @@ class TestShapeEval:
             # derivative DOFs are dual to the gradients at their own vertex
             assert tab["Nx"][c, 4 * c + 1] == pytest.approx(1.0, abs=1e-13)
             assert tab["Ny"][c, 4 * c + 2] == pytest.approx(1.0, abs=1e-13)
+
+    def test_matches_columnwise_reference(self):
+        # every h is a power of two, so the scaling is exact in any order
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(0.0, 1.0, (25, 2))
+        for level in range(31):
+            fast, ref = tabulate_basis(0.5**level, pts), tabulate_basis_reference(0.5**level, pts)
+            assert all(np.array_equal(fast[k], ref[k]) for k in ref)
+        h = 0.5 ** rng.integers(0, 31, len(pts))  # one size per point
+        fast, ref = tabulate_basis(h, pts), tabulate_basis_reference(h, pts)
+        assert all(np.array_equal(fast[k], ref[k]) for k in ref)
+        assert all(fast[k].shape == (25, 16) and fast[k].flags.c_contiguous for k in ref)
 
     def test_reproduces_x2y_at_center(self):
         vals = tabulate_basis(1.0, np.array([(0.5, 0.5)]))["N"][0]

@@ -4,7 +4,9 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from macert.bench import EXPERIMENTS, ExactSolution
-from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
+from macert.bfs import (
+    BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary, norms_vs_exact,
+)
 from macert.geometry import init_uniform, refine
 from macert.hjb import HjbProblem, _Assembler, eval_F_batch, solve
 
@@ -207,6 +209,21 @@ class TestAssembly:
         scale = np.repeat(row_max, np.diff(ref.indptr))
         assert np.all(np.abs(K.data - ref.data) <= 1e-13 * scale)
 
+    def test_reduced_matrix_is_sorted_csc(self):
+        # splu takes CSC; sorted indices keep K_r equal to a CSR -> CSC round trip
+        mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
+        space, quad = BfsSpace(mesh), QuadRule(5)
+        asm = _Assembler(space, quad)
+        zero = lambda x, y: 0.0 * x
+        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        K = asm.linear_system(*_random_policy(asm.weights.shape, 1), np.ones(asm.weights.shape))[0]
+        Kr = red.reduce_matrix(K)
+        ref = (red.P.T @ (K @ red.P)).tocsr().tocsc()
+        assert Kr.format == "csc" and Kr.has_sorted_indices
+        assert np.array_equal(Kr.indptr, ref.indptr)
+        assert np.array_equal(Kr.indices, ref.indices)
+        assert np.array_equal(Kr.data, ref.data)
+
     def test_repeat_calls_are_bitwise_equal(self):
         space, quad = BfsSpace(self.MESHES["ex1-graded"]), QuadRule(5)
         asm = _Assembler(space, quad)
@@ -215,3 +232,54 @@ class TestAssembly:
         K1, load1 = asm.linear_system(*policy, rhs)
         K2, load2 = asm.linear_system(*policy, rhs)
         assert np.array_equal(K1.data, K2.data) and np.array_equal(load1, load2)
+
+
+def _graded_toward_half(times):
+    """init_uniform(2) refined ``times`` times at the finest cells touching x = 1/2."""
+    mesh = init_uniform(2)
+    for _ in range(times):
+        size = 0.5**mesh.levels
+        left = mesh.cell_array[:, 1] * size
+        touch = (mesh.levels == mesh.max_level) & (left <= 0.5) & (left + size >= 0.5)
+        mesh = refine(mesh, [tuple(c) for c in mesh.cell_array[touch].tolist()])
+    return mesh
+
+
+class TestFloorStop:
+    def test_stops_at_first_step_within_twice_the_linear_residual(self):
+        # ex2's kink at x = 1/2 leaves a residual floor above tol on this mesh
+        exp = EXPERIMENTS[2]
+        space = BfsSpace(_graded_toward_half(4))
+        assert count_free_dofs(space.mesh) >= 570
+        res = solve(space, HjbProblem(0.1, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        assert res.stop == "floor"
+        assert len(res.history) == res.niter
+        *earlier, (last_res, last_lin) = res.history
+        assert last_res <= 2.0 * last_lin
+        assert all(r > 2.0 * r_lin for r, r_lin in earlier)
+        assert res.residual <= min(r for r, _ in res.history)
+
+    @pytest.mark.parametrize(
+        "number, eps, mesh",
+        [
+            (1, 1e-3, _corner_graded_mesh(3)),
+            (2, 0.1, _graded_toward_half(4)),
+            (3, 1e-4, init_uniform(3)),
+        ],
+        ids=["ex1-graded", "ex2-graded", "ex3-uniform"],
+    )
+    def test_restart_from_converged_solution_takes_one_solve(self, number, eps, mesh):
+        exp = EXPERIMENTS[number]
+        space, quad = BfsSpace(mesh), QuadRule(5)
+        problem = HjbProblem(eps, exp.f, exp.g, exp.grad_g)
+        first = solve(space, problem, quad)
+        assert first.converged
+        again = solve(space, problem, quad, initial=first.u_h.coeffs)
+        assert again.niter == len(again.history) == 1
+        assert again.stop in ("tol", "floor")
+
+    def test_max_iter_below_one_rejected(self):
+        exp = EXPERIMENTS[1]
+        with pytest.raises(ValueError, match="max_iter"):
+            solve(BfsSpace(init_uniform(1)), HjbProblem(1e-3, exp.f, exp.g, exp.grad_g),
+                  QuadRule(5), max_iter=0)
