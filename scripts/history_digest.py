@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of one run's history and of every step's marking.
+
+Takes the flags of ``macert`` except ``--out``, runs the refinement loop and
+prints the digest of the ``.dat`` text it would write, then one line per
+step with the free DOFs, the number of marked cells and the digest of the
+marked cell rows (sorted int64).  Two checkouts produce the same histories
+and markings exactly when these lines are equal:
+
+    PYTHONPATH=src python scripts/history_digest.py --experiment 1 \\
+        --mode adaptive --max-ndof 3000 --initial-level 0
+"""
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+from macert.bench import RunConfig, emit_dat, run
+from macert.cli import build_parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    parser.prog = "history_digest.py"
+    argv = sys.argv[1:] if argv is None else argv
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "history.dat"
+        kw = vars(parser.parse_args([*argv, "--out", str(out)]))
+        kw["eps"] = kw.pop("epsilon")
+        del kw["out"]
+        rows, steps = run(RunConfig(**kw), collect_steps=True)
+        if not rows:
+            parser.error("the initial mesh already exceeds --max-ndof")
+        emit_dat(rows, out)
+        text = out.read_bytes()
+    print(f"dat {hashlib.sha256(text).hexdigest()}  rows {len(rows)}")
+    for k, step in enumerate(steps):
+        marked = np.asarray(step.marked, dtype=np.int64)
+        digest = hashlib.sha256(marked.tobytes()).hexdigest()
+        print(f"step {k:>3d}  ndof {step.row.ndof:>7d}  marked {len(marked):>6d}  {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,7 @@ normalises the density as (f/2)^2 in two dimensions).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .bfs import (
     norms_vs_exact,
 )
 from .geometry import RectMesh, init_uniform, refine
-from .hjb import HjbProblem, SolverError, solve
+from .hjb import HjbProblem, SolverError, _check_eps, solve
 
 _TINY = 1e-300
 # Certificate samples are taken no coarser than on a 4x4 grid: 1/4 is the
@@ -257,10 +257,12 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
-        if self.boundary_segments < 1:
-            raise ValueError(
-                f"boundary_segments must be at least 1, got {self.boundary_segments}"
-            )
+        for name, least in (("initial_level", 0), ("quad_degree", 1),
+                            ("boundary_segments", 1), ("linf_samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.eps is not None:
+            _check_eps(self.eps)
 
     def resolved_eps(self) -> float:
         return EXPERIMENTS[self.experiment].default_eps if self.eps is None else self.eps
@@ -282,7 +284,7 @@ class StepData:
     mesh: RectMesh
     certificate: est.ErrorCertificate
     hjb_certificate: est.ErrorCertificate
-    marked: set = field(default_factory=set)
+    marked: np.ndarray  # sorted rows of the cells of ``mesh`` marked for splitting
 
 
 def prolongate(v_h: FeFunction, fine_space: BfsSpace) -> np.ndarray:
@@ -348,9 +350,7 @@ def run(config: RunConfig, collect_steps: bool = False):
         contact = env.contact_set(hull, hessians)
         cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
         edge_errors, boundary_err = est.max_boundary_trace_error(v_h, exp.g)
-        cert_eps = est.rhs_eps(
-            v_h, exp.f, exp.g, eps, samples, hessians, boundary_err=boundary_err
-        )
+        cert_eps = est.rhs_eps(exp.f, eps, samples, hessians, boundary_err)
 
         linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact, quad, config.linf_samples)
         lhs = _envelope_error(v_h, exp.exact, hull, quad, config.linf_samples)
@@ -369,15 +369,14 @@ def run(config: RunConfig, collect_steps: bool = False):
         )
         rows.append(row)
 
-        if config.mode == "uniform":
-            marked = set(mesh.cell_ids)
-        else:
+        marked = []
+        if config.mode == "adaptive":
             marked = est.indicators_and_mark(cert, edge_errors, mesh)
-            if not marked:  # vanished indicator and boundary error: refine all
-                marked = set(mesh.cell_ids)
+        if not len(marked):  # uniform, or vanished indicator and boundary error
+            marked = np.arange(len(mesh))
         if collect_steps:
             steps.append(StepData(row, mesh, cert, cert_eps, marked))
-        mesh = refine(mesh, marked)
+        mesh = refine(mesh, mesh.cell_array[marked])
         prev = v_h
     if collect_steps:
         return rows, steps
@@ -387,7 +386,7 @@ def run(config: RunConfig, collect_steps: bool = False):
 def _envelope_error(v_h, exact, hull, quad: QuadRule, linf_samples: int) -> float:
     """Sampled sup of |u - envelope| over quadrature points and cell grids."""
     space = v_h.space
-    cells = np.arange(len(space.mesh.cell_ids))
+    cells = np.arange(len(space.mesh))
     worst = 0.0
     for ref in (quad.ref_points, _cell_grid(linf_samples)):
         pts = space.cell_points(cells, ref).reshape(-1, 2)

@@ -386,7 +386,7 @@ def norms_vs_exact(
     ``linf_samples`` points per direction (cell corners included).
     """
     space = v_h.space
-    cells = np.arange(len(space.mesh.cell_ids))
+    cells = np.arange(len(space.mesh))
     ref = quad.ref_points
     wref = quad.ref_weights
     pts = space.cell_points(cells, ref)

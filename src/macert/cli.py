@@ -5,6 +5,8 @@ import argparse
 import sys
 
 from .bench import RunAborted, RunConfig, emit_dat, run
+from .bfs import count_free_dofs
+from .geometry import init_uniform
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +64,10 @@ def main(argv=None) -> int:
             print(f"wrote partial history ({len(exc.rows)} rows) to {args.out}")
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not rows:
+        ndof = count_free_dofs(init_uniform(config.initial_level))
+        parser.error(f"max_ndof {config.max_ndof} is below the {ndof} free DOFs "
+                     "of the initial mesh")
     emit_dat(rows, args.out)
     for row in rows:
         print(

@@ -17,9 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .bfs import FeFunction, QuadRule
-from .geometry import RectMesh
-
-_SIDES = ("bottom", "right", "top", "left")
+from .geometry import SIDES, RectMesh
 
 
 @dataclass
@@ -67,30 +65,24 @@ class SampleSet:
 
 
 def _side_point(side: str, t: np.ndarray) -> np.ndarray:
+    """Points at parameters t on a side; even SIDES run along x, odd along y."""
     t = np.asarray(t, dtype=float)
-    zero, one = np.zeros_like(t), np.ones_like(t)
-    if side == "bottom":
-        return np.column_stack([t, zero])
-    if side == "top":
-        return np.column_stack([t, one])
-    if side == "left":
-        return np.column_stack([zero, t])
-    if side == "right":
-        return np.column_stack([one, t])
-    raise ValueError(side)
+    k = SIDES.index(side)
+    fixed = np.full_like(t, float(side in ("right", "top")))
+    return np.column_stack([t, fixed] if k % 2 == 0 else [fixed, t])
 
 
 def _side_positions(side_params) -> dict[str, np.ndarray]:
     """Row of each side sample in ``SampleSet.boundary``.
 
-    The boundary lists the sides in ``_SIDES`` order, each by increasing
+    The boundary lists the sides in ``SIDES`` order, each by increasing
     parameter, and keeps each corner at its first side.
     """
-    nb, nr, nt, nl = (len(side_params[s]) for s in _SIDES)
+    nb, nr, nt, nl = (len(side_params[s]) for s in SIDES)
     right = nb - 1 + np.arange(nr)  # from (1, 0), the last point of bottom
     top = np.append(right[-1] + 1 + np.arange(nt - 1), right[-1])  # to (1, 1)
     left = np.concatenate([[0], top[-2] + 1 + np.arange(nl - 2), top[:1]])
-    return dict(zip(_SIDES, (np.arange(nb), right, top, left)))
+    return dict(zip(SIDES, (np.arange(nb), right, top, left)))
 
 
 def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
@@ -144,7 +136,7 @@ def build_samples(
         raise ValueError("per_edge must be at least 1")
     if min_level < 0:
         raise ValueError("min_level must be nonnegative")
-    ncells = len(mesh.cell_ids)
+    ncells = len(mesh)
     sizes = mesh.cell_sizes()
     origins = mesh.cell_array[:, 1:] * sizes[:, None]
     rules, counts = _leaf_rules(mesh, quad, min_level)
@@ -157,15 +149,12 @@ def build_samples(
         interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
 
-    last = np.left_shift(1, mesh.levels) - 1
-    ix, iy = mesh.cell_array[:, 1], mesh.cell_array[:, 2]
+    owners, on_side = mesh.boundary_edges.T
     i = np.arange(per_edge + 1)
     side_params: dict[str, np.ndarray] = {}
-    # per side: its leaves and the coordinate that runs along it
-    for side, cells, axis in zip(
-        _SIDES, (iy == 0, ix == last, iy == last, ix == 0), (0, 1, 0, 1)
-    ):
-        a, h = origins[cells, axis, None], sizes[cells, None]
+    for k, side in enumerate(SIDES):
+        cells = owners[on_side == k]
+        a, h = origins[cells, k % 2, None], sizes[cells, None]  # coordinate along side k
         side_params[side] = np.unique(np.append([0.0, 1.0], a + h * i / per_edge))
     boundary = np.empty((sum(map(len, side_params.values())) - 4, 2))
     for side, pos in _side_positions(side_params).items():
@@ -364,7 +353,7 @@ def contact_set(hull: LowerHull, hessians) -> ContactSet:
 def boundary_residual(hull: LowerHull, g) -> float:
     """max |g - envelope| over boundary sample points and their midpoints."""
     mu = 0.0
-    for side in _SIDES:
+    for side in SIDES:
         params = hull.samples.side_params[side]
         mids = 0.5 * (params[:-1] + params[1:])
         t = np.concatenate([params, mids])

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfs import FeFunction
-from .envelope import (
-    _SIDES, ContactSet, LowerHull, SampleSet, _side_point, boundary_residual,
-)
-from .geometry import CellId, RectMesh, min_edge_length
+from .envelope import ContactSet, LowerHull, SampleSet, _side_point, boundary_residual
+from .geometry import SIDES, RectMesh, min_edge_length
 from .hjb import xi_of_batch
 
 SQRT2 = float(np.sqrt(2.0))
@@ -53,7 +51,12 @@ class DataError:
 
 @dataclass
 class ErrorCertificate:
-    """Certified bound with its localisation data."""
+    """Certified bound with its localisation data.
+
+    ``per_element_eta`` holds the indicator eta_K of every cell, in cell
+    order: jd*sqrt(2)*||f - f_h||^2_K + (1 - 2jd)^2*||f - f_h||^2_{K, inner},
+    which sums to the two squared norms that enter ``rhs0``.
+    """
 
     mu: float
     j: int
@@ -61,7 +64,7 @@ class ErrorCertificate:
     data_err_inner: float
     data_err_global: float
     rhs0: float
-    per_element_eta: dict[CellId, float]
+    per_element_eta: np.ndarray
     sigma: float
 
 
@@ -128,15 +131,10 @@ def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCer
     if j is None:
         j = select_j(mu, data, delta)
     jd = j * delta
-    ncells = len(mesh.cell_ids)
-    total, inner = data.per_cell_sq(jd, ncells)
+    total, inner = data.per_cell_sq(jd, len(mesh))
     inner_norm = float(np.sqrt(inner.sum()))
     global_norm = float(np.sqrt(total.sum()))
     rhs0_val = bound_value(mu, jd, inner_norm, global_norm)
-    eta = {
-        cid: float(jd * SQRT2 * total[i] + (1.0 - 2.0 * jd) ** 2 * inner[i])
-        for i, cid in enumerate(mesh.cell_ids)
-    }
     return ErrorCertificate(
         mu=float(mu),
         j=int(j),
@@ -144,7 +142,7 @@ def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCer
         data_err_inner=inner_norm,
         data_err_global=global_norm,
         rhs0=float(rhs0_val),
-        per_element_eta=eta,
+        per_element_eta=jd * SQRT2 * total + (1.0 - 2.0 * jd) ** 2 * inner,
         sigma=float(rhs0_val - mu),
     )
 
@@ -171,81 +169,74 @@ def rhs0(
 
 
 def rhs_eps(
-    v_h: FeFunction,
     f,
-    g,
     eps: float,
     samples: SampleSet,
     hessians,
-    boundary_err: float | None = None,
+    boundary_err: float,
     j: int | None = None,
 ) -> ErrorCertificate:
     """Certificate for ||u_eps - v_h||_Linf via the exact HJB right-hand side.
 
     f_h(x) = xi(D2_pw v_h(x)) makes the regularised operator vanish at v_h
-    pointwise, so the bound needs no envelope; the boundary term is the trace
-    error of v_h itself.  ``hessians`` is (m11, m12, m22) of v_h at the
-    interior samples.
+    pointwise, so the bound needs no envelope; the boundary term
+    ``boundary_err`` is the trace error of v_h itself, the second value of
+    ``max_boundary_trace_error``.  ``hessians`` is (m11, m12, m22) of v_h at
+    the interior samples.
     """
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     f_h = xi_of_batch(eps, *hessians)
     data = make_data_error(samples, fvals, f_h)
-    if boundary_err is None:
-        boundary_err = max_boundary_trace_error(v_h, g)[1]
     return _certificate(boundary_err, data, samples.mesh, j)
 
 
 def max_boundary_trace_error(
     v_h: FeFunction, g, points_per_edge: int = 17
-) -> tuple[dict[tuple[int, str], float], float]:
+) -> tuple[np.ndarray, float]:
     """Per-boundary-edge and global sup of |g - v_h| on the boundary.
 
-    Each edge is sampled at ``points_per_edge`` equispaced points.  All
-    owners are evaluated in one batch at the points of all four sides of
-    the reference cell, and each edge keeps the points of its own side.
+    The per-edge errors are aligned with ``mesh.boundary_edges``.  Each edge
+    is sampled at ``points_per_edge`` equispaced points.  All owners are
+    evaluated in one batch at the points of all four sides of the reference
+    cell, and each edge keeps the points of its own side.
     """
     space = v_h.space
-    mesh = space.mesh
     t = np.linspace(0.0, 1.0, points_per_edge)
-    ref = np.vstack([_side_point(side, t) for side in _SIDES])
-    owners = np.array([ci for ci, _ in mesh.boundary_edges], dtype=np.int64)
-    side = np.array([_SIDES.index(s) for _, s in mesh.boundary_edges], dtype=np.int64)
+    ref = np.vstack([_side_point(side, t) for side in SIDES])
+    owners, side = space.mesh.boundary_edges.T
     n, rows = len(owners), np.arange(len(owners))
     vals = v_h.on_cells(owners, ref, what=("N",))["N"].reshape(n, 4, -1)[rows, side]
     pts = space.cell_points(owners, ref).reshape(n, 4, -1, 2)[rows, side].reshape(-1, 2)
     gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
     errs = np.max(np.abs(gv.reshape(vals.shape) - vals), axis=1)
-    per_edge = dict(zip(mesh.boundary_edges, errs.tolist()))
-    return per_edge, float(errs.max(initial=0.0))
+    return errs, float(errs.max(initial=0.0))
 
 
 def indicators_and_mark(
     certificate: ErrorCertificate,
-    edge_errors: dict[tuple[int, str], float],
+    edge_errors: np.ndarray,
     mesh: RectMesh,
-) -> set[CellId]:
-    """Marked cells: boundary-driven fifth or a minimal Doerfler set.
+) -> np.ndarray:
+    """Marked cell rows, sorted: boundary-driven fifth or a minimal Doerfler set.
 
-    When sigma/10 < max |g - u_h| on the boundary, the cells owning the top
-    fifth (rounded up) of boundary edges by trace error are marked; otherwise
-    cells are sorted by indicator and a minimal-cardinality prefix capturing
-    half the total is taken, ties broken by cell id.
+    ``edge_errors`` is aligned with ``mesh.boundary_edges``.  When sigma/10 <
+    max |g - u_h| on the boundary, the cells owning the top fifth (rounded
+    up) of boundary edges by trace error are marked; otherwise cells are
+    ranked by indicator and the shortest prefix capturing half the total is
+    taken.  Exact ties go to the lower cell row (cell-id order); values that
+    agree in exact arithmetic but differ by rounding, as on cells mirrored
+    across the diagonal, are ranked by their rounding.
     """
-    boundary_max = max(edge_errors.values()) if edge_errors else 0.0
-    if certificate.sigma / 10.0 < boundary_max:
-        edges = sorted(edge_errors.items(), key=lambda kv: (-kv[1], kv[0]))
-        k = int(np.ceil(len(edges) / 5.0))
-        return {mesh.cell_ids[ci] for (ci, _side), _err in edges[:k]}
+    if certificate.sigma / 10.0 < edge_errors.max(initial=0.0):
+        owners = mesh.boundary_edges[:, 0]
+        order = np.lexsort((owners, -edge_errors))
+        return np.unique(owners[order[: int(np.ceil(len(order) / 5.0))]])
     eta = certificate.per_element_eta
-    total = sum(eta.values())
+    # sequential sums, as a loop over cells and then over the ranking adds;
+    # np.sum is pairwise and cumsum - eta rounds otherwise
+    total = np.cumsum(eta)[-1]
     if total <= 0.0:
-        return set()
-    ranked = sorted(eta.items(), key=lambda kv: (-kv[1], kv[0]))
-    marked: set[CellId] = set()
-    acc = 0.0
-    for cid, val in ranked:
-        if acc >= 0.5 * total:
-            break
-        marked.add(cid)
-        acc += val
-    return marked
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-eta, kind="stable")
+    before = np.concatenate([[0.0], np.cumsum(eta[order])[:-1]])
+    return np.sort(order[: np.searchsorted(before, 0.5 * total)])

@@ -5,27 +5,29 @@ identified by the tuple ``(level, ix, iy)``.  Ids encode the parent-child path,
 so they stay stable across refinement.  A mesh holds its cells as one sorted
 integer array and derives vertices, hanging nodes and boundary edges from
 integer keys by ``np.unique`` and ``searchsorted``, so every coordinate is an
-exact dyadic rational.
+exact dyadic rational.  Between layers a cell is named by its row in that
+array, which is cell-id order, and a side of the square by its ``SIDES`` index.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 CellId = tuple[int, int, int]
 
-_SIDES = ("bottom", "top", "left", "right")  # boundary edge order per cell
-# per side: the two local corners of its edge (local corner order (0,0),
-# (1,0), (0,1), (1,1) as in cell_corners) and the axis the edge runs along
+SIDES = ("bottom", "right", "top", "left")  # counter-clockwise, as boundary samples run
+# per cell edge bottom, top, left, right: its two local corners (local corner
+# order (0,0), (1,0), (0,1), (1,1) as in cell_corners) and the axis it runs along
 _EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
 
 
-def _as_cells(cell_ids) -> np.ndarray:
+def _as_cells(cells) -> np.ndarray:
     """(n, 3) int64 array of (level, ix, iy) rows from ids or an array."""
-    if not isinstance(cell_ids, np.ndarray):
-        cell_ids = list(cell_ids)
-    return np.asarray(cell_ids, dtype=np.int64).reshape(-1, 3)
+    if not isinstance(cells, np.ndarray):
+        cells = list(cells)
+    return np.asarray(cells, dtype=np.int64).reshape(-1, 3)
 
 
 class RectMesh:
@@ -36,16 +38,16 @@ class RectMesh:
     representable; vertices are numbered by the key ``ky * (res + 1) + kx``.
     ``hanging`` holds one row (slave, p, q, axis) per hanging vertex, sorted
     by slave: the slave is the midpoint of the leaf edge p-q, which runs
-    along ``axis`` (0 for x).
+    along ``axis`` (0 for x).  ``boundary_edges`` holds one row (owner row,
+    side index into ``SIDES``) per boundary edge, by cell and then side.
     """
 
-    def __init__(self, cell_ids: Iterable[CellId]):
-        cells = _as_cells(cell_ids)
+    def __init__(self, cells: Iterable[CellId]):
+        cells = _as_cells(cells)
         if not len(cells):
             raise ValueError("mesh needs at least one cell")
         # (level, ix, iy) per cell, sorted, so each level is contiguous
         self.cell_array = np.unique(cells, axis=0)
-        self.cell_ids: tuple[CellId, ...] = tuple(map(tuple, self.cell_array.tolist()))
         self.levels = self.cell_array[:, 0]
         self.max_level = int(self.levels[-1])
         self.min_level = int(self.levels[0])
@@ -84,16 +86,19 @@ class RectMesh:
         self.vertex_on_bottom = ky == 0
         self.vertex_on_top = ky == R
 
-        # boundary edges: (owner cell index, side), by cell then _SIDES order
         last = (1 << level) - 1
-        owner, side = np.nonzero(np.column_stack([iy == 0, iy == last, ix == 0, ix == last]))
-        names = np.array(_SIDES)[side].tolist()
-        self.boundary_edges: tuple[tuple[int, str], ...] = tuple(zip(owner.tolist(), names))
+        on_side = np.column_stack([iy == 0, ix == last, iy == last, ix == 0])  # SIDES order
+        self.boundary_edges = np.argwhere(on_side)
 
     # -- queries -----------------------------------------------------------
 
+    @cached_property
+    def cell_ids(self) -> tuple[CellId, ...]:
+        """The cells as (level, ix, iy) tuples, in row order."""
+        return tuple(map(tuple, self.cell_array.tolist()))
+
     def __len__(self) -> int:
-        return len(self.cell_ids)
+        return len(self.cell_array)
 
     def cell_sizes(self) -> np.ndarray:
         return np.ldexp(1.0, -self.levels)

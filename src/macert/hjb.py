@@ -146,7 +146,7 @@ class _Assembler:
     def __init__(self, space: BfsSpace, quad: QuadRule):
         self.space = space
         ref = quad.ref_points
-        cells = np.arange(len(space.mesh.cell_ids))
+        cells = np.arange(len(space.mesh))
         self.points = space.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
         self.weights = areas[:, None] * quad.ref_weights[None, :]  # (nc, nq)
@@ -268,7 +268,7 @@ def solve(
         fixed = interpolate_boundary(space, problem.g, problem.grad_g)
         reduction = space.reduction(fixed)
     red = reduction
-    cells = np.arange(len(space.mesh.cell_ids))
+    cells = np.arange(len(space.mesh))
     hess = ("Nxx", "Nxy", "Nyy")
     ref = quad.ref_points
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))

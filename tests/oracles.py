@@ -246,8 +246,8 @@ def topology_reference(mesh):
             if mid is not None:
                 hanging[mid] = (vidx[pkey], vidx[qkey], axis, step / R)
         n = 1 << level
-        for side, on in (("bottom", iy == 0), ("top", iy == n - 1),
-                         ("left", ix == 0), ("right", ix == n - 1)):
+        for side, on in (("bottom", iy == 0), ("right", ix == n - 1),
+                         ("top", iy == n - 1), ("left", ix == 0)):
             if on:
                 bedges.append((ci, side))
     return SimpleNamespace(
@@ -325,3 +325,28 @@ def prolongate_reference(v_h, fine_space):
     for vi, (kx, ky) in enumerate(topology_reference(fine_space.mesh).vertex_keys):
         coeffs[4 * vi : 4 * vi + 4] = data[(kx // scale, ky // scale)]
     return coeffs
+
+
+# -- the dict and tuple marking rule that the index-array marking replaced ----
+
+
+def mark_reference(sigma, eta, edge_errors, mesh):
+    """Marked cell ids from ``eta`` {cell id: indicator} and ``edge_errors``
+    {(owner index, side name): trace error} by Python sorts and a loop."""
+    boundary_max = max(edge_errors.values()) if edge_errors else 0.0
+    if sigma / 10.0 < boundary_max:
+        edges = sorted(edge_errors.items(), key=lambda kv: (-kv[1], kv[0]))
+        k = int(np.ceil(len(edges) / 5.0))
+        return {mesh.cell_ids[ci] for (ci, _side), _err in edges[:k]}
+    total = sum(eta.values())
+    if total <= 0.0:
+        return set()
+    ranked = sorted(eta.items(), key=lambda kv: (-kv[1], kv[0]))
+    marked = set()
+    acc = 0.0
+    for cid, val in ranked:
+        if acc >= 0.5 * total:
+            break
+        marked.add(cid)
+        acc += val
+    return marked

@@ -223,6 +223,13 @@ class TestRunLoop:
         for segments in (0, -3):
             with pytest.raises(ValueError):
                 RunConfig(experiment=1, boundary_segments=segments)
+        for name, value in (
+            ("initial_level", -1), ("quad_degree", 0), ("linf_samples", 0),
+            ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3),
+        ):
+            with pytest.raises(ValueError):
+                RunConfig(experiment=1, **{name: value})
+        RunConfig(experiment=1, eps=0.5, initial_level=0, quad_degree=1, linf_samples=1)
 
 
 class TestCli:
@@ -247,6 +254,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(argv)
         assert "boundary_segments must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--linf-samples", "0", "linf_samples must be at least 1"),
+            ("--initial-level", "-1", "initial_level must be at least 0"),
+            ("--quad-degree", "0", "quad_degree must be at least 1"),
+            ("--epsilon", "0.7", "eps must lie in (0, 1/2]"),
+            ("--max-ndof", "-5", "below the 4 free DOFs of the initial mesh"),
+        ],
+    )
+    def test_cli_rejects_out_of_range(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "a.dat"
+        argv = ["--experiment", "1", "--initial-level", "0", flag, value, "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_deterministic(self, tmp_path):
         a = self._run(tmp_path, "a.dat")

@@ -5,6 +5,7 @@ from oracles import (
     bisect_xi,
     boundary_edge_segment,
     envelope_gap,
+    mark_reference,
     sample_hessians,
     select_j_scalar,
 )
@@ -23,7 +24,7 @@ from macert.estimator import (
     rhs_eps,
     select_j,
 )
-from macert.geometry import init_uniform, min_edge_length, refine
+from macert.geometry import SIDES, init_uniform, min_edge_length, refine
 
 
 def quadratic_fe(mesh, m11=1.0, m12=0.0, m22=1.0):
@@ -74,7 +75,7 @@ class TestDataErrorNorms:
             assert inner == pytest.approx(1.0 - 2 * jd, abs=1e-12)
             # per-cell indicators add up to the two global squares
             expected = jd * np.sqrt(2) * glob**2 + (1 - 2 * jd) ** 2 * inner**2
-            assert sum(cert.per_element_eta.values()) == pytest.approx(expected, rel=1e-12)
+            assert cert.per_element_eta.sum() == pytest.approx(expected, rel=1e-12)
 
     def test_residual_scaling_is_linear(self):
         # scaling f - f_h by lam scales both data terms by exactly lam
@@ -199,7 +200,7 @@ class TestCertificates:
         )
         assert cert.rhs0 == pytest.approx(expected, rel=1e-14)
         # eta consistency: per-cell sums reproduce the two global squares
-        eta_sum = sum(cert.per_element_eta.values())
+        eta_sum = cert.per_element_eta.sum()
         expected_eta = (
             jd * np.sqrt(2) * cert.data_err_global**2
             + (1 - 2 * jd) ** 2 * cert.data_err_inner**2
@@ -214,7 +215,8 @@ class TestCertificates:
         f_h = contact_density(H, contact_set(envelope_of(vh, samples), H))
         assert np.allclose(f_h, 2.0, atol=1e-10)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs_eps(vh, lambda x, y: 2.0 + 0 * x, g, 0.1, samples, H)
+        boundary_err = max_boundary_trace_error(vh, g)[1]
+        cert = rhs_eps(lambda x, y: 2.0 + 0 * x, 0.1, samples, H, boundary_err)
         # xi(I) = 2 = f everywhere and the trace is exact
         assert cert.rhs0 <= 1e-9
 
@@ -231,7 +233,8 @@ class TestCertificates:
         f_h = xi_of_batch(eps, H[:, 0], H[:, 1], H[:, 2])
         for k in range(0, len(f_h), 5):
             assert f_h[k] == pytest.approx(bisect_xi(eps, H[k]), abs=1e-9)
-        cert = rhs_eps(vh, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x, eps, samples, tuple(H.T))
+        boundary_err = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)[1]
+        cert = rhs_eps(lambda x, y: 0.0 * x, eps, samples, tuple(H.T), boundary_err)
         assert cert.rhs0 >= 0.0
 
     def test_guaranteed_bound_on_quadratic(self):
@@ -258,61 +261,76 @@ class TestMarking:
 
         return ErrorCertificate(
             mu=mu, j=0, delta=0.25, data_err_inner=0.0, data_err_global=0.0,
-            rhs0=mu + sigma, per_element_eta=eta, sigma=sigma,
+            rhs0=mu + sigma, per_element_eta=np.asarray(eta, dtype=float), sigma=sigma,
         )
 
     def test_bulk_prefix(self):
         mesh = init_uniform(1)
-        ids = mesh.cell_ids
-        eta = {ids[0]: 4.0, ids[1]: 3.0, ids[2]: 2.0, ids[3]: 1.0}
-        cert = self._certificate(eta, sigma=100.0)
-        marked = indicators_and_mark(cert, {(0, "bottom"): 0.0}, mesh)
-        assert marked == {ids[0], ids[1]}
+        cert = self._certificate([4.0, 3.0, 2.0, 1.0], sigma=100.0)
+        marked = indicators_and_mark(cert, np.zeros(len(mesh.boundary_edges)), mesh)
+        assert marked.tolist() == [0, 1]
 
     def test_boundary_branch_threshold(self):
         mesh = init_uniform(1)
-        eta = {cid: 1.0 for cid in mesh.cell_ids}
-        cert = self._certificate(eta, sigma=100.0)
-        edges = {e: 20.0 for e in mesh.boundary_edges}
+        cert = self._certificate(np.ones(len(mesh)), sigma=100.0)
+        edges = np.full(len(mesh.boundary_edges), 20.0)
         # sigma/10 = 10 < 20: boundary branch fires
         marked = indicators_and_mark(cert, edges, mesh)
         assert len(marked) >= 1
-        # one fifth of 8 edges, rounded up = 2 edges
-        edges_sorted = sorted(edges.items(), key=lambda kv: (-kv[1], kv[0]))
-        owners = {mesh.cell_ids[ci] for (ci, _s), _v in edges_sorted[:2]}
-        assert marked == owners
+        # one fifth of 8 edges, rounded up = 2 edges; all tie, so the first
+        # two by owner win, both of cell 0
+        assert mesh.boundary_edges[:2, 0].tolist() == [0, 0]
+        assert marked.tolist() == [0]
 
     def test_one_fifth_of_twenty_edges(self):
         mesh = init_uniform(2)  # 16 boundary edges... use level 2: 4*4 = 16
-        edges = {e: float(k) for k, e in enumerate(mesh.boundary_edges)}
-        eta = {cid: 0.0 for cid in mesh.cell_ids}
-        cert = self._certificate(eta, sigma=0.0)
+        edges = np.arange(len(mesh.boundary_edges), dtype=float)
+        cert = self._certificate(np.zeros(len(mesh)), sigma=0.0)
         marked = indicators_and_mark(cert, edges, mesh)
         k = int(np.ceil(len(edges) / 5))
-        ranked = sorted(edges.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert marked == {mesh.cell_ids[ci] for (ci, _s), _v in ranked[:k]}
+        assert marked.tolist() == sorted(set(mesh.boundary_edges[-k:, 0].tolist()))
 
     def test_ties_broken_by_cell_id(self):
         mesh = init_uniform(1)
-        ids = mesh.cell_ids
-        eta = {cid: 1.0 for cid in ids}
-        cert = self._certificate(eta, sigma=1000.0)
-        marked = indicators_and_mark(cert, {}, mesh)
-        assert marked == set(sorted(ids)[:2])
+        cert = self._certificate(np.ones(len(mesh)), sigma=1000.0)
+        marked = indicators_and_mark(cert, np.zeros(len(mesh.boundary_edges)), mesh)
+        assert marked.tolist() == [0, 1]
 
     def test_zero_everything_marks_nothing(self):
         mesh = init_uniform(1)
-        eta = {cid: 0.0 for cid in mesh.cell_ids}
-        cert = self._certificate(eta, sigma=0.0)
-        assert indicators_and_mark(cert, {(0, "bottom"): 0.0}, mesh) == set()
+        cert = self._certificate(np.zeros(len(mesh)), sigma=0.0)
+        marked = indicators_and_mark(cert, np.zeros(len(mesh.boundary_edges)), mesh)
+        assert marked.dtype == np.int64 and marked.size == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e3], ids=["boundary", "doerfler"])
+    def test_matches_reference_with_ties(self, sigma):
+        # values in {0, 0.1, 0.2, 0.3} tie exactly, and half the total often
+        # falls on a prefix sum, where only the summation order decides;
+        # hanging nodes and three levels
+        mesh = init_uniform(1)
+        for cid in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
+            mesh = refine(mesh, [cid])
+        assert len(mesh.hanging) and len(set(mesh.levels.tolist())) == 3
+        edge_keys = [(ci, SIDES[side]) for ci, side in mesh.boundary_edges.tolist()]
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            eta = rng.integers(0, 4, len(mesh)) / 10
+            errs = rng.integers(1, 4, len(edge_keys)) / 10
+            marked = indicators_and_mark(self._certificate(eta, sigma=sigma), errs, mesh)
+            expected = mark_reference(
+                sigma, dict(zip(mesh.cell_ids, eta.tolist())),
+                dict(zip(edge_keys, errs.tolist())), mesh,
+            )
+            assert marked.dtype == np.int64 and np.all(np.diff(marked) > 0)
+            assert {mesh.cell_ids[r] for r in marked.tolist()} == expected
 
 
 def test_boundary_trace_error_per_edge():
     mesh = init_uniform(1)
     vh = quadratic_fe(mesh)
-    per_edge, worst = max_boundary_trace_error(vh, lambda x, y: 0.5 * (x**2 + y**2))
+    errs, worst = max_boundary_trace_error(vh, lambda x, y: 0.5 * (x**2 + y**2))
     assert worst <= 1e-12  # quadratic trace is in the space
-    per_edge, worst = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)
+    errs, worst = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)
     assert worst == pytest.approx(1.0, abs=1e-12)  # |g - v_h| peaks at (1,1)
 
 
@@ -324,14 +342,14 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     space = BfsSpace(mesh)
     vh = FeFunction(space, np.random.default_rng(4).standard_normal(space.nfull))
     g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
-    per_edge, worst = max_boundary_trace_error(vh, g, points_per_edge=9)
-    assert list(per_edge) == list(mesh.boundary_edges)
-    assert len({mesh.cell_ids[ci][0] for ci, _ in per_edge}) >= 3
+    errs, worst = max_boundary_trace_error(vh, g, points_per_edge=9)
+    assert errs.shape == (len(mesh.boundary_edges),)
+    assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
     t = np.linspace(0.0, 1.0, 9)
     scale = 1.0 + float(np.max(np.abs(vh.coeffs)))
-    for (ci, side), err in per_edge.items():
-        (xa, ya), (xb, yb) = boundary_edge_segment(mesh, ci, side)
+    for (ci, side), err in zip(mesh.boundary_edges.tolist(), errs.tolist()):
+        (xa, ya), (xb, yb) = boundary_edge_segment(mesh, ci, SIDES[side])
         pts = np.column_stack([xa + (xb - xa) * t, ya + (yb - ya) * t])
         expected = np.max(np.abs(g(pts[:, 0], pts[:, 1]) - vh.value(pts)))
         assert err == pytest.approx(expected, abs=1e-12 * scale)
-    assert worst == max(per_edge.values())
+    assert worst == errs.max()

@@ -9,7 +9,7 @@ from macert.bench import prolongate
 from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary
 from macert.envelope import build_samples
 from macert.estimator import DataError, make_data_error, select_j
-from macert.geometry import RectMesh, init_uniform, min_edge_length, refine
+from macert.geometry import SIDES, RectMesh, init_uniform, min_edge_length, refine
 
 from oracles import (
     cell_rect,
@@ -117,7 +117,8 @@ def assert_matches_reference(coarse, marked, rng):
     assert np.array_equal(mesh.cell_corners, ref.cell_corners)
     hanging = sorted((s, p, q, axis) for s, (p, q, axis, _h) in ref.hanging.items())
     assert np.array_equal(mesh.hanging, np.array(hanging, dtype=np.int64).reshape(-1, 4))
-    assert mesh.boundary_edges == ref.boundary_edges
+    edges = tuple((ci, SIDES[side]) for ci, side in mesh.boundary_edges.tolist())
+    assert edges == ref.boundary_edges
 
     space = BfsSpace(mesh)
     g = lambda x, y: np.sin(x + 2 * y)
