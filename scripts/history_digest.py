@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of one run's history and of every step's marking.
+"""Print SHA-256 digests of one run's history, of each row and of each marking.
 
 Takes the flags of ``macert`` except ``--out``, runs the refinement loop and
 prints the digest of the ``.dat`` text it would write, then one line per
-step with the free DOFs, the number of marked cells and the digest of the
-marked cell rows (sorted int64).  Two checkouts produce the same histories
-and markings exactly when these lines are equal:
+step with the free DOFs, the linear solves, the digest of that step's
+``.dat`` row, the number of marked cells and the digest of the marked cell
+rows (sorted int64).  Two checkouts produce the same histories and markings
+exactly when these lines are equal, and a ``diff`` of the two outputs names
+the steps whose rows changed:
 
     PYTHONPATH=src python scripts/history_digest.py --experiment 1 \\
         --mode adaptive --max-ndof 3000 --initial-level 0
@@ -19,6 +21,10 @@ import numpy as np
 
 from macert.bench import RunConfig, emit_dat, run
 from macert.cli import build_parser
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -35,11 +41,12 @@ def main(argv=None) -> int:
             parser.error("the initial mesh already exceeds --max-ndof")
         emit_dat(rows, out)
         text = out.read_bytes()
-    print(f"dat {hashlib.sha256(text).hexdigest()}  rows {len(rows)}")
-    for k, step in enumerate(steps):
+    print(f"dat {sha(text)}  rows {len(rows)}")
+    lines = text.splitlines()[1:]  # one per row, after the header
+    for k, (step, line) in enumerate(zip(steps, lines)):
         marked = np.asarray(step.marked, dtype=np.int64)
-        digest = hashlib.sha256(marked.tobytes()).hexdigest()
-        print(f"step {k:>3d}  ndof {step.row.ndof:>7d}  marked {len(marked):>6d}  {digest}")
+        print(f"step {k:>3d}  ndof {step.row.ndof:>7d}  niter {step.row.niter:>3d}  "
+              f"row {sha(line)[:16]}  marked {len(marked):>6d}  {sha(marked.tobytes())}")
     return 0
 
 

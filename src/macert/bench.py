@@ -53,7 +53,6 @@ class Experiment:
     ma_density: object  # det D2 u
     g: object
     grad_g: object
-    notes: str = ""
 
 
 def _experiment1() -> Experiment:
@@ -98,7 +97,6 @@ def _experiment1() -> Experiment:
         density,
         u,
         grad,
-        notes="H^{5/2-} regularity; f blows up at the origin corner",
     )
 
 
@@ -127,7 +125,6 @@ def _experiment2() -> Experiment:
         zero,
         u,
         grad,
-        notes="piecewise-affine exact solution; kink along x = 1/2",
     )
 
 
@@ -193,7 +190,6 @@ def _experiment3() -> Experiment:
         density,
         zero,
         zgrad,
-        notes="homogeneous boundary data; density oscillates at the corners",
     )
 
 
@@ -257,10 +253,12 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
-        for name, least in (("initial_level", 0), ("quad_degree", 1),
-                            ("boundary_segments", 1), ("linf_samples", 1)):
+        for name, least in (("initial_level", 0), ("boundary_segments", 1), ("linf_samples", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.quad_degree < 3:  # v_xy^2 - v_xx v_yy has degree (4, 4) per cell
+            raise ValueError(f"quad_degree must be at least 3, got {self.quad_degree}: the "
+                             "diagonal-pivot LU needs the Miranda-Talenti identity exact")
         if self.eps is not None:
             _check_eps(self.eps)
 

@@ -25,7 +25,7 @@ from .geometry import RectMesh
 
 # DOF kinds per vertex
 V, DX, DY, DXY = 0, 1, 2, 3
-_KIND_EXPONENTS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (x-kind, y-kind)
+_KIND_SUM = np.tile([0, 1, 1, 2], 4)  # kx + ky of each local DOF
 # derivative orders (mx, my) of each tabulated key
 _DERIVS = {"N": (0, 0), "Nx": (1, 0), "Ny": (0, 1), "Nxx": (2, 0), "Nxy": (1, 1), "Nyy": (0, 2)}
 
@@ -54,29 +54,37 @@ def _hermite1d(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def tabulate_basis(h: float | np.ndarray, ref_pts: np.ndarray) -> dict[str, np.ndarray]:
-    """All 16 basis functions and derivatives at reference points of a cell.
+def tabulate_basis(ref_pts: np.ndarray) -> dict[str, np.ndarray]:
+    """All 16 basis functions and derivatives at points of the unit cell.
 
-    ``ref_pts`` has shape (n, 2) with coordinates in [0,1]^2; ``h`` is the
-    physical cell size, a scalar or one size per point.  Returns arrays of
-    shape (n, 16) for keys N, Nx, Ny, Nxx, Nxy, Nyy.  Local DOF ordering is
-    4*corner + kind with corners (0,0), (1,0), (0,1), (1,1) and kinds
+    ``ref_pts`` has shape (n, 2) with coordinates in [0,1]^2.  Returns arrays
+    of shape (n, 16) for keys N, Nx, Ny, Nxx, Nxy, Nyy.  Local DOF ordering
+    is 4*corner + kind with corners (0,0), (1,0), (0,1), (1,1) and kinds
     (V, DX, DY, DXY), so j = 8b + 4a + 2ky + kx for the corner (a, b) and the
     kind (kx, ky): each key is one broadcast product of the 1D tables in
-    (b, a, ky, kx) order, scaled by h**(kx + ky - mx - my).
+    (b, a, ky, kx) order.  On a cell of size h the element is affine
+    equivalent to this one: multiply column j by ``level_scale`` to get the
+    physical basis.
     """
     ref_pts = np.asarray(ref_pts)
     n = ref_pts.shape[0]
     X = np.moveaxis(_hermite1d(ref_pts[:, 0]), -1, 0)  # (n, a, kx, mx)
     Y = np.moveaxis(_hermite1d(ref_pts[:, 1]), -1, 0)  # (n, b, ky, my)
-    powers = np.asarray(h, dtype=float)[..., None] ** np.arange(-2, 3)  # h**-2 .. h**2
-    kind_power = np.tile([kx + ky for kx, ky in _KIND_EXPONENTS], 4) + 2  # column of h**(kx + ky) in powers
-    prod = np.empty((n, 2, 2, 2, 2))  # C order, so each table is too
-    out = {}
-    for key, (mx, my) in _DERIVS.items():
-        np.multiply(Y[:, :, None, :, None, my], X[:, None, :, None, :, mx], out=prod)
-        out[key] = prod.reshape(n, 16) * powers[..., kind_power - mx - my]
-    return out
+    return {  # C order, so each table is too
+        key: np.multiply(Y[:, :, None, :, None, my], X[:, None, :, None, :, mx], order="C")
+        .reshape(n, 16)
+        for key, (mx, my) in _DERIVS.items()
+    }
+
+
+def level_scale(levels, order: int) -> np.ndarray:
+    """h**(kx + ky - order) per cell and local DOF, h = 2**-level: (n, 16).
+
+    The physical basis of kind (kx, ky) under a derivative of ``order`` is
+    the unit-cell basis times this factor.  It is a power of two, so
+    scaling by it is exact.
+    """
+    return np.ldexp(1.0, -np.multiply.outer(levels, _KIND_SUM - order))
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,6 @@ class BfsSpace:
         self.nfull = 4 * self.nvertices
         self.cell_dofs = (4 * mesh.cell_corners[:, :, None] + np.arange(4)).reshape(-1, 16)
         self._tab_cache: dict = {}
-        levels = mesh.levels
-        self._level_groups = [
-            (int(L), np.flatnonzero(levels == L)) for L in np.unique(levels)
-        ]
 
     # -- reductions ---------------------------------------------------------
 
@@ -190,24 +194,16 @@ class BfsSpace:
 
     # -- batched tabulation --------------------------------------------------
 
-    def level_groups(self) -> list[tuple[int, np.ndarray]]:
-        """Cell indices grouped by refinement level (cells share size).
+    def tabulation(self, ref_pts: np.ndarray) -> dict[str, np.ndarray]:
+        """Cached unit-cell basis tabulation at fixed reference points.
 
-        Cells are sorted by level, so each group is a contiguous range.
+        The cache is keyed by the bytes of ``ref_pts``, so equal points share
+        one table across all cell sizes and different points never do.
         """
-        return self._level_groups
-
-    def tabulation(self, level: int, ref_pts: np.ndarray):
-        """Cached basis tabulation for one cell size at fixed reference points.
-
-        The cache is keyed by the level and the bytes of ``ref_pts``, so equal
-        points share one table and different points never do.
-        """
-        cache_key = (level, ref_pts.tobytes())
+        cache_key = ref_pts.tobytes()
         tab = self._tab_cache.get(cache_key)
         if tab is None:
-            tab = tabulate_basis(0.5**level, ref_pts)
-            self._tab_cache[cache_key] = tab
+            tab = self._tab_cache[cache_key] = tabulate_basis(ref_pts)
         return tab
 
     def cell_points(self, cells: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
@@ -247,12 +243,6 @@ class Reduction:
         return self.P.T @ r
 
 
-def _runs(order: np.ndarray, keys: np.ndarray):
-    """Pieces of ``order`` over which the sorted nonnegative ``keys`` are equal."""
-    bounds = np.flatnonzero(np.diff(keys, prepend=-1, append=-1))
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 class FeFunction:
     """Member of a BfsSpace, stored through its full coefficient vector."""
 
@@ -268,49 +258,38 @@ class FeFunction:
     def on_cells(self, cells: np.ndarray, ref_pts: np.ndarray, what=("N",)):
         """Evaluate derivatives at shared reference points on many cells.
 
-        Returns a dict mapping each requested key (subset of N, Nx, Ny, Nxx,
-        Nxy, Nyy) to an array of shape (ncells, npoints).
+        ``cells`` may come in any order and repeat.  Returns a dict mapping
+        each requested key (subset of N, Nx, Ny, Nxx, Nxy, Nyy) to an array
+        of shape (ncells, npoints): per key one product of the level-scaled
+        local coefficients with the unit-cell table.
         """
         space = self.space
         cells = np.asarray(cells)
+        tab = space.tabulation(ref_pts)
+        local = self.coeffs[space.cell_dofs[cells]]  # (n, 16)
         levels = space.mesh.levels[cells]
-        order = np.argsort(levels, kind="stable")  # the identity for sorted cells
-        out = {k: np.empty((len(cells), ref_pts.shape[0])) for k in what}
-        for idx in _runs(order, levels[order]):
-            tab = space.tabulation(int(levels[idx[0]]), ref_pts)
-            local = self.coeffs[space.cell_dofs[cells[idx]]]  # (n, 16)
-            for k in what:
-                out[k][idx] = local @ tab[k].T
-        return out
+        return {k: (local * level_scale(levels, sum(_DERIVS[k]))) @ tab[k].T for k in what}
 
     # -- pointwise evaluation --------------------------------------------------
 
     def _eval_points(self, pts: np.ndarray, what):
+        """Derivatives at arbitrary points: the unit table at each point's
+        reference coordinates dotted row by row with its scaled coefficients."""
         space = self.space
         mesh = space.mesh
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cells = mesh.locate(pts[:, 0], pts[:, 1])
         h = mesh.cell_sizes()[cells]
-        ref = (pts - mesh.cell_array[cells, 1:] * h[:, None]) / h[:, None]
-        tab = tabulate_basis(h, ref)
-        out = {k: np.empty(len(pts)) for k in what}
-        order = np.argsort(cells, kind="stable")
-        for idx in _runs(order, cells[order]):
-            local = self.coeffs[space.cell_dofs[cells[idx[0]]]]
-            for k in what:
-                out[k][idx] = tab[k][idx] @ local
-        return out
+        tab = tabulate_basis((pts - mesh.cell_array[cells, 1:] * h[:, None]) / h[:, None])
+        local = self.coeffs[space.cell_dofs[cells]]
+        levels = mesh.levels[cells]
+        return {
+            k: np.einsum("pj,pj->p", local * level_scale(levels, sum(_DERIVS[k])), tab[k])
+            for k in what
+        }
 
     def value(self, pts):
         return self._eval_points(pts, ("N",))["N"]
-
-    def gradient(self, pts):
-        r = self._eval_points(pts, ("Nx", "Ny"))
-        return np.column_stack([r["Nx"], r["Ny"]])
-
-    def hessian(self, pts):
-        r = self._eval_points(pts, ("Nxx", "Nxy", "Nyy"))
-        return np.column_stack([r["Nxx"], r["Nxy"], r["Nyy"]])
 
 
 # -- boundary interpolation -----------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, interpolate_boundary
+from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, interpolate_boundary, level_scale
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,12 @@ class SolverError(RuntimeError):
 class _Assembler:
     """Per-mesh workspace shared by every policy solve on one mesh.
 
-    Holds the quadrature points and weights; per level, Lap(phi_i) at the
-    quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q) *
-    H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); and the CSR pattern of the
-    full matrix with the slot of each of the nc*256 element-block entries.
+    Holds the quadrature points and weights; on the unit cell, Lap(phi_i) at
+    the quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q)
+    * H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); the per-cell factor
+    ``level_scale(levels, 2)`` that takes both to a cell's size; and the CSR
+    pattern of the full matrix with the slot of each of the nc*256
+    element-block entries.
     """
 
     def __init__(self, space: BfsSpace, quad: QuadRule):
@@ -150,17 +152,13 @@ class _Assembler:
         self.points = space.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
         self.weights = areas[:, None] * quad.ref_weights[None, :]  # (nc, nq)
-        # (cell slice, Lap phi (nq, 16), M (3 nq, 256)) per level; sorted ids
-        # keep the cells of a level contiguous
-        self.groups = []
-        for level, group in space.level_groups():
-            tab = space.tabulation(level, ref)
-            lap = tab["Nxx"] + tab["Nyy"]
-            table = np.vstack([
-                (lap[:, :, None] * H[:, None, :]).reshape(len(lap), 256)
-                for H in (tab["Nxx"], 2.0 * tab["Nxy"], tab["Nyy"])
-            ])
-            self.groups.append((slice(group[0], group[-1] + 1), lap, table))
+        tab = space.tabulation(ref)
+        self.lap = tab["Nxx"] + tab["Nyy"]  # (nq, 16)
+        self.table = np.vstack([
+            (self.lap[:, :, None] * H[:, None, :]).reshape(len(ref), 256)
+            for H in (tab["Nxx"], 2.0 * tab["Nxy"], tab["Nyy"])
+        ])  # (3 nq, 256)
+        self.scale = level_scale(space.mesh.levels, 2)  # (nc, 16)
         # Block entry (c, i, j) sits at row dofs[c, i] and column dofs[c, j],
         # with dofs = 4 * vertex + kind.  The pattern is that of the vertex
         # pairs sharing a cell, each expanded to 4 x 4: row 4v + k holds the
@@ -188,27 +186,24 @@ class _Assembler:
 
     def load(self, vals):
         """Assemble r_i = sum_q w * vals(x_q) * Lap(phi_i)(x_q) over all cells."""
-        nfull = self.space.nfull
-        r = np.zeros(nfull)
-        wV = self.weights * vals
-        for s, lap, _ in self.groups:
-            contrib = wV[s] @ lap  # (ncells, 16)
-            r += np.bincount(
-                self.space.cell_dofs[s].ravel(), weights=contrib.ravel(), minlength=nfull
-            )
-        return r
+        contrib = (self.weights * vals) @ self.lap * self.scale  # (nc, 16)
+        return np.bincount(
+            self.space.cell_dofs.ravel(), weights=contrib.ravel(), minlength=self.space.nfull
+        )
 
     def linear_system(self, a11, a12, a22, rhs_vals):
         """Matrix of (A:D^2 w, Lap phi) and load vector of (rhs, Lap phi).
 
-        Each level's element blocks are one product [w a11 | w a12 | w a22]
-        @ M, summed into the fixed CSR pattern by one ``bincount``.
+        The element blocks are one product [w a11 | w a12 | w a22] @ M over
+        all cells, scaled in place by each cell's factor for i and for j, and
+        summed into the fixed CSR pattern by one ``bincount``.
         """
         nfull = self.space.nfull
-        blocks = np.empty((self.weights.shape[0], 256))
-        for s, _, table in self.groups:
-            w = self.weights[s]
-            np.matmul(np.hstack([w * a11[s], w * a12[s], w * a22[s]]), table, out=blocks[s])
+        w, s = self.weights, self.scale
+        blocks = np.hstack([w * a11, w * a12, w * a22]) @ self.table
+        b = blocks.reshape(-1, 16, 16)
+        b *= s[:, :, None]
+        b *= s[:, None, :]
         data = np.bincount(self.slot, weights=blocks.ravel(), minlength=len(self.indices))
         K = sp.csr_matrix((data, self.indices, self.indptr), shape=(nfull, nfull))
         return K, self.load(rhs_vals)
@@ -235,8 +230,9 @@ def solve(
     nonsymmetric system K_r u = F_r by sparse LU (SuperLU) with diagonal
     pivots in a minimum-degree order of K_r + K_r^T.  No row interchange is
     needed: A has eigenvalues in [eps, 1-eps] and unit trace, and the
-    Miranda-Talenti identity holds under the Gauss rule, so v^T K_r v >=
-    eps v^T B_r v with B_r = ((Lap w, Lap phi)) SPD, and no pivot vanishes.
+    Miranda-Talenti identity holds under a Gauss rule of at least 3 points
+    per coordinate, so v^T K_r v >= eps v^T B_r v with B_r = ((Lap w,
+    Lap phi)) SPD, and no pivot vanishes.
     Iteration stops when the Euclidean norm of the reduced residual falls
     below 1e-11 (1 + ||f||_L2) ("tol"), when the policy reaches a fixed
     point ("policy"), when a full step's residual is at most twice the

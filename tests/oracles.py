@@ -11,6 +11,12 @@ from macert.estimator import bound_value
 from macert.hjb import eval_F_batch
 
 
+def point_fields(vh, pts, what):
+    """Columns of the derivatives ``what`` of vh at arbitrary points."""
+    fields = vh._eval_points(pts, what)
+    return np.column_stack([fields[k] for k in what])
+
+
 def sample_hessians(vh, samples):
     """(m11, m12, m22) of vh at the interior samples of a build_samples set."""
     H = samples.interior_fields(vh, ("Nxx", "Nxy", "Nyy"))
@@ -122,12 +128,14 @@ def tabulate_basis_reference(h, ref_pts):
 
 
 def assemble_reference(space, quad, a11, a12, a22):
-    """Policy matrix by an einsum per level and a COO -> CSR conversion."""
+    """Policy matrix from the column-wise tabulation, by an einsum per level
+    and a COO -> CSR conversion."""
     nc = len(space.mesh.cell_ids)
     weights = (space.mesh.cell_sizes() ** 2)[:, None] * quad.ref_weights[None, :]
     blocks = np.empty((nc, 16, 16))
-    for level, cells in space.level_groups():
-        tab = space.tabulation(level, quad.ref_points)
+    for level in np.unique(space.mesh.levels):
+        cells = np.flatnonzero(space.mesh.levels == level)
+        tab = tabulate_basis_reference(0.5**level, quad.ref_points)
         lap = tab["Nxx"] + tab["Nyy"]
         G = (
             a11[cells, :, None] * tab["Nxx"][None, :, :]

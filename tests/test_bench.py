@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import sample_hessians
+from oracles import point_fields, sample_hessians
 
 from macert.bench import (
     DAT_COLUMNS,
@@ -157,7 +157,8 @@ class TestProlongation:
         wh = FeFunction(fine, fine_coeffs)
         pts = rng.uniform(0, 1, size=(60, 2))
         assert np.allclose(wh.value(pts), vh.value(pts), atol=1e-11)
-        assert np.allclose(wh.gradient(pts), vh.gradient(pts), atol=1e-10)
+        grad = ("Nx", "Ny")
+        assert np.allclose(point_fields(wh, pts, grad), point_fields(vh, pts, grad), atol=1e-10)
 
     def test_adaptive_target(self):
         mesh = init_uniform(1)
@@ -224,12 +225,12 @@ class TestRunLoop:
             with pytest.raises(ValueError):
                 RunConfig(experiment=1, boundary_segments=segments)
         for name, value in (
-            ("initial_level", -1), ("quad_degree", 0), ("linf_samples", 0),
+            ("initial_level", -1), ("quad_degree", 0), ("quad_degree", 2), ("linf_samples", 0),
             ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3),
         ):
             with pytest.raises(ValueError):
                 RunConfig(experiment=1, **{name: value})
-        RunConfig(experiment=1, eps=0.5, initial_level=0, quad_degree=1, linf_samples=1)
+        RunConfig(experiment=1, eps=0.5, initial_level=0, quad_degree=3, linf_samples=1)
 
 
 class TestCli:
@@ -260,7 +261,9 @@ class TestCli:
         [
             ("--linf-samples", "0", "linf_samples must be at least 1"),
             ("--initial-level", "-1", "initial_level must be at least 0"),
-            ("--quad-degree", "0", "quad_degree must be at least 1"),
+            ("--quad-degree", "0", "quad_degree must be at least 3"),
+            ("--quad-degree", "1", "quad_degree must be at least 3, got 1: the diagonal-pivot"),
+            ("--quad-degree", "2", "needs the Miranda-Talenti identity exact"),
             ("--epsilon", "0.7", "eps must lie in (0, 1/2]"),
             ("--max-ndof", "-5", "below the 4 free DOFs of the initial mesh"),
         ],

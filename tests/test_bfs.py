@@ -7,12 +7,13 @@ from macert.bfs import (
     FeFunction,
     QuadRule,
     interpolate_boundary,
+    level_scale,
     norms_vs_exact,
     tabulate_basis,
 )
 from macert.geometry import RectMesh, init_uniform, refine
 
-from oracles import cell_rect, tabulate_basis_reference
+from oracles import cell_rect, point_fields, tabulate_basis_reference
 
 
 def interpolant(space, u, ux, uy, uxy):
@@ -28,7 +29,9 @@ def interpolant(space, u, ux, uy, uxy):
 class TestShapeEval:
     def test_hermite_duality_at_vertices(self):
         # reference corners of a cell of size 1/4, in local corner order
-        tab = tabulate_basis(0.25, np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
+        unit = tabulate_basis(np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]))
+        tab = {"N": unit["N"] * level_scale(2, 0)}
+        tab.update({k: unit[k] * level_scale(2, 1) for k in ("Nx", "Ny")})
         for c in range(4):
             for j in range(16):
                 expected = 1.0 if j == 4 * c else 0.0
@@ -41,16 +44,22 @@ class TestShapeEval:
         # every h is a power of two, so the scaling is exact in any order
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.0, 1.0, (25, 2))
+        unit = tabulate_basis(pts)
+        orders = {"N": 0, "Nx": 1, "Ny": 1, "Nxx": 2, "Nxy": 2, "Nyy": 2}
         for level in range(31):
-            fast, ref = tabulate_basis(0.5**level, pts), tabulate_basis_reference(0.5**level, pts)
-            assert all(np.array_equal(fast[k], ref[k]) for k in ref)
-        h = 0.5 ** rng.integers(0, 31, len(pts))  # one size per point
-        fast, ref = tabulate_basis(h, pts), tabulate_basis_reference(h, pts)
-        assert all(np.array_equal(fast[k], ref[k]) for k in ref)
-        assert all(fast[k].shape == (25, 16) and fast[k].flags.c_contiguous for k in ref)
+            ref = tabulate_basis_reference(0.5**level, pts)
+            assert all(
+                np.array_equal(unit[k] * level_scale(level, m), ref[k]) for k, m in orders.items()
+            )
+        levels = rng.integers(0, 31, len(pts))  # one size per point
+        ref = tabulate_basis_reference(0.5**levels, pts)
+        assert all(
+            np.array_equal(unit[k] * level_scale(levels, m), ref[k]) for k, m in orders.items()
+        )
+        assert all(unit[k].shape == (25, 16) and unit[k].flags.c_contiguous for k in ref)
 
     def test_reproduces_x2y_at_center(self):
-        vals = tabulate_basis(1.0, np.array([(0.5, 0.5)]))["N"][0]
+        vals = tabulate_basis(np.array([(0.5, 0.5)]))["N"][0]
         # nodal data of v = x^2 y at the four corners
         data = np.zeros(16)
         for c, (a, b) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
@@ -71,7 +80,7 @@ class TestShapeEval:
         )
         cell = cell_rect((2, 2, 1))
         center = np.array([[cell.x0 + cell.h / 2, cell.y0 + cell.h / 2]])
-        hess = vh.hessian(center)[0]
+        hess = point_fields(vh, center, ("Nxx", "Nxy", "Nyy"))[0]
         x, y = center[0]
         exact = (6 * x * y**3, 9 * x**2 * y**2, x**3 * 6 * y)
         assert np.allclose(hess, exact, atol=1e-12)
@@ -120,17 +129,23 @@ class TestQuadRule:
 
 class TestTabulationCache:
     def test_equal_points_share_a_table(self):
-        space = BfsSpace(init_uniform(1))
+        # one table serves every level of a three-level mesh
+        space = BfsSpace(refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)]))
+        assert len(np.unique(space.mesh.levels)) == 3
         pts = QuadRule(3).ref_points
-        assert space.tabulation(2, pts) is space.tabulation(2, pts.copy())
+        tab = space.tabulation(pts)
+        assert tab is space.tabulation(pts.copy())
+        vh = FeFunction(space, np.ones(space.nfull))
+        vh.on_cells(np.arange(len(space.mesh)), pts.copy(), what=("N", "Nxx"))
+        assert len(space._tab_cache) == 1 and space.tabulation(pts) is tab
 
     def test_different_points_get_their_own_table(self):
         space = BfsSpace(init_uniform(1))
         a, b = QuadRule(3).ref_points, QuadRule(4).ref_points[:9]
-        tab_a, tab_b = space.tabulation(2, a), space.tabulation(2, b)
+        tab_a, tab_b = space.tabulation(a), space.tabulation(b)
         assert tab_a is not tab_b
         for pts, tab in ((a, tab_a), (b, tab_b)):
-            expected = tabulate_basis(0.25, pts)
+            expected = tabulate_basis_reference(1.0, pts)
             assert all(np.array_equal(tab[k], expected[k]) for k in expected)
 
 
@@ -154,10 +169,11 @@ class TestPointEvaluation:
             m = cells == ci
             level, ix, iy = mesh.cell_ids[ci]
             h = 0.5**level
-            tab = tabulate_basis(h, (pts[m] - np.array([ix * h, iy * h])) / h)
+            tab = tabulate_basis_reference(h, (pts[m] - np.array([ix * h, iy * h])) / h)
             local = vh.coeffs[space.cell_dofs[ci]]
+            # same row contraction; the products agree exactly, h being a power of two
             for k in keys:
-                assert np.array_equal(got[k][m], tab[k] @ local), k
+                assert np.array_equal(got[k][m], np.einsum("pj,j->p", tab[k], local)), k
 
 
 class TestOnCells:

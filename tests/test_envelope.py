@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import envelope_gap, lp_envelope, sample_hessians
+from oracles import envelope_gap, lp_envelope, point_fields, sample_hessians
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.bench import EXPERIMENTS
@@ -152,7 +152,7 @@ class TestBuildSamples:
         samples = build_samples(mesh, QuadRule(3), per_edge=1, min_level=2)
         fields = samples.interior_fields(vh, ("N", "Nxx", "Nxy", "Nyy"))
         assert np.allclose(fields["N"], vh.value(samples.interior), atol=1e-12)
-        H = vh.hessian(samples.interior)
+        H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
         for k, name in enumerate(("Nxx", "Nxy", "Nyy")):
             assert np.allclose(fields[name], H[:, k], atol=1e-10)
 
@@ -344,7 +344,7 @@ class TestContactSet:
         for m11, m12, m22 in ((1.0, 0.0, 1.0), (2.0, 0.5, 1.0), (3.0, -1.0, 2.0)):
             vh, samples, hull = self._quadratic_setup(m11, m12, m22)
             contact = contact_set(hull, sample_hessians(vh, samples))
-            H = vh.hessian(samples.interior)
+            H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
             det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
             density = np.where(contact.flags, det, 0.0)
             assert np.allclose(density, m11 * m22 - m12**2, atol=1e-9)
@@ -362,7 +362,7 @@ class TestContactSet:
         hull = lower_hull(samples, values)
         contact = contact_set(hull, sample_hessians(vh, samples))
         assert contact.flags.all()
-        H = vh.hessian(samples.interior)
+        H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
         det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
         assert np.allclose(det, 0.0, atol=1e-12)
 

@@ -6,6 +6,7 @@ from oracles import (
     boundary_edge_segment,
     envelope_gap,
     mark_reference,
+    point_fields,
     sample_hessians,
     select_j_scalar,
 )
@@ -226,7 +227,7 @@ class TestCertificates:
         rng = np.random.default_rng(4)
         vh = FeFunction(space, rng.standard_normal(space.nfull))
         samples = build_samples(mesh, QuadRule(3), per_edge=4)
-        H = vh.hessian(samples.interior)
+        H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
         eps = 0.07
         from macert.hjb import xi_of_batch
 

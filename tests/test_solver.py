@@ -181,6 +181,29 @@ class TestDiagonalPivoting:
             v = vecs[:, 0]
 
 
+    @pytest.mark.parametrize("degree", [2, 3, 4, 5])
+    def test_miranda_talenti_identity_needs_three_gauss_points(self, degree):
+        # sum w (v_xy^2 - v_xx v_yy) vanishes for v_h with zero boundary data
+        # when the rule integrates degree (4, 4) exactly: 3 points or more
+        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)])
+        assert len(np.unique(mesh.levels)) == 3
+        space, quad = BfsSpace(mesh), QuadRule(degree)
+        zero = lambda x, y: 0.0 * x
+        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        v = np.random.default_rng(degree).standard_normal(red.ndof)
+        cells = np.arange(len(mesh))
+        H = FeFunction(space, red.full_vector(v)).on_cells(
+            cells, quad.ref_points, ("Nxx", "Nxy", "Nyy")
+        )
+        w = mesh.cell_sizes()[:, None] ** 2 * quad.ref_weights
+        defect = 2.0 * np.sum(w * (H["Nxy"] ** 2 - H["Nxx"] * H["Nyy"]))
+        relative = abs(defect) / np.sum(w * (H["Nxx"] + H["Nyy"]) ** 2)
+        if degree >= 3:
+            assert relative <= 1e-12
+        else:
+            assert relative >= 1e-2
+
+
 def _random_policy(shape, seed):
     rng = np.random.default_rng(seed)
     a11 = rng.uniform(0.0, 1.0, shape)
