@@ -1,10 +1,10 @@
 """Benchmark problems, the refinement driver and convergence-history output.
 
 The three test cases approximate known Alexandrov solutions on the unit
-square.  Each registry entry carries the exact solution with derivatives,
-the Monge-Ampere density ``det D2 u`` and the right-hand-side field
-``f = 2 sqrt(det D2 u)`` consumed by the regularised operator (the operator
-normalises the density as (f/2)^2 in two dimensions).
+square.  Each registry entry carries the exact solution with derivatives
+and the right-hand-side field ``f = 2 sqrt(det D2 u)`` consumed by the
+regularised operator, which normalises the Monge-Ampere density ``det D2 u``
+as (f/2)^2 in two dimensions.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ class Experiment:
     default_eps: float
     exact: ExactSolution
     f: object  # HJB right-hand side, 2 sqrt(det D2 u)
-    ma_density: object  # det D2 u
     g: object
     grad_g: object
 
@@ -80,10 +79,6 @@ def _experiment1() -> Experiment:
             np.where(zero, 0.0, (a * y**2 + b * x**2) / r2),
         )
 
-    def density(x, y):
-        r0 = np.hypot(x, y)
-        return 1.0 / np.where(r0 > 0, r0, _TINY)
-
     def f(x, y):
         r0 = np.hypot(x, y)
         return 2.0 / np.sqrt(np.where(r0 > 0, r0, _TINY))
@@ -94,7 +89,6 @@ def _experiment1() -> Experiment:
         1e-3,
         ExactSolution(u, grad, hess),
         f,
-        density,
         u,
         grad,
     )
@@ -121,7 +115,6 @@ def _experiment2() -> Experiment:
         "boundary-envelope",
         1e-3,
         ExactSolution(u, grad, hess),
-        zero,
         zero,
         u,
         grad,
@@ -164,11 +157,6 @@ def _experiment3() -> Experiment:
         uxy = -2 * p2 * cx * cy * s * t / den**3
         return np.where(ok, uxx, 0.0), np.where(ok, uxy, 0.0), np.where(ok, uyy, 0.0)
 
-    def density(x, y):
-        s, t = _st(x, y)
-        den = np.where(s + t > 0, s + t, _TINY)
-        return np.pi**4 * s**2 * t**2 * (2.0 - s * t) / den**4
-
     def f(x, y):
         s, t = _st(x, y)
         den = np.where(s + t > 0, s + t, _TINY)
@@ -187,7 +175,6 @@ def _experiment3() -> Experiment:
         1e-4,
         ExactSolution(u, grad, hess),
         f,
-        density,
         zero,
         zgrad,
     )
@@ -343,7 +330,7 @@ def run(config: RunConfig, collect_steps: bool = False):
         )
         fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
         hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
-        values = np.concatenate([fields["N"], v_h.value(samples.boundary)])
+        values = np.concatenate([fields["N"], samples.boundary_values(v_h)])
         hull = env.lower_hull(samples, values)
         contact = env.contact_set(hull, hessians)
         cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
@@ -374,7 +361,7 @@ def run(config: RunConfig, collect_steps: bool = False):
             marked = np.arange(len(mesh))
         if collect_steps:
             steps.append(StepData(row, mesh, cert, cert_eps, marked))
-        mesh = refine(mesh, mesh.cell_array[marked])
+        mesh = refine(mesh, marked)
         prev = v_h
     if collect_steps:
         return rows, steps

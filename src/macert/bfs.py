@@ -253,8 +253,6 @@ class FeFunction:
         self.space = space
         self.coeffs = coeffs
 
-    # -- batched evaluation (fast path) --------------------------------------
-
     def on_cells(self, cells: np.ndarray, ref_pts: np.ndarray, what=("N",)):
         """Evaluate derivatives at shared reference points on many cells.
 
@@ -269,27 +267,6 @@ class FeFunction:
         local = self.coeffs[space.cell_dofs[cells]]  # (n, 16)
         levels = space.mesh.levels[cells]
         return {k: (local * level_scale(levels, sum(_DERIVS[k]))) @ tab[k].T for k in what}
-
-    # -- pointwise evaluation --------------------------------------------------
-
-    def _eval_points(self, pts: np.ndarray, what):
-        """Derivatives at arbitrary points: the unit table at each point's
-        reference coordinates dotted row by row with its scaled coefficients."""
-        space = self.space
-        mesh = space.mesh
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cells = mesh.locate(pts[:, 0], pts[:, 1])
-        h = mesh.cell_sizes()[cells]
-        tab = tabulate_basis((pts - mesh.cell_array[cells, 1:] * h[:, None]) / h[:, None])
-        local = self.coeffs[space.cell_dofs[cells]]
-        levels = mesh.levels[cells]
-        return {
-            k: np.einsum("pj,pj->p", local * level_scale(levels, sum(_DERIVS[k])), tab[k])
-            for k in what
-        }
-
-    def value(self, pts):
-        return self._eval_points(pts, ("N",))["N"]
 
 
 # -- boundary interpolation -----------------------------------------------

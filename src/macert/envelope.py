@@ -7,7 +7,8 @@ candidate facet planes; an index of dyadic squares, each facet filed in at
 most eight of them at its own depth, keeps that maximum local.  The trace of
 the hull on a side of the square only depends on the samples of that side
 (the side plane supports the hull), which reduces the boundary residual to
-four 1D lower hulls.
+four 1D lower hulls.  Boundary values come per boundary edge from one batch,
+``edge_values``, which serves the hull samples and the trace error alike.
 """
 from __future__ import annotations
 
@@ -27,7 +28,8 @@ class SampleSet:
     Interior points keep their owning cell and quadrature weight so the same
     set drives both the envelope and the data-error quadrature.  Boundary
     points are stored per side, ordered by arclength, corners included, in
-    the layout of ``_side_positions``.
+    the layout of ``_side_positions``.  ``edge_index`` names, per boundary
+    point, the (edge, parameter) of the ``edge_values`` grid that made it.
     """
 
     mesh: RectMesh
@@ -38,6 +40,8 @@ class SampleSet:
     side_params: dict[str, np.ndarray]  # side -> sorted parameters in [0, 1]
     quad: QuadRule | None = None  # rule the interior was built from
     min_level: int = 0  # sampling floor, see build_samples
+    per_edge: int = 1  # segments per boundary edge
+    edge_index: np.ndarray | None = None  # (nb,) flat index, set by build_samples
 
     @property
     def points(self) -> np.ndarray:
@@ -62,6 +66,32 @@ class SampleSet:
             for name in what:
                 out[name][idx] = vals[name]
         return out
+
+    def boundary_values(self, v_h: FeFunction) -> np.ndarray:
+        """Values of ``v_h`` at the boundary samples of ``build_samples``.
+
+        One ``edge_values`` batch; a point shared by two edges takes either
+        owner's value, which is the vertex's value coefficient in both.
+        """
+        vals, _ = edge_values(v_h, np.arange(self.per_edge + 1) / self.per_edge)
+        return vals.ravel()[self.edge_index]
+
+
+def edge_values(v_h: FeFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of ``v_h`` and points at parameters ``t`` of every boundary edge.
+
+    Rows are aligned with ``mesh.boundary_edges``: (ne, nt) values and
+    (ne, nt, 2) points.  All owners are evaluated in one batch at the
+    points of all four sides of the reference cell, and each edge keeps
+    the points of its own side.
+    """
+    space = v_h.space
+    ref = np.vstack([_side_point(side, t) for side in SIDES])
+    owners, side = space.mesh.boundary_edges.T
+    n, rows = len(owners), np.arange(len(owners))
+    vals = v_h.on_cells(owners, ref, what=("N",))["N"].reshape(n, 4, -1)[rows, side]
+    pts = space.cell_points(owners, ref).reshape(n, 4, -1, 2)[rows, side]
+    return vals, pts
 
 
 def _side_point(side: str, t: np.ndarray) -> np.ndarray:
@@ -130,7 +160,8 @@ def build_samples(
     Every boundary edge of the mesh is subdivided into ``per_edge`` uniform
     segments regardless of its length, which keeps the boundary resolution
     proportional to the local edge size on adaptive meshes.  Corners and
-    edge endpoints are always present.
+    edge endpoints are always present.  Each boundary sample records the
+    first (edge, parameter) that made it in ``edge_index``.
     """
     if per_edge < 1:
         raise ValueError("per_edge must be at least 1")
@@ -149,18 +180,25 @@ def build_samples(
         interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
 
+    # the edges of each side tile it, so their points include 0 and 1
     owners, on_side = mesh.boundary_edges.T
     i = np.arange(per_edge + 1)
     side_params: dict[str, np.ndarray] = {}
+    sources = {}
     for k, side in enumerate(SIDES):
-        cells = owners[on_side == k]
+        edges = np.flatnonzero(on_side == k)
+        cells = owners[edges]
         a, h = origins[cells, k % 2, None], sizes[cells, None]  # coordinate along side k
-        side_params[side] = np.unique(np.append([0.0, 1.0], a + h * i / per_edge))
-    boundary = np.empty((sum(map(len, side_params.values())) - 4, 2))
+        side_params[side], first = np.unique(a + h * i / per_edge, return_index=True)
+        sources[side] = (edges[:, None] * (per_edge + 1) + i).ravel()[first]
+    nb = sum(map(len, side_params.values())) - 4
+    boundary, edge_index = np.empty((nb, 2)), np.empty(nb, dtype=np.int64)
     for side, pos in _side_positions(side_params).items():
         boundary[pos] = _side_point(side, side_params[side])
+        edge_index[pos] = sources[side]
     return SampleSet(
-        mesh, interior, cell_index, weights, boundary, side_params, quad, min_level
+        mesh, interior, cell_index, weights, boundary, side_params, quad, min_level,
+        per_edge, edge_index,
     )
 
 

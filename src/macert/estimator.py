@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfs import FeFunction
-from .envelope import ContactSet, LowerHull, SampleSet, _side_point, boundary_residual
-from .geometry import SIDES, RectMesh, min_edge_length
+from .envelope import ContactSet, LowerHull, SampleSet, boundary_residual, edge_values
+from .geometry import RectMesh, min_edge_length
 from .hjb import xi_of_batch
 
 SQRT2 = float(np.sqrt(2.0))
@@ -196,17 +196,11 @@ def max_boundary_trace_error(
     """Per-boundary-edge and global sup of |g - v_h| on the boundary.
 
     The per-edge errors are aligned with ``mesh.boundary_edges``.  Each edge
-    is sampled at ``points_per_edge`` equispaced points.  All owners are
-    evaluated in one batch at the points of all four sides of the reference
-    cell, and each edge keeps the points of its own side.
+    is sampled at ``points_per_edge`` equispaced points, all edges in one
+    ``edge_values`` batch.
     """
-    space = v_h.space
-    t = np.linspace(0.0, 1.0, points_per_edge)
-    ref = np.vstack([_side_point(side, t) for side in SIDES])
-    owners, side = space.mesh.boundary_edges.T
-    n, rows = len(owners), np.arange(len(owners))
-    vals = v_h.on_cells(owners, ref, what=("N",))["N"].reshape(n, 4, -1)[rows, side]
-    pts = space.cell_points(owners, ref).reshape(n, 4, -1, 2)[rows, side].reshape(-1, 2)
+    vals, pts = edge_values(v_h, np.linspace(0.0, 1.0, points_per_edge))
+    pts = pts.reshape(-1, 2)
     gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
     errs = np.max(np.abs(gv.reshape(vals.shape) - vals), axis=1)
     return errs, float(errs.max(initial=0.0))

@@ -6,7 +6,8 @@ so they stay stable across refinement.  A mesh holds its cells as one sorted
 integer array and derives vertices, hanging nodes and boundary edges from
 integer keys by ``np.unique`` and ``searchsorted``, so every coordinate is an
 exact dyadic rational.  Between layers a cell is named by its row in that
-array, which is cell-id order, and a side of the square by its ``SIDES`` index.
+array, which is cell-id order, and a side of the square by its ``SIDES`` index;
+``refine`` takes the rows to split.
 """
 from __future__ import annotations
 
@@ -23,13 +24,6 @@ SIDES = ("bottom", "right", "top", "left")  # counter-clockwise, as boundary sam
 _EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
 
 
-def _as_cells(cells) -> np.ndarray:
-    """(n, 3) int64 array of (level, ix, iy) rows from ids or an array."""
-    if not isinstance(cells, np.ndarray):
-        cells = list(cells)
-    return np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-
-
 class RectMesh:
     """Immutable quadtree partition of the closed unit square.
 
@@ -43,7 +37,9 @@ class RectMesh:
     """
 
     def __init__(self, cells: Iterable[CellId]):
-        cells = _as_cells(cells)
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         if not len(cells):
             raise ValueError("mesh needs at least one cell")
         # (level, ix, iy) per cell, sorted, so each level is contiguous
@@ -106,39 +102,6 @@ class RectMesh:
     def max_cell_size(self) -> float:
         return 0.5**self.min_level
 
-    def locate(self, x, y):
-        """Indices of the leaves containing the points (x, y).
-
-        ``x`` and ``y`` broadcast together; the result has their shape, or is
-        an int for scalars.  A point on cell borders goes to the leaf whose
-        half-open cell [ix, ix+1) x [iy, iy+1) / 2**level holds it, closed at
-        x = 1 and y = 1.  Each level is one ``searchsorted`` over its sorted
-        keys ix * 2**level + iy, finest level first.
-        """
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
-        if not np.all(inside):
-            bad = np.flatnonzero(~inside.ravel())[0]
-            raise ValueError(
-                f"point ({x.flat[bad]}, {y.flat[bad]}) outside the unit square"
-            )
-        xs, ys = x.ravel(), y.ravel()
-        cells = np.empty(xs.size, dtype=np.int64)
-        todo = np.arange(xs.size)
-        for level in range(self.max_level, self.min_level - 1, -1):
-            if not todo.size:
-                break
-            n = 1 << level
-            ix = np.minimum((xs[todo] * n).astype(np.int64), n - 1)
-            iy = np.minimum((ys[todo] * n).astype(np.int64), n - 1)
-            found = self._find(level, ix, iy)
-            hit = found >= 0
-            cells[todo[hit]] = found[hit]
-            todo = todo[~hit]
-        if todo.size:
-            raise RuntimeError("point not covered; mesh invariant violated")
-        return cells.reshape(x.shape) if x.ndim else int(cells[0])
-
     def _find(self, level: int, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index of the leaf (level, ix, iy) for each pair, or -1 if none.
 
@@ -167,27 +130,27 @@ def min_edge_length(mesh: RectMesh) -> float:
     return 0.5**mesh.max_level
 
 
-def refine(mesh: RectMesh, marked: Iterable[CellId]) -> RectMesh:
-    """Split every marked leaf into 4 children and restore 1-irregularity.
+def refine(mesh: RectMesh, rows) -> RectMesh:
+    """Split the leaves at the given rows into 4 children each and restore
+    1-irregularity.
 
-    On a 1-irregular mesh the leaf covering a face neighbour of a level-L
-    leaf is at level L - 1 or finer, and the children of a split at level L
-    may only face leaves at level L or finer.  So a split at level L forces
-    the split of each level-(L-1) leaf covering one of its in-domain face
-    neighbours, and one pass over the levels, finest first, closes the
-    marking.  The mesh must be 1-irregular, as ``init_uniform`` and
-    ``refine`` make it.
+    ``rows`` are integer rows of ``mesh``, as ``indicators_and_mark``
+    returns them; any other input raises ``ValueError``.  On a 1-irregular
+    mesh the leaf covering a face neighbour of a level-L leaf is at level
+    L - 1 or finer, and the children of a split at level L may only face
+    leaves at level L or finer.  So a split at level L forces the split of
+    each level-(L-1) leaf covering one of its in-domain face neighbours, and
+    one pass over the levels, finest first, closes the marking.  The mesh
+    must be 1-irregular, as ``init_uniform`` and ``refine`` make it.
     """
-    marked = _as_cells(marked)
-    size = np.ldexp(1.0, -marked[:, 0])
-    leaf = mesh.locate((marked[:, 1] + 0.5) * size, (marked[:, 2] + 0.5) * size)
-    wrong = np.any(mesh.cell_array[leaf] != marked, axis=1)
-    if np.any(wrong):
-        cid = tuple(marked[np.argmax(wrong)].tolist())
-        raise ValueError(f"marked cell {cid} is not a leaf")
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"marked rows must be integers, not {rows.dtype}")
+    if np.any((rows < 0) | (rows >= len(mesh))):
+        raise ValueError(f"marked rows must lie in [0, {len(mesh)})")
     level, ix, iy = mesh.cell_array.T
     split = np.zeros(len(mesh), dtype=bool)
-    split[leaf] = True
+    split[rows.astype(np.int64)] = True
     for L in range(mesh.max_level, mesh.min_level, -1):
         cells = np.flatnonzero(split & (level == L))
         n = 1 << L

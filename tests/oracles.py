@@ -12,9 +12,29 @@ from macert.hjb import eval_F_batch
 
 
 def point_fields(vh, pts, what):
-    """Columns of the derivatives ``what`` of vh at arbitrary points."""
-    fields = vh._eval_points(pts, what)
-    return np.column_stack([fields[k] for k in what])
+    """Columns of the derivatives ``what`` of vh at arbitrary points: each
+    point's leaf by the scalar walk, the column-wise tabulation at its
+    reference coordinates, and a row dot with the leaf's coefficients."""
+    space = vh.space
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    cells = locate_scalar(space.mesh, pts)
+    level, ix, iy = space.mesh.cell_array[cells].T
+    h = 0.5**level
+    ref = (pts - np.column_stack([ix, iy]) * h[:, None]) / h[:, None]
+    tab = tabulate_basis_reference(h, ref)
+    local = vh.coeffs[space.cell_dofs[cells]]
+    return np.column_stack([np.einsum("pj,pj->p", local, tab[k]) for k in what])
+
+
+def point_values(vh, pts):
+    """Values of vh at arbitrary points, by ``point_fields``."""
+    return point_fields(vh, pts, ("N",))[:, 0]
+
+
+def sample_values(vh, samples):
+    """Values of vh at all points of a build_samples set, in point order: the
+    interior by ``point_values``, the boundary by its per-edge batch."""
+    return np.concatenate([point_values(vh, samples.interior), samples.boundary_values(vh)])
 
 
 def sample_hessians(vh, samples):
@@ -79,7 +99,7 @@ def lp_envelope(points, values, query):
 def envelope_gap(v_h, samples, subdiv=4):
     """Sampled sup of |v_h - nodal PL interpolant| over the induced triangulation."""
     pts = samples.points
-    vals = v_h.value(pts)
+    vals = point_values(v_h, pts)
     tri = Delaunay(pts)
     bary = np.array(
         [(i / subdiv, j / subdiv, (subdiv - i - j) / subdiv)
@@ -87,7 +107,7 @@ def envelope_gap(v_h, samples, subdiv=4):
     )
     qpts = np.einsum("bk,tkd->tbd", bary, pts[tri.simplices]).reshape(-1, 2)
     ivals = (vals[tri.simplices] @ bary.T).ravel()
-    return float(np.max(np.abs(v_h.value(qpts) - ivals)))
+    return float(np.max(np.abs(point_values(v_h, qpts) - ivals)))
 
 
 def select_j_scalar(mu, data, delta):
@@ -151,15 +171,30 @@ def assemble_reference(space, quad, a11, a12, a22):
     ).tocsr()
 
 
-def locate_scalar(mesh, x, y):
-    """Leaf index of (x, y) by a walk from the finest level down, point by point."""
+def rows_of(mesh, ids):
+    """Sorted rows of the leaves ``ids`` = (level, ix, iy), through ``cell_ids``."""
     index = {cid: i for i, cid in enumerate(mesh.cell_ids)}
-    for level in range(mesh.max_level, mesh.min_level - 1, -1):
-        n = 1 << level
-        cid = (level, min(int(x * n), n - 1), min(int(y * n), n - 1))
-        if cid in index:
-            return index[cid]
-    raise RuntimeError("point not covered")
+    return np.array(sorted(index[tuple(cid)] for cid in ids), dtype=np.int64)
+
+
+def locate_scalar(mesh, pts):
+    """Leaf row of each point by a walk from the finest level down, point by
+    point; a point on cell borders goes to the leaf whose half-open cell
+    [ix, ix+1) x [iy, iy+1) / 2**level holds it, closed at x = 1 and y = 1."""
+    index = {cid: i for i, cid in enumerate(mesh.cell_ids)}
+    rows = []
+    for x, y in np.atleast_2d(pts).tolist():
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise ValueError(f"point ({x}, {y}) outside the unit square")
+        for level in range(mesh.max_level, mesh.min_level - 1, -1):
+            n = 1 << level
+            cid = (level, min(int(x * n), n - 1), min(int(y * n), n - 1))
+            if cid in index:
+                rows.append(index[cid])
+                break
+        else:
+            raise RuntimeError("point not covered")
+    return np.array(rows, dtype=np.int64)
 
 
 # -- the dict and tuple mesh code that the integer-array mesh replaced --------

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import lp_envelope, sample_hessians
+from oracles import lp_envelope, sample_hessians, sample_values
 
 from macert.bench import RunConfig, rate_fit, run
 from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
@@ -206,10 +206,7 @@ def test_criterion_3_quadratic_reproduction():
         assert linf <= 1e-8
         samples = build_samples(mesh, quad, per_edge=128)
         v_h = result.u_h
-        values = np.concatenate(
-            [v_h.value(samples.interior), v_h.value(samples.boundary)]
-        )
-        hull = lower_hull(samples, values)
+        hull = lower_hull(samples, sample_values(v_h, samples))
         hessians = sample_hessians(v_h, samples)
         contact = contact_set(hull, hessians)
         cert = rhs0(lambda x, y: 2.0 + 0 * x, u, hull, contact, hessians)

@@ -1,4 +1,13 @@
+import ast
+import pathlib
+
+import pytest
+
 import macert
+
+MODULES = sorted(
+    p for p in pathlib.Path(macert.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
 
 
 def test_public_names_resolve_once():
@@ -7,3 +16,20 @@ def test_public_names_resolve_once():
     namespace = {}
     exec("from macert import *", namespace)
     assert all(name in namespace for name in macert.__all__)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # no linter runs here; an import its module never reads is left over code
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

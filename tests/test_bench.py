@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import point_fields, sample_hessians
+from oracles import point_fields, point_values, rows_of, sample_hessians, sample_values
 
 from macert.bench import (
     DAT_COLUMNS,
@@ -36,22 +36,23 @@ def fd_hessian(u, x, y, h=1e-5):
 class TestExperimentRegistry:
     @pytest.mark.parametrize("eid", [1, 3])
     def test_density_is_det_hessian(self, eid):
-        # the Monge-Ampere density must match det D2u of the exact solution
+        # the Monge-Ampere density (f/2)^2 must match det D2u of the exact
+        # solution by finite differences
         exp = EXPERIMENTS[eid]
         rng = np.random.default_rng(eid)
         pts = rng.uniform(0.15, 0.85, size=(25, 2))
         uxx, uxy, uyy = fd_hessian(lambda a, b: exp.exact.u(a, b), pts[:, 0], pts[:, 1])
         det = uxx * uyy - uxy**2
-        assert np.allclose(det, exp.ma_density(pts[:, 0], pts[:, 1]), rtol=1e-4)
+        assert np.allclose(det, (exp.f(pts[:, 0], pts[:, 1]) / 2) ** 2, rtol=1e-4)
 
     @pytest.mark.parametrize("eid", [1, 2, 3])
     def test_f_is_twice_sqrt_density(self, eid):
+        # (f/2)^2 = det D2u of the exact Hessian
         exp = EXPERIMENTS[eid]
         rng = np.random.default_rng(10 + eid)
         x, y = rng.uniform(0.1, 0.9, size=(2, 50))
-        assert np.allclose(
-            exp.f(x, y), 2.0 * np.sqrt(exp.ma_density(x, y)), rtol=1e-12
-        )
+        uxx, uxy, uyy = exp.exact.hess(x, y)
+        assert np.allclose((exp.f(x, y) / 2) ** 2, uxx * uyy - uxy**2, rtol=1e-12)
 
     @pytest.mark.parametrize("eid", [1, 2, 3])
     def test_gradient_and_hessian_consistent(self, eid):
@@ -152,11 +153,11 @@ class TestProlongation:
         from macert.bfs import FeFunction
 
         vh = FeFunction(space, coeffs)
-        fine = BfsSpace(refine(mesh, mesh.cell_ids))
+        fine = BfsSpace(refine(mesh, np.arange(len(mesh))))
         fine_coeffs = prolongate(vh, fine)
         wh = FeFunction(fine, fine_coeffs)
         pts = rng.uniform(0, 1, size=(60, 2))
-        assert np.allclose(wh.value(pts), vh.value(pts), atol=1e-11)
+        assert np.allclose(point_values(wh, pts), point_values(vh, pts), atol=1e-11)
         grad = ("Nx", "Ny")
         assert np.allclose(point_fields(wh, pts, grad), point_fields(vh, pts, grad), atol=1e-10)
 
@@ -172,10 +173,10 @@ class TestProlongation:
         coeffs[2::4] = xs
         coeffs[3::4] = 1.0
         vh = FeFunction(space, coeffs)
-        fine = BfsSpace(refine(mesh, [(1, 0, 0)]))
+        fine = BfsSpace(refine(mesh, rows_of(mesh, [(1, 0, 0)])))
         wh = FeFunction(fine, prolongate(vh, fine))
         pts = np.random.default_rng(1).uniform(0, 1, size=(40, 2))
-        assert np.allclose(wh.value(pts), pts[:, 0] * pts[:, 1], atol=1e-12)
+        assert np.allclose(point_values(wh, pts), pts[:, 0] * pts[:, 1], atol=1e-12)
 
 
 class TestRunLoop:
@@ -210,8 +211,7 @@ class TestRunLoop:
         assert [r.ndof for r in rows] == [4, 16]
         for row, vh in zip(rows, solved):
             samples = build_samples(vh.space.mesh, QuadRule(20), per_edge=4)
-            values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-            hull = lower_hull(samples, values)
+            hull = lower_hull(samples, sample_values(vh, samples))
             hessians = sample_hessians(vh, samples)
             fine = rhs0(exp.f, exp.g, hull, contact_set(hull, hessians), hessians).rhs0
             assert row.eta2 >= 0.9 * fine, f"ndof {row.ndof}: {row.eta2:.3f} vs {fine:.3f}"

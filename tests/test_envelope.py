@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import envelope_gap, lp_envelope, point_fields, sample_hessians
+from oracles import (
+    envelope_gap,
+    lp_envelope,
+    point_fields,
+    point_values,
+    rows_of,
+    sample_hessians,
+    sample_values,
+)
 
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.bench import EXPERIMENTS
@@ -17,6 +25,7 @@ from macert.envelope import (
     boundary_residual,
     build_samples,
     contact_set,
+    edge_values,
     lower_hull,
 )
 from macert.geometry import init_uniform, refine
@@ -63,7 +72,9 @@ class TestBuildSamples:
     def test_boundary_layout(self):
         # each point once, sides in order, first occurrence of each corner
         # kept, and _side_positions addresses every side's points
-        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 0)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 0)]))
         samples = build_samples(mesh, QuadRule(2), per_edge=3)
         expected = []
         for side in ("bottom", "right", "top", "left"):
@@ -126,8 +137,9 @@ class TestBuildSamples:
         [
             init_uniform(2),
             init_uniform(3),
-            refine(init_uniform(2), [(2, 1, 1)]),
-            refine(init_uniform(1), [(1, 0, 0)]),  # level-1 and level-2 leaves
+            refine(init_uniform(2), rows_of(init_uniform(2), [(2, 1, 1)])),
+            # level-1 and level-2 leaves
+            refine(init_uniform(1), rows_of(init_uniform(1), [(1, 0, 0)])),
         ],
         ids=["level2", "level3", "graded", "mixed"],
     )
@@ -146,15 +158,56 @@ class TestBuildSamples:
                 assert b.sum() == 4 ** (2 - cid[0]) * a.sum()
 
     def test_interior_fields_match_pointwise_values(self):
-        mesh = refine(init_uniform(1), [(1, 0, 0)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
         space = BfsSpace(mesh)
         vh = FeFunction(space, np.random.default_rng(3).standard_normal(space.nfull))
         samples = build_samples(mesh, QuadRule(3), per_edge=1, min_level=2)
         fields = samples.interior_fields(vh, ("N", "Nxx", "Nxy", "Nyy"))
-        assert np.allclose(fields["N"], vh.value(samples.interior), atol=1e-12)
+        assert np.allclose(fields["N"], point_values(vh, samples.interior), atol=1e-12)
         H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
         for k, name in enumerate(("Nxx", "Nxy", "Nyy")):
             assert np.allclose(fields[name], H[:, k], atol=1e-10)
+
+
+class TestBoundaryValues:
+    @staticmethod
+    def graded_fe(seed):
+        # boundary edges of levels 1 to 4, random coefficients
+        mesh = init_uniform(1)
+        for cid in ((1, 0, 0), (2, 0, 0), (3, 1, 0), (1, 1, 1)):
+            mesh = refine(mesh, rows_of(mesh, [cid]))
+        space = BfsSpace(mesh)
+        return FeFunction(space, np.random.default_rng(seed).standard_normal(space.nfull))
+
+    @pytest.mark.parametrize("per_edge", [1, 3, 4])
+    def test_match_pointwise_oracle(self, per_edge):
+        vh = self.graded_fe(per_edge)
+        mesh = vh.space.mesh
+        assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
+        samples = build_samples(mesh, QuadRule(2), per_edge=per_edge, min_level=2)
+        _, pts = edge_values(vh, np.arange(per_edge + 1) / per_edge)
+        assert np.array_equal(pts.reshape(-1, 2)[samples.edge_index], samples.boundary)
+        got = samples.boundary_values(vh)
+        want = point_values(vh, samples.boundary)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_edge_endpoints_are_value_coefficients(self):
+        # every owner of a shared endpoint or corner returns the vertex's
+        # value coefficient bit for bit
+        vh = self.graded_fe(0)
+        mesh = vh.space.mesh
+        vals, pts = edge_values(vh, np.array([0.0, 1.0]))
+        keys = np.rint(pts * mesh.res).astype(np.int64)
+        vertex = np.searchsorted(
+            mesh.vertex_keys[:, 1] * (mesh.res + 1) + mesh.vertex_keys[:, 0],
+            keys[..., 1] * (mesh.res + 1) + keys[..., 0],
+        )
+        assert np.array_equal(mesh.vertex_keys[vertex], keys)
+        assert np.array_equal(vals, vh.coeffs[4 * vertex])
+        # each boundary vertex ends two edges: a corner's two sides or two
+        # neighbours along one side
+        assert np.all(np.bincount(vertex.ravel())[vertex] == 2)
 
 
 class TestLowerHull:
@@ -267,7 +320,7 @@ class TestBucketIndex:
     def _corner_graded():
         mesh = init_uniform(0)
         for level in range(8):
-            mesh = refine(mesh, [(level, 0, 0)])
+            mesh = refine(mesh, rows_of(mesh, [(level, 0, 0)]))
         return mesh, exact_fe(mesh, 1)
 
     @staticmethod
@@ -282,7 +335,7 @@ class TestBucketIndex:
         mesh, vh = getattr(self, setup)()
         samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
         values = np.concatenate(
-            [samples.interior_fields(vh, ("N",))["N"], vh.value(samples.boundary)]
+            [samples.interior_fields(vh, ("N",))["N"], samples.boundary_values(vh)]
         )
         hull = lower_hull(samples, values)
         keys, facets, depths = hull._buckets
@@ -322,8 +375,7 @@ class TestContactSet:
         )
         quad = QuadRule(3)
         samples = build_samples(mesh, quad, per_edge=4)
-        values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-        return vh, samples, lower_hull(samples, values)
+        return vh, samples, lower_hull(samples, sample_values(vh, samples))
 
     def test_convex_quadratic_all_flagged(self):
         vh, samples, hull = self._quadratic_setup()
@@ -358,8 +410,7 @@ class TestContactSet:
             mesh, lambda x, y: np.abs(x - 0.5), lambda x, y: np.sign(x - 0.5), lambda x, y: 0.0 * x
         )
         samples = build_samples(mesh, QuadRule(3), per_edge=8)
-        values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-        hull = lower_hull(samples, values)
+        hull = lower_hull(samples, sample_values(vh, samples))
         contact = contact_set(hull, sample_hessians(vh, samples))
         assert contact.flags.all()
         H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
@@ -372,10 +423,10 @@ class TestContactSet:
         vh, samples, hull = self._quadratic_setup(2.0, 0.0, 1.0)
         contact = contact_set(hull, sample_hessians(vh, samples))
         pts = samples.interior
-        vals = vh.value(pts)
+        vals = point_values(vh, pts)
         for k in range(0, len(pts), 7):
             exact = lp_envelope(samples.points, np.concatenate(
-                [vals, vh.value(samples.boundary)]), pts[k])
+                [vals, samples.boundary_values(vh)]), pts[k])
             if abs(vals[k] - exact) < 1e-13:
                 assert contact.flags[k]
 
@@ -386,8 +437,7 @@ class TestBoundaryResidual:
         one = lambda x, y: 1.0 + 0.0 * x
         vh = nodal_fe(mesh, lambda x, y: x + y, one, one)
         samples = build_samples(mesh, QuadRule(2), per_edge=4)
-        values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-        hull = lower_hull(samples, values)
+        hull = lower_hull(samples, sample_values(vh, samples))
         mu = boundary_residual(hull, lambda x, y: x + y)
         assert mu <= 1e-12
 
@@ -400,8 +450,7 @@ class TestBoundaryResidual:
             lambda x, y: x * (1 - x) * (1 - 2 * y),
         )
         samples = build_samples(mesh, QuadRule(2), per_edge=4)
-        values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-        hull = lower_hull(samples, values)
+        hull = lower_hull(samples, sample_values(vh, samples))
         assert boundary_residual(hull, lambda x, y: 0.0 * x) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_interp_gap(self):
@@ -410,8 +459,7 @@ class TestBoundaryResidual:
         vh = nodal_fe(mesh, lambda x, y: 0.5 * (x**2 + y**2), lambda x, y: x, lambda x, y: y)
         per_edge = 8  # 16 boundary segments per unit length
         samples = build_samples(mesh, QuadRule(3), per_edge)
-        values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-        hull = lower_hull(samples, values)
+        hull = lower_hull(samples, sample_values(vh, samples))
         mu = boundary_residual(hull, lambda x, y: 0.5 * (x**2 + y**2))
         assert mu == pytest.approx((1 / 16) ** 2 / 8, rel=1e-10)
 
@@ -448,11 +496,10 @@ def test_sandwich_inequality():
     mesh = init_uniform(2)
     vh = nodal_fe(mesh, lambda x, y: np.exp(x) + y**2, lambda x, y: np.exp(x), lambda x, y: 2 * y)
     samples = build_samples(mesh, QuadRule(3), per_edge=3)
-    values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-    hull = lower_hull(samples, values)
+    hull = lower_hull(samples, sample_values(vh, samples))
     delta = envelope_gap(vh, samples)
     check = samples.points
-    assert np.all(hull.evaluate(check) - delta <= vh.value(check) + 1e-10)
+    assert np.all(hull.evaluate(check) - delta <= point_values(vh, check) + 1e-10)
 
 
 def test_lower_hull_1d():

@@ -7,7 +7,10 @@ from oracles import (
     envelope_gap,
     mark_reference,
     point_fields,
+    point_values,
+    rows_of,
     sample_hessians,
+    sample_values,
     select_j_scalar,
 )
 
@@ -40,8 +43,7 @@ def quadratic_fe(mesh, m11=1.0, m12=0.0, m22=1.0):
 
 
 def envelope_of(vh, samples):
-    values = np.concatenate([vh.value(samples.interior), vh.value(samples.boundary)])
-    return lower_hull(samples, values)
+    return lower_hull(samples, sample_values(vh, samples))
 
 
 class TestDataErrorNorms:
@@ -310,7 +312,7 @@ class TestMarking:
         # hanging nodes and three levels
         mesh = init_uniform(1)
         for cid in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
-            mesh = refine(mesh, [cid])
+            mesh = refine(mesh, rows_of(mesh, [cid]))
         assert len(mesh.hanging) and len(set(mesh.levels.tolist())) == 3
         edge_keys = [(ci, SIDES[side]) for ci, side in mesh.boundary_edges.tolist()]
         rng = np.random.default_rng(11)
@@ -339,7 +341,7 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     # edges of several levels on every side, evaluated one group at a time
     mesh = init_uniform(1)
     for cid in ((1, 0, 0), (2, 0, 0), (1, 1, 1)):
-        mesh = refine(mesh, [cid])
+        mesh = refine(mesh, rows_of(mesh, [cid]))
     space = BfsSpace(mesh)
     vh = FeFunction(space, np.random.default_rng(4).standard_normal(space.nfull))
     g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
@@ -351,6 +353,6 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     for (ci, side), err in zip(mesh.boundary_edges.tolist(), errs.tolist()):
         (xa, ya), (xb, yb) = boundary_edge_segment(mesh, ci, SIDES[side])
         pts = np.column_stack([xa + (xb - xa) * t, ya + (yb - ya) * t])
-        expected = np.max(np.abs(g(pts[:, 0], pts[:, 1]) - vh.value(pts)))
+        expected = np.max(np.abs(g(pts[:, 0], pts[:, 1]) - point_values(vh, pts)))
         assert err == pytest.approx(expected, abs=1e-12 * scale)
     assert worst == errs.max()

@@ -17,6 +17,7 @@ from oracles import (
     prolongate_reference,
     reduction_reference,
     refine_reference,
+    rows_of,
     topology_reference,
 )
 
@@ -59,37 +60,40 @@ class TestInitUniform:
 
 class TestRefine:
     def test_uniform_refinement(self):
-        mesh = refine(init_uniform(1), init_uniform(1).cell_ids)
+        mesh = refine(init_uniform(1), np.arange(4))
         assert len(mesh) == 16
         assert len(mesh.hanging) == 0
 
     def test_single_cell_split(self):
-        mesh = refine(init_uniform(0), [(0, 0, 0)])
+        mesh = refine(init_uniform(0), [0])
         assert len(mesh) == 4
 
     def test_corner_twice_keeps_one_irregularity(self):
-        mesh = refine(init_uniform(2), [(2, 0, 0)])
-        mesh = refine(mesh, [(3, 0, 0)])
+        mesh = init_uniform(2)
+        mesh = refine(mesh, rows_of(mesh, [(2, 0, 0)]))
+        mesh = refine(mesh, rows_of(mesh, [(3, 0, 0)]))
         brute_force_valid(mesh)
-        mesh = refine(mesh, [(4, 0, 0)])
+        mesh = refine(mesh, rows_of(mesh, [(4, 0, 0)]))
         brute_force_valid(mesh)
 
     def test_closure_triggers(self):
         # refining a level-2 cell twice next to level-1 neighbours forces splits
         mesh = init_uniform(1)
-        mesh = refine(mesh, [(1, 0, 0)])
-        mesh = refine(mesh, [(2, 1, 1)])
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1)]))
         brute_force_valid(mesh)
         levels = {cid[0] for cid in mesh.cell_ids}
         assert 3 in levels
 
-    def test_not_a_leaf_raises(self):
-        mesh = refine(init_uniform(1), [(1, 0, 0)])
-        with pytest.raises(ValueError):
-            refine(mesh, [(1, 0, 0)])
+    def test_invalid_rows_raise(self):
+        mesh = init_uniform(1)
+        for rows in ([-1], [len(mesh)], np.array([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                refine(mesh, rows)
 
     def test_min_edge_after_local_refine(self):
-        mesh = refine(init_uniform(2), [(2, 1, 1)])
+        mesh = init_uniform(2)
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1)]))
         assert min_edge_length(mesh) == pytest.approx(1 / 8, abs=0)
 
 
@@ -102,7 +106,7 @@ def test_random_refinement_keeps_invariants(plan):
     for pick, extra in plan:
         ids = mesh.cell_ids
         marked = {ids[pick % len(ids)], ids[(pick + extra) % len(ids)]}
-        mesh = refine(mesh, marked)
+        mesh = refine(mesh, rows_of(mesh, marked))
     brute_force_valid(mesh)
     assert min_edge_length(mesh) == 0.5**mesh.max_level
 
@@ -110,7 +114,7 @@ def test_random_refinement_keeps_invariants(plan):
 def assert_matches_reference(coarse, marked, rng):
     """Refinement, topology, constraints and prolongation against the
     dict-and-recursion references, all bitwise."""
-    mesh = refine(coarse, marked)
+    mesh = refine(coarse, rows_of(coarse, marked))
     assert list(mesh.cell_ids) == refine_reference(coarse, marked)
     ref = topology_reference(mesh)
     assert np.array_equal(mesh.vertex_keys, np.array(ref.vertex_keys))
@@ -159,7 +163,7 @@ def test_array_mesh_matches_reference(corner, extra):
     for picks in steps:
         ids = mesh.cell_ids
         if picks is None:
-            marked = {ids[mesh.locate(*corner)]}
+            marked = {ids[locate_scalar(mesh, corner)[0]]}
         else:
             marked = {ids[k % len(ids)] for k in picks}
         mesh = assert_matches_reference(mesh, marked, rng)
@@ -170,7 +174,7 @@ def test_min_edge_halves_under_uniform_refinement():
     mesh = init_uniform(1)
     for _ in range(3):
         previous = min_edge_length(mesh)
-        mesh = refine(mesh, mesh.cell_ids)
+        mesh = refine(mesh, np.arange(len(mesh)))
         assert min_edge_length(mesh) == previous / 2
 
 
@@ -214,7 +218,8 @@ class TestBandSplit:
 
     def test_interval_intersection(self):
         # delta = 1/8: the band edge x = 1/8 halves the coarse boundary leaf
-        mesh = refine(init_uniform(2), [(2, 1, 1)])
+        mesh = init_uniform(2)
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1)]))
         _, inner = band_parts(mesh, 1)
         assert inner[mesh.cell_ids.index((2, 0, 1))] == pytest.approx(1 / 32, abs=1e-15)
 
@@ -225,7 +230,8 @@ class TestBandSplit:
         assert band_parts(mesh, j)[1].sum() == pytest.approx(expected, abs=1e-12)
 
     def test_band_areas_on_adaptive_mesh(self):
-        mesh = refine(init_uniform(2), [(2, 1, 1), (2, 2, 2)])
+        mesh = init_uniform(2)
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1), (2, 2, 2)]))
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
             total = band_parts(mesh, j)[1].sum()
@@ -233,51 +239,9 @@ class TestBandSplit:
 
 
 def test_locate_and_ids_stable():
-    mesh = refine(init_uniform(1), [(1, 0, 0)])
-    ci = mesh.locate(0.1, 0.1)
-    assert mesh.cell_ids[ci] == (2, 0, 0)
-    ci = mesh.locate(0.9, 0.9)
-    assert mesh.cell_ids[ci] == (1, 1, 1)
+    coarse = init_uniform(1)
+    mesh = refine(coarse, rows_of(coarse, [(1, 0, 0)]))
+    rows = locate_scalar(mesh, [(0.1, 0.1), (0.9, 0.9)])
+    assert [mesh.cell_ids[r] for r in rows] == [(2, 0, 0), (1, 1, 1)]
     # parent-child path encoding: the surviving coarse ids are unchanged
     assert (1, 1, 1) in mesh.cell_ids
-
-
-class TestLocate:
-    @staticmethod
-    def graded_mesh():
-        mesh = init_uniform(1)
-        for level in range(1, 7):
-            mesh = refine(mesh, [(level, 0, 0)])
-        mesh = refine(mesh, [(1, 1, 1)])
-        return refine(mesh, [(2, 2, 3)])
-
-    def test_matches_scalar_walk(self):
-        mesh = self.graded_mesh()
-        rng = np.random.default_rng(5)
-        verts = mesh.vertex_coords
-        t = rng.uniform(0.0, 1.0, len(verts))
-        ones = np.ones(200)
-        pts = np.vstack([
-            rng.uniform(0.0, 1.0, (1000, 2)),
-            rng.uniform(0.0, 1 / 64, (300, 2)),
-            verts,  # cell corners and hanging vertices
-            np.column_stack([verts[:, 0], t]),  # on vertical cell edges
-            np.column_stack([t, verts[:, 1]]),  # on horizontal cell edges
-            np.column_stack([ones, rng.uniform(0.0, 1.0, 200)]),  # x = 1
-            np.column_stack([rng.uniform(0.0, 1.0, 200), ones]),  # y = 1
-        ])
-        got = mesh.locate(pts[:, 0], pts[:, 1])
-        expected = [locate_scalar(mesh, x, y) for x, y in pts]
-        assert got.dtype.kind == "i" and np.array_equal(got, expected)
-        assert mesh.locate(pts[:5, 0].reshape(5, 1), pts[:3, 1]).shape == (5, 3)
-
-    def test_scalar_point_gives_int(self):
-        mesh = self.graded_mesh()
-        ci = mesh.locate(1.0, 1.0)
-        assert isinstance(ci, int) and ci == locate_scalar(mesh, 1.0, 1.0)
-
-    @pytest.mark.parametrize("x, y", [(-0.1, 0.5), (0.5, 1.0 + 2**-52), (np.nan, 0.5)])
-    def test_outside_raises(self, x, y):
-        mesh = self.graded_mesh()
-        with pytest.raises(ValueError, match="outside the unit square"):
-            mesh.locate(np.array([0.5, x]), np.array([0.5, y]))

@@ -10,7 +10,7 @@ from macert.bfs import (
 from macert.geometry import init_uniform, refine
 from macert.hjb import HjbProblem, _Assembler, eval_F_batch, solve
 
-from oracles import assemble_reference
+from oracles import assemble_reference, rows_of
 
 
 def quadratic_exact():
@@ -25,7 +25,8 @@ class TestQuadraticReproduction:
         # eps = 1/2 pins the policy at I/2: the scheme is a Poisson solve
         exact = quadratic_exact()
         problem = HjbProblem(0.5, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
-        for mesh in (init_uniform(1), refine(init_uniform(1), [(1, 1, 1)])):
+        coarse = init_uniform(1)
+        for mesh in (coarse, refine(coarse, rows_of(coarse, [(1, 1, 1)]))):
             res = solve(BfsSpace(mesh), problem, QuadRule(5))
             assert res.converged
             linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
@@ -43,7 +44,7 @@ class TestQuadraticReproduction:
     def test_hanging_node_mesh(self):
         exact = quadratic_exact()
         problem = HjbProblem(0.2, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
-        mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
+        mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
         res = solve(BfsSpace(mesh), problem, QuadRule(5))
         linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
@@ -125,7 +126,7 @@ def _record_splu(monkeypatch):
 def _corner_graded_mesh(times):
     mesh = init_uniform(2)
     for level in range(2, 2 + times):
-        mesh = refine(mesh, [(level, 0, 0)])
+        mesh = refine(mesh, rows_of(mesh, [(level, 0, 0)]))
     return mesh
 
 
@@ -155,7 +156,7 @@ class TestDiagonalPivoting:
         # v^T K_r(A) v >= eps v^T K_r(I) v for every policy A with eigenvalues
         # in [eps, 1-eps] and unit trace: a few rounds of the pointwise policy
         # that minimises A:D^2 v Lap v for the worst v found so far
-        mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
+        mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
         space, quad = BfsSpace(mesh), QuadRule(5)
         asm = _Assembler(space, quad)
@@ -185,7 +186,9 @@ class TestDiagonalPivoting:
     def test_miranda_talenti_identity_needs_three_gauss_points(self, degree):
         # sum w (v_xy^2 - v_xx v_yy) vanishes for v_h with zero boundary data
         # when the rule integrates degree (4, 4) exactly: 3 points or more
-        mesh = refine(refine(init_uniform(1), [(1, 0, 0)]), [(2, 1, 1)])
+        mesh = init_uniform(1)
+        mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
+        mesh = refine(mesh, rows_of(mesh, [(2, 1, 1)]))
         assert len(np.unique(mesh.levels)) == 3
         space, quad = BfsSpace(mesh), QuadRule(degree)
         zero = lambda x, y: 0.0 * x
@@ -234,7 +237,7 @@ class TestAssembly:
 
     def test_reduced_matrix_is_sorted_csc(self):
         # splu takes CSC; sorted indices keep K_r equal to a CSR -> CSC round trip
-        mesh = refine(init_uniform(2), [(2, 0, 0), (2, 3, 3)])
+        mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         space, quad = BfsSpace(mesh), QuadRule(5)
         asm = _Assembler(space, quad)
         zero = lambda x, y: 0.0 * x
@@ -264,7 +267,7 @@ def _graded_toward_half(times):
         size = 0.5**mesh.levels
         left = mesh.cell_array[:, 1] * size
         touch = (mesh.levels == mesh.max_level) & (left <= 0.5) & (left + size >= 0.5)
-        mesh = refine(mesh, [tuple(c) for c in mesh.cell_array[touch].tolist()])
+        mesh = refine(mesh, np.flatnonzero(touch))
     return mesh
 
 
