@@ -369,16 +369,30 @@ def run(config: RunConfig, collect_steps: bool = False):
 
 
 def _envelope_error(v_h, exact, hull, quad: QuadRule, linf_samples: int) -> float:
-    """Sampled sup of |u - envelope| over quadrature points and cell grids."""
-    space = v_h.space
-    cells = np.arange(len(space.mesh))
+    """Sampled sup of |u - envelope| over quadrature points and cell grids.
+
+    Where the hull's interior samples are these quadrature points (the hull
+    was sampled on this mesh with this rule and the leaf is at its sampling
+    floor or finer), the envelope is read from ``hull.gamma``: ``cell_points``
+    and ``build_samples`` place the points by the same arithmetic.  Only the
+    other points are evaluated.
+    """
+    space, samples = v_h.space, hull.samples
+    mesh = space.mesh
+    cells = np.arange(len(mesh))
+    shared = np.zeros(len(mesh), dtype=bool)
+    if samples.mesh is mesh and samples.quad == quad:
+        shared = mesh.levels >= samples.min_level
+    rows = np.searchsorted(samples.cell_index, cells[shared])[:, None] + np.arange(quad.npoints)
+    known = space.cell_points(cells[shared], quad.ref_points).reshape(-1, 2)
+    other = np.vstack([
+        space.cell_points(cells[~shared], quad.ref_points).reshape(-1, 2),
+        space.cell_points(cells, _cell_grid(linf_samples)).reshape(-1, 2),
+    ])
     worst = 0.0
-    for ref in (quad.ref_points, _cell_grid(linf_samples)):
-        pts = space.cell_points(cells, ref).reshape(-1, 2)
-        gamma = hull.evaluate(pts)
-        worst = max(
-            worst, float(np.max(np.abs(exact.u(pts[:, 0], pts[:, 1]) - gamma)))
-        )
+    for pts, gamma in ((known, hull.gamma[rows.ravel()]), (other, hull.evaluate(other))):
+        err = np.abs(exact.u(pts[:, 0], pts[:, 1]) - gamma)
+        worst = max(worst, float(np.max(err, initial=0.0)))
     return worst
 
 

@@ -1,13 +1,18 @@
 """Convex envelopes of sampled functions via lower convex hulls in 3D.
 
 The envelope of the nodal interpolant is the lower hull of the lifted points
-(x, y, v(x, y)).  Every lower-facet plane lies below the envelope with
-equality above its own facet, so the envelope evaluates as the maximum of
-candidate facet planes; an index of dyadic squares, each facet filed in at
-most eight of them at its own depth, keeps that maximum local.  The trace of
-the hull on a side of the square only depends on the samples of that side
-(the side plane supports the hull), which reduces the boundary residual to
-four 1D lower hulls.  Boundary values come per boundary edge from one batch,
+(x, y, v(x, y)).  A sample that is a vertex of a lower facet lies on the
+hull, so the envelope there is the sample's own value; only the other
+samples and off-sample points are evaluated.  Every lower-facet plane lies
+below the envelope with equality above its own facet, so the envelope
+evaluates as the maximum of candidate facet planes.  An index of dyadic
+squares keeps that maximum local: each facet is filed, at its own depth, in
+the squares its bounding box meets, at most eight of them, or for a sliver
+(a long, thin box, as the fans Qhull builds along a side with affine data)
+at most twice the box's aspect ratio, capped at 256.  The trace of the hull
+on a side of the square only depends on the samples of that side (the side
+plane supports the hull), which reduces the boundary residual to four 1D
+lower hulls.  Boundary values come per boundary edge from one batch,
 ``edge_values``, which serves the hull samples and the trace error alike.
 """
 from __future__ import annotations
@@ -73,6 +78,8 @@ class SampleSet:
         One ``edge_values`` batch; a point shared by two edges takes either
         owner's value, which is the vertex's value coefficient in both.
         """
+        if self.edge_index is None:
+            raise ValueError("boundary samples without edge_index: use build_samples")
         vals, _ = edge_values(v_h, np.arange(self.per_edge + 1) / self.per_edge)
         return vals.ravel()[self.edge_index]
 
@@ -204,22 +211,32 @@ def build_samples(
 
 @dataclass
 class LowerHull:
-    """Lower convex hull of lifted samples with an evaluation structure."""
+    """Lower convex hull of lifted samples with an evaluation structure.
+
+    ``gamma`` is the envelope at the samples.  A vertex of a lower facet lies
+    on the hull, so its envelope is its own value; every other sample is
+    evaluated.  ``on_hull`` flags the samples within 1e-10 (relative to the
+    largest value) of the envelope, so every vertex is flagged.
+    """
 
     samples: SampleSet
     values: np.ndarray  # v at samples.points, same order
     planes: np.ndarray  # (nf, 3): z = a0*x + a1*y + b per lower facet
     simplices: np.ndarray  # (nf, 3) indices into samples.points
     planar: bool
+    gamma: np.ndarray = field(init=False)  # envelope at samples.points
     on_hull: np.ndarray = field(init=False)  # bool per sample point
     _buckets: tuple = field(init=False, repr=False)  # see _bucket_index
 
     def __post_init__(self):
         pts = self.samples.points
         self._buckets = _bucket_index(pts[self.simplices], self.samples.mesh.max_level + 2)
-        gap = self.values - self.evaluate(pts)
+        rest = np.ones(len(pts), dtype=bool)
+        rest[self.simplices] = False
+        self.gamma = self.values.copy()
+        self.gamma[rest] = self.evaluate(pts[rest])
         scale = 1.0 + float(np.max(np.abs(self.values))) if len(self.values) else 1.0
-        self.on_hull = gap <= 1e-10 * scale
+        self.on_hull = self.values - self.gamma <= 1e-10 * scale
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Envelope values at query points inside the unit square.
@@ -287,8 +304,9 @@ def _lower_hull_1d(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return t[keep], v[keep]
 
 
-_MAX_SQUARES = 8  # index entries per facet
-_CHUNK = 1 << 16  # (point, facet) pairs per segmented max
+_MIN_SQUARES = 8  # index entries a facet may always take
+_MAX_SQUARES = 256  # index entries a sliver facet may take at most
+_CHUNK = 1 << 16  # (point, facet) pairs per segmented max, index entries per pass
 
 
 def _square(q: np.ndarray, n) -> np.ndarray:
@@ -301,29 +319,47 @@ def _square_key(ij: np.ndarray, n) -> np.ndarray:
     return (n * n - 1) // 3 + ij[:, 0] * n + ij[:, 1]
 
 
+def _square_budget(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Index entries per facet: max(8, min(ceil(2 * aspect), 256)).
+
+    The aspect is the long side of the bounding box [lo, hi] over its short
+    side.  Eight squares file a sliver at a depth where its squares also
+    hold many other facets; a budget that grows with the aspect files it
+    where its squares are about as wide as it is.
+    """
+    extent = hi - lo
+    long, short = extent.max(axis=1), extent.min(axis=1)
+    capped = 2.0 * long >= _MAX_SQUARES * short
+    aspect2 = np.divide(2.0 * long, short, out=np.full(len(lo), float(_MAX_SQUARES)), where=~capped)
+    return np.maximum(np.ceil(aspect2), _MIN_SQUARES).astype(np.int64)
+
+
 def _bucket_index(tri: np.ndarray, top: int):
     """Sorted square keys with their facet ids, and the depths in use.
 
     Each facet (triangle ``tri[f]`` in [0, 1]^2) is filed in every square of
     side 2**-d its bounding box meets, d <= ``top`` the deepest depth with at
-    most ``_MAX_SQUARES`` of them; so a point's square at d holds the facet.
+    most ``_square_budget`` of them; so a point's square at d holds the
+    facet.  The keys are expanded ``_CHUNK`` entries at a time.
     """
     lo, hi = tri.min(axis=1), tri.max(axis=1)
+    budget = _square_budget(lo, hi)
     depth = np.zeros(len(tri), dtype=np.int64)
     for d in range(1, top + 1):
         w = _square(hi, 1 << d) - _square(lo, 1 << d) + 1
-        depth[w[:, 0] * w[:, 1] <= _MAX_SQUARES] = d
+        depth[w[:, 0] * w[:, 1] <= budget] = d
     n = np.left_shift(1, depth)
     i0 = _square(lo, n[:, None])
     w = _square(hi, n[:, None]) - i0 + 1
-    facets = np.arange(len(tri), dtype=np.int32)
-    keys, ids = [], []
-    for k in range(_MAX_SQUARES):
-        offset = np.column_stack([k % w[:, 0], k // w[:, 0]])
-        m = offset[:, 1] < w[:, 1]
-        keys.append(_square_key(i0[m] + offset[m], n[m]))
-        ids.append(facets[m])
-    keys, ids = np.concatenate(keys), np.concatenate(ids)
+    size = w[:, 0] * w[:, 1]
+    start = np.cumsum(size) - size
+    ids = np.repeat(np.arange(len(tri), dtype=np.int32), size)
+    keys = np.empty(len(ids), dtype=np.int64)
+    for a in range(0, len(ids), _CHUNK):
+        f = ids[a:a + _CHUNK]
+        k = np.arange(a, a + len(f)) - start[f]  # the k-th square of facet f
+        wf = w[f, 0]
+        keys[a:a + len(f)] = _square_key(i0[f] + np.column_stack([k % wf, k // wf]), n[f])
     order = np.argsort(keys)
     return keys[order], ids[order], np.unique(depth)
 
@@ -348,14 +384,15 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
         return LowerHull(samples, values, planes, np.zeros((0, 3), int), True)
 
     lifted = np.column_stack([pts, values])
+    del A, pts
     try:
         hull = ConvexHull(lifted)
     except QhullError as exc:
         raise ValueError(f"degenerate hull input: {exc}") from exc
     eq = hull.equations  # nx, ny, nz, offset with n . p + offset <= 0 inside
     lower = eq[:, 2] < -1e-12
-    simplices = hull.simplices[lower]
-    eq = eq[lower]
+    simplices, eq = hull.simplices[lower], eq[lower]
+    del hull, lifted  # alive while the index is built, Qhull's output sets the peak memory
     # plane z = a0 x + a1 y + b from nx x + ny y + nz z + off = 0
     planes = np.column_stack([-eq[:, 0] / eq[:, 2], -eq[:, 1] / eq[:, 2], -eq[:, 3] / eq[:, 2]])
     return LowerHull(samples, values, planes, simplices, False)

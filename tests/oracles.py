@@ -96,6 +96,13 @@ def lp_envelope(points, values, query):
     return -res.fun
 
 
+def on_hull_reference(hull):
+    """Envelope evaluated at every sample, and the flags of gap <= 1e-10 * scale."""
+    gamma = hull.evaluate(hull.samples.points)
+    scale = 1.0 + float(np.max(np.abs(hull.values)))
+    return gamma, hull.values - gamma <= 1e-10 * scale
+
+
 def envelope_gap(v_h, samples, subdiv=4):
     """Sampled sup of |v_h - nodal PL interpolant| over the induced triangulation."""
     pts = samples.points

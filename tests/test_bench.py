@@ -16,7 +16,7 @@ from macert.bench import (
     read_dat,
     run,
 )
-from macert.bfs import BfsSpace, QuadRule
+from macert.bfs import BfsSpace, QuadRule, _cell_grid
 from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
@@ -215,6 +215,42 @@ class TestRunLoop:
             hessians = sample_hessians(vh, samples)
             fine = rhs0(exp.f, exp.g, hull, contact_set(hull, hessians), hessians).rhs0
             assert row.eta2 >= 0.9 * fine, f"ndof {row.ndof}: {row.eta2:.3f} vs {fine:.3f}"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(experiment=3, mode="uniform", max_ndof=300, initial_level=0),
+            dict(experiment=1, mode="adaptive", max_ndof=150, initial_level=0),
+        ],
+        ids=["ex3-uniform", "ex1-adaptive"],
+    )
+    def test_envelope_error_matches_evaluating_every_point(self, monkeypatch, config):
+        # the envelope read from hull.gamma on leaves at the sampling floor or
+        # finer agrees with evaluating the hull at every quadrature and grid point
+        import macert.bench as bench
+
+        envelope_error, calls = bench._envelope_error, []
+
+        def recording(*args):
+            calls.append((*args, envelope_error(*args)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(bench, "_envelope_error", recording)
+        run(RunConfig(**config))
+        kinds = set()
+        for v_h, exact, hull, quad, linf_samples, lhs in calls:
+            space = v_h.space
+            cells = np.arange(len(space.mesh))
+            pts = np.vstack([
+                space.cell_points(cells, ref).reshape(-1, 2)
+                for ref in (quad.ref_points, _cell_grid(linf_samples))
+            ])
+            want = np.max(np.abs(exact.u(pts[:, 0], pts[:, 1]) - hull.evaluate(pts)))
+            assert abs(lhs - want) <= 1e-13 * want
+            kinds.add(tuple(sorted(set((space.mesh.levels >= bench._SAMPLE_LEVEL).tolist()))))
+        # meshes below the floor, at or above it, and (adaptive) both at once
+        assert {(False,), (True,)} <= kinds
+        assert ((False, True) in kinds) == (config["mode"] == "adaptive")
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

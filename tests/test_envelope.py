@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import (
     envelope_gap,
     lp_envelope,
+    on_hull_reference,
     point_fields,
     point_values,
     rows_of,
@@ -21,6 +22,7 @@ from macert.envelope import (
     _side_point,
     _side_positions,
     _square,
+    _square_budget,
     _square_key,
     boundary_residual,
     build_samples,
@@ -192,6 +194,13 @@ class TestBoundaryValues:
         want = point_values(vh, samples.boundary)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    def test_hand_built_set_raises(self):
+        # a set not made by build_samples has no edge_index to gather by
+        vh = nodal_fe(init_uniform(0), lambda x, y: x + y, lambda x, y: 1.0 + 0 * x,
+                      lambda x, y: 1.0 + 0 * x)
+        with pytest.raises(ValueError, match="edge_index"):
+            grid_samples(4).boundary_values(vh)
+
     def test_edge_endpoints_are_value_coefficients(self):
         # every owner of a shared endpoint or corner returns the vertex's
         # value coefficient bit for bit
@@ -330,16 +339,59 @@ class TestBucketIndex:
         mesh = init_uniform(3)
         return mesh, exact_fe(mesh, 3, zero_boundary=True)
 
-    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny"])
-    def test_matches_all_planes(self, setup):
-        mesh, vh = getattr(self, setup)()
+    @classmethod
+    def _hull(cls, setup):
+        mesh, vh = getattr(cls, setup)()
         samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
         values = np.concatenate(
             [samples.interior_fields(vh, ("N",))["N"], samples.boundary_values(vh)]
         )
-        hull = lower_hull(samples, values)
+        return samples, values, lower_hull(samples, values)
+
+    @staticmethod
+    def _candidates(hull, queries):
+        """(point, facet) pairs the index offers, as a boolean matrix."""
         keys, facets, depths = hull._buckets
-        assert np.bincount(facets, minlength=len(hull.planes)).max() <= 8
+        cand = np.zeros((len(queries), len(hull.planes)), dtype=bool)
+        for n in 2**depths:
+            key = _square_key(_square(queries, n), n)
+            first = np.searchsorted(keys, key, "left")
+            count = np.searchsorted(keys, key, "right") - first
+            p = np.repeat(np.arange(len(queries)), count)
+            pos = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+            cand[p, facets[pos]] = True
+        return cand
+
+    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny"])
+    def test_every_covering_facet_is_a_candidate(self, setup):
+        # the index invariant: a facet whose closed bounding box holds a
+        # point is among that point's candidates, on dyadic lines as well
+        samples, _, hull = self._hull(setup)
+        tri = samples.points[hull.simplices]
+        lo, hi = tri.min(axis=1), tri.max(axis=1)
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.0, 1.0, 300)
+        dyadic = rng.integers(0, 2**9 + 1, 300) / 2**9
+        queries = np.vstack([
+            samples.points,
+            rng.uniform(0.0, 1.0, size=(1000, 2)),
+            *(np.column_stack([c, t][::s]) for c in (np.zeros(300), np.ones(300)) for s in (1, -1)),
+            np.column_stack([dyadic, t]),
+            np.column_stack([t, dyadic]),
+        ])
+        for q in np.array_split(queries, 10):
+            cover = np.all((lo[None] <= q[:, None]) & (q[:, None] <= hi[None]), axis=2)
+            assert not np.any(cover & ~self._candidates(hull, q))
+
+    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny"])
+    def test_matches_all_planes(self, setup):
+        samples, values, hull = self._hull(setup)
+        keys, facets, depths = hull._buckets
+        tri = samples.points[hull.simplices]
+        budget = _square_budget(tri.min(axis=1), tri.max(axis=1))
+        entries = np.bincount(facets, minlength=len(hull.planes))
+        assert entries[budget == 8].max() <= 8
+        assert np.all(entries <= budget) and budget.max() <= 256
 
         edge = np.random.default_rng(3).uniform(0.0, 1.0, 4000)
         queries = np.vstack([
@@ -361,6 +413,52 @@ class TestBucketIndex:
         ])
         scale = 1.0 + np.max(np.abs(values))
         assert np.max(np.abs(hull.evaluate(queries) - brute)) <= 1e-13 * scale
+
+    def test_slivers_get_a_larger_budget(self):
+        # max(8, min(ceil(2 * aspect), 256)), a flat box taking the cap
+        lo = np.zeros((6, 2))
+        hi = np.array([[0.1, 0.1], [0.4, 0.1], [0.1, 0.55], [1.0, 0.01], [1.0, 3e-3], [0.5, 0.0]])
+        assert _square_budget(lo, hi).tolist() == [8, 8, 11, 200, 256, 256]
+        # zero boundary data: the facets fanned along a side are thin
+        samples, _, hull = self._hull("_skinny")
+        tri = samples.points[hull.simplices]
+        lo, hi = tri.min(axis=1), tri.max(axis=1)
+        extent = hi - lo
+        aspect = extent.max(axis=1) / extent.min(axis=1)
+        budget = _square_budget(lo, hi)
+        assert np.array_equal(budget, np.maximum(8, np.minimum(np.ceil(2 * aspect), 256)))
+        assert (budget > 8).any()
+
+
+class TestVertexRule:
+    """Envelope and flags at the samples against evaluating every sample."""
+
+    @staticmethod
+    def _check(hull):
+        gamma, flags = on_hull_reference(hull)
+        assert np.array_equal(hull.on_hull, flags)
+        scale = 1.0 + np.max(np.abs(hull.values))
+        assert np.max(np.abs(hull.gamma - gamma)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_grids(self, n):
+        samples = grid_samples(n)
+        values = np.random.default_rng(200 + n).uniform(-1, 1, size=len(samples.points))
+        self._check(lower_hull(samples, values))
+
+    @pytest.mark.parametrize("setup, all_vertices", [("_corner_graded", True), ("_skinny", False)])
+    def test_index_setups(self, setup, all_vertices):
+        # every sample of the graded ex1 setup is a vertex, not so on _skinny
+        _, _, hull = TestBucketIndex._hull(setup)
+        assert (len(np.unique(hull.simplices)) == len(hull.values)) == all_vertices
+        self._check(hull)
+
+    def test_planar(self):
+        samples = grid_samples(5)
+        pts = samples.points
+        hull = lower_hull(samples, 0.3 + 1.2 * pts[:, 0] - 0.7 * pts[:, 1])
+        assert hull.planar
+        self._check(hull)
 
 
 class TestContactSet:
