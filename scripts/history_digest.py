@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of one run's history, of each row and of each marking.
 
-Takes the flags of ``macert`` except ``--out``, runs the refinement loop and
-prints the digest of the ``.dat`` text it would write, then one line per
-step with the free DOFs, the linear solves, the digest of that step's
-``.dat`` row, the number of marked cells and the digest of the marked cell
-rows (sorted int64).  Two checkouts produce the same histories and markings
-exactly when these lines are equal, and a ``diff`` of the two outputs names
-the steps whose rows changed:
+Takes the flags of ``macert`` except ``--out``, iterates the refinement
+steps of ``macert.bench.steps`` and prints the digest of the ``.dat`` text
+``macert`` would write, then one line per step with the free DOFs, the
+linear solves, the digest of that step's ``.dat`` row, the number of marked
+cells and the digest of the marked cell rows (sorted int64).  Two checkouts
+produce the same histories and markings exactly when these lines are equal,
+and a ``diff`` of the two outputs names the steps whose rows changed:
 
     PYTHONPATH=src python scripts/history_digest.py --experiment 1 \\
         --mode adaptive --max-ndof 3000 --initial-level 0
@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from macert.bench import RunConfig, emit_dat, run
+from macert.bench import RunConfig, emit_dat, steps
 from macert.cli import build_parser
 
 
@@ -36,16 +36,18 @@ def main(argv=None) -> int:
         kw = vars(parser.parse_args([*argv, "--out", str(out)]))
         kw["eps"] = kw.pop("epsilon")
         del kw["out"]
-        rows, steps = run(RunConfig(**kw), collect_steps=True)
+        rows, marks = [], []
+        for step in steps(RunConfig(**kw)):
+            rows.append(step.row)
+            marks.append(np.asarray(step.marked, dtype=np.int64))
         if not rows:
             parser.error("the initial mesh already exceeds --max-ndof")
         emit_dat(rows, out)
         text = out.read_bytes()
     print(f"dat {sha(text)}  rows {len(rows)}")
     lines = text.splitlines()[1:]  # one per row, after the header
-    for k, (step, line) in enumerate(zip(steps, lines)):
-        marked = np.asarray(step.marked, dtype=np.int64)
-        print(f"step {k:>3d}  ndof {step.row.ndof:>7d}  niter {step.row.niter:>3d}  "
+    for k, (row, marked, line) in enumerate(zip(rows, marks, lines)):
+        print(f"step {k:>3d}  ndof {row.ndof:>7d}  niter {row.niter:>3d}  "
               f"row {sha(line)[:16]}  marked {len(marked):>6d}  {sha(marked.tobytes())}")
     return 0
 

@@ -7,7 +7,7 @@ the convex envelope of the discrete solution to obtain guaranteed
 L-infinity error bounds.
 """
 
-from .bench import EXPERIMENTS, HistoryRow, RunConfig, emit_dat, rate_fit, run
+from .bench import EXPERIMENTS, HistoryRow, RunConfig, emit_dat, rate_fit, run, steps
 from .bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
 from .envelope import build_samples, contact_set, lower_hull
 from .estimator import ErrorCertificate, indicators_and_mark, rhs0, rhs_eps, select_j
@@ -21,6 +21,7 @@ __all__ = [
     "emit_dat",
     "rate_fit",
     "run",
+    "steps",
     "BfsSpace",
     "FeFunction",
     "QuadRule",

@@ -24,8 +24,8 @@ from .bfs import (
     interpolate_boundary,
     norms_vs_exact,
 )
-from .geometry import RectMesh, init_uniform, refine
-from .hjb import HjbProblem, SolverError, _check_eps, solve
+from .geometry import init_uniform, refine
+from .hjb import HjbProblem, SolveResult, SolverError, _check_eps, solve
 
 _TINY = 1e-300
 # Certificate samples are taken no coarser than on a 4x4 grid: 1/4 is the
@@ -261,15 +261,17 @@ class RunAborted(RuntimeError):
         self.rows = rows
 
 
-@dataclass
-class StepData:
-    """Everything one refinement step produced (rows plus reusable pieces)."""
+@dataclass(frozen=True)
+class Step:
+    """One refinement step: its row, the solver result (``solve.u_h`` is v_h),
+    the lower hull of v_h, the certificate RHS0 and the sorted rows of the
+    cells of the step's mesh marked for splitting."""
 
     row: HistoryRow
-    mesh: RectMesh
+    solve: SolveResult
+    hull: env.LowerHull
     certificate: est.ErrorCertificate
-    hjb_certificate: est.ErrorCertificate
-    marked: np.ndarray  # sorted rows of the cells of ``mesh`` marked for splitting
+    marked: np.ndarray
 
 
 def prolongate(v_h: FeFunction, fine_space: BfsSpace) -> np.ndarray:
@@ -298,48 +300,33 @@ def prolongate(v_h: FeFunction, fine_space: BfsSpace) -> np.ndarray:
     return data[rows].ravel()
 
 
-def run(config: RunConfig, collect_steps: bool = False):
-    """Refinement loop: solve, certify, record, mark, refine until the budget.
+def steps(config: RunConfig):
+    """Refinement loop: solve, certify, mark and refine until the budget.
 
-    Returns the list of HistoryRow (and the per-step data when requested).
+    Yields one ``Step`` per mesh whose free DOFs fit ``config.max_ndof``.
     Each solve after the first starts from the previous solution prolongated
-    to the refined mesh.
+    to the refined mesh.  A solver failure raises ``SolverError`` naming the
+    DOFs of the mesh it failed on.
     """
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
     quad = QuadRule(config.quad_degree)
     problem = HjbProblem(eps, exp.f, exp.g, exp.grad_g)
     mesh = init_uniform(config.initial_level)
-    rows: list[HistoryRow] = []
-    steps: list[StepData] = []
     prev: FeFunction | None = None
-    while True:
-        if count_free_dofs(mesh) > config.max_ndof:
-            break
+    while count_free_dofs(mesh) <= config.max_ndof:
         space = BfsSpace(mesh)
         reduction = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
         try:
             result = solve(space, problem, quad, reduction=reduction, initial=initial)
         except SolverError as exc:
-            raise RunAborted(f"solver failed at ndof {reduction.ndof}: {exc}", rows)
+            raise SolverError(f"solver failed at ndof {reduction.ndof}: {exc}") from exc
         v_h = result.u_h
-
-        samples = env.build_samples(
-            mesh, quad, per_edge=config.boundary_segments, min_level=_SAMPLE_LEVEL
-        )
-        fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
-        hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
-        values = np.concatenate([fields["N"], samples.boundary_values(v_h)])
-        hull = env.lower_hull(samples, values)
-        contact = env.contact_set(hull, hessians)
-        cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
-        edge_errors, boundary_err = est.max_boundary_trace_error(v_h, exp.g)
-        cert_eps = est.rhs_eps(exp.f, eps, samples, hessians, boundary_err)
+        hull, cert, eta, edge_errors = _certify(v_h, exp, eps, quad, config.boundary_segments)
 
         linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact, quad, config.linf_samples)
         lhs = _envelope_error(v_h, exp.exact, hull, quad, config.linf_samples)
-
         row = HistoryRow(
             ndof=reduction.ndof,
             hinv=1.0 / (np.sqrt(2.0) * mesh.max_cell_size()),
@@ -348,24 +335,51 @@ def run(config: RunConfig, collect_steps: bool = False):
             L2error=l2,
             H1error=h1,
             H2error=h2,
-            eta=cert_eps.rhs0,
+            eta=eta,
             eta2=cert.rhs0,
             niter=result.niter,
         )
-        rows.append(row)
 
         marked = []
         if config.mode == "adaptive":
             marked = est.indicators_and_mark(cert, edge_errors, mesh)
         if not len(marked):  # uniform, or vanished indicator and boundary error
             marked = np.arange(len(mesh))
-        if collect_steps:
-            steps.append(StepData(row, mesh, cert, cert_eps, marked))
+        yield Step(row, result, hull, cert, marked)
         mesh = refine(mesh, marked)
         prev = v_h
-    if collect_steps:
-        return rows, steps
+
+
+def run(config: RunConfig) -> list[HistoryRow]:
+    """The rows of ``steps(config)``; a solver failure raises ``RunAborted``
+    with the rows finished so far."""
+    rows: list[HistoryRow] = []
+    try:
+        for step in steps(config):
+            rows.append(step.row)
+            del step  # else its hull stays alive through the next step's diagnostics
+    except SolverError as exc:
+        raise RunAborted(str(exc), rows) from exc
     return rows
+
+
+def _certify(v_h: FeFunction, exp: Experiment, eps: float, quad: QuadRule, per_edge: int):
+    """Hull of v_h, certificate RHS0, bound RHS_eps and per-edge trace errors.
+
+    The samples are the points of ``quad`` on every leaf, no coarser than
+    ``_SAMPLE_LEVEL``, plus ``per_edge`` segments on every boundary edge; they
+    serve the hull, the contact set and both data-error quadratures.
+    """
+    samples = env.build_samples(v_h.space.mesh, quad, per_edge=per_edge, min_level=_SAMPLE_LEVEL)
+    fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
+    hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
+    values = np.concatenate([fields["N"], samples.boundary_values(v_h)])
+    hull = env.lower_hull(samples, values)
+    contact = env.contact_set(hull, hessians)
+    cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
+    edge_errors, boundary_err = est.max_boundary_trace_error(v_h, exp.g)
+    eta = est.rhs_eps(exp.f, eps, samples, hessians, boundary_err).rhs0
+    return hull, cert, eta, edge_errors
 
 
 def _envelope_error(v_h, exact, hull, quad: QuadRule, linf_samples: int) -> float:

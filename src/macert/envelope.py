@@ -9,10 +9,10 @@ evaluates as the maximum of candidate facet planes.  An index of dyadic
 squares keeps that maximum local: each facet is filed, at its own depth, in
 the squares its bounding box meets, at most eight of them, or for a sliver
 (a long, thin box, as the fans Qhull builds along a side with affine data)
-at most twice the box's aspect ratio, capped at 256.  The trace of the hull
-on a side of the square only depends on the samples of that side (the side
-plane supports the hull), which reduces the boundary residual to four 1D
-lower hulls.  Boundary values come per boundary edge from one batch,
+at most twice the box's aspect ratio, capped at 256.  The side plane of the
+square supports the hull, so on a side the envelope is affine between
+consecutive samples, and the boundary residual reads it from the envelope at
+the boundary samples.  Boundary values come per boundary edge from one batch,
 ``edge_values``, which serves the hull samples and the trace error alike.
 """
 from __future__ import annotations
@@ -276,33 +276,6 @@ class LowerHull:
             out[lo:hi] = np.maximum.reduceat(vals, np.cumsum(n) - n)
         return out
 
-    def boundary_trace(self, side: str, t: np.ndarray) -> np.ndarray:
-        """Envelope restricted to one side, evaluated at parameters t.
-
-        Equals the 1D lower hull of the side's own samples because the side
-        plane of the square supports the full 3D hull.
-        """
-        samples = self.samples
-        params = samples.side_params[side]
-        pos = _side_positions(samples.side_params)[side]
-        hull_t, hull_v = _lower_hull_1d(params, self.values[samples.n_interior + pos])
-        return np.interp(t, hull_t, hull_v)
-
-
-def _lower_hull_1d(t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower convex hull of points (t_i, v_i) with t strictly increasing."""
-    keep: list[int] = []
-    for i in range(len(t)):
-        while len(keep) >= 2:
-            i0, i1 = keep[-2], keep[-1]
-            # drop i1 if it lies on or above the chord i0 -> i
-            if (v[i1] - v[i0]) * (t[i] - t[i0]) >= (v[i] - v[i0]) * (t[i1] - t[i0]):
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return t[keep], v[keep]
-
 
 _MIN_SQUARES = 8  # index entries a facet may always take
 _MAX_SQUARES = 256  # index entries a sliver facet may take at most
@@ -426,13 +399,21 @@ def contact_set(hull: LowerHull, hessians) -> ContactSet:
 
 
 def boundary_residual(hull: LowerHull, g) -> float:
-    """max |g - envelope| over boundary sample points and their midpoints."""
+    """max |g - envelope| over boundary sample points and their midpoints.
+
+    The side plane supports the hull, so on a side the envelope is the 1D
+    lower hull of the side's samples: affine between consecutive samples,
+    and at their midpoint the mean of its values at the two.
+    """
+    def with_midpoints(a):
+        return np.concatenate([a, 0.5 * (a[:-1] + a[1:])])
+
+    samples = hull.samples
     mu = 0.0
-    for side in SIDES:
-        params = hull.samples.side_params[side]
-        mids = 0.5 * (params[:-1] + params[1:])
-        t = np.concatenate([params, mids])
+    for side, pos in _side_positions(samples.side_params).items():
+        t = with_midpoints(samples.side_params[side])
         pts = _side_point(side, t)
         gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), t.shape)
-        mu = max(mu, float(np.max(np.abs(gv - hull.boundary_trace(side, t)))))
+        trace = with_midpoints(hull.gamma[samples.n_interior + pos])
+        mu = max(mu, float(np.max(np.abs(gv - trace))))
     return mu

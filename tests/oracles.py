@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from macert.bfs import _hermite1d
+from macert.envelope import _side_point, _side_positions
 from macert.estimator import bound_value
 from macert.hjb import eval_F_batch
 
@@ -101,6 +102,30 @@ def on_hull_reference(hull):
     gamma = hull.evaluate(hull.samples.points)
     scale = 1.0 + float(np.max(np.abs(hull.values)))
     return gamma, hull.values - gamma <= 1e-10 * scale
+
+
+def boundary_residual_reference(hull, g):
+    """max |g - envelope| over boundary samples and their midpoints, with the
+    envelope on each side interpolated from the 1D lower hull of the side's
+    samples (a scalar monotone chain)."""
+    samples = hull.samples
+    mu = 0.0
+    for side, pos in _side_positions(samples.side_params).items():
+        t, v = samples.side_params[side], hull.values[samples.n_interior + pos]
+        keep: list[int] = []
+        for i in range(len(t)):
+            # drop the last kept point while it lies on or above the chord to i
+            while len(keep) >= 2 and (
+                (v[keep[-1]] - v[keep[-2]]) * (t[i] - t[keep[-2]])
+                >= (v[i] - v[keep[-2]]) * (t[keep[-1]] - t[keep[-2]])
+            ):
+                keep.pop()
+            keep.append(i)
+        q = np.concatenate([t, 0.5 * (t[:-1] + t[1:])])
+        pts = _side_point(side, q)
+        gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), q.shape)
+        mu = max(mu, float(np.max(np.abs(gv - np.interp(q, t[keep], v[keep])))))
+    return mu
 
 
 def envelope_gap(v_h, samples, subdiv=4):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from oracles import lp_envelope, sample_hessians, sample_values
 
-from macert.bench import RunConfig, rate_fit, run
+from macert.bench import RunConfig, rate_fit, run, steps
 from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
@@ -67,11 +67,9 @@ def ex2_uniform():
 
 
 @pytest.fixture(scope="session")
-def ex2_adaptive_steps():
-    return run(
-        RunConfig(experiment=2, mode="adaptive", max_ndof=8000, initial_level=0, eps=0.1),
-        collect_steps=True,
-    )
+def ex2_adaptive_certificates():
+    config = RunConfig(experiment=2, mode="adaptive", max_ndof=8000, initial_level=0, eps=0.1)
+    return [step.certificate for step in steps(config)]
 
 
 @pytest.fixture(scope="session")
@@ -272,7 +270,7 @@ def test_criterion_6_ex1_adaptive(ex1_adaptive):
 
 
 @pytest.mark.slow
-def test_criterion_7_ex2(ex2_uniform, ex2_adaptive_steps):
+def test_criterion_7_ex2(ex2_uniform, ex2_adaptive_certificates):
     rows = ex2_uniform
     last4 = rows[-4:]
     stagnation = last4[-1].Linferr / last4[0].Linferr
@@ -281,8 +279,7 @@ def test_criterion_7_ex2(ex2_uniform, ex2_adaptive_steps):
     assert abs(lhs_slope - (-0.5)) <= 0.15
     assert all(r.Linferr >= 0 and r.LHS >= 0 for r in rows)
     assert all(r.LHS < r.Linferr for r in rows[-4:])  # envelope beats u_h here
-    _, steps = ex2_adaptive_steps
-    sigmas = [s.certificate.sigma / max(s.certificate.rhs0, 1e-300) for s in steps]
+    sigmas = [c.sigma / max(c.rhs0, 1e-300) for c in ex2_adaptive_certificates]
     best = min(sigmas)
     assert best <= 1e-10, f"no step with vanishing data error (min sigma ratio {best:.2e})"
     _report(

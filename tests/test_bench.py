@@ -1,27 +1,34 @@
+import json
+import os
+import pathlib
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 from oracles import point_fields, point_values, rows_of, sample_hessians, sample_values
 
+import macert.bench as bench
 from macert.bench import (
     DAT_COLUMNS,
     EXPERIMENTS,
     HistoryRow,
+    RunAborted,
     RunConfig,
     emit_dat,
     prolongate,
     rate_fit,
     read_dat,
     run,
+    steps,
 )
 from macert.bfs import BfsSpace, QuadRule, _cell_grid
 from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
 from macert.geometry import init_uniform, refine
-from macert.hjb import solve
+from macert.hjb import SolverError, solve
 
 
 def fd_hessian(u, x, y, h=1e-5):
@@ -193,23 +200,14 @@ class TestRunLoop:
         assert len(rows) >= 4
         assert [r.ndof for r in rows] == sorted(r.ndof for r in rows)
 
-    def test_coarse_rows_agree_with_fine_recertification(self, monkeypatch):
+    def test_coarse_rows_agree_with_fine_recertification(self):
         # the certificate on the 1x1 and 2x2 meshes must not fall far below
         # the same v_h certified on a 20x20 Gauss sample set
-        import macert.bench as bench
-
-        solved = []
-
-        def recording_solve(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            solved.append(result.u_h)
-            return result
-
-        monkeypatch.setattr(bench, "solve", recording_solve)
         exp = EXPERIMENTS[3]
-        rows = run(RunConfig(experiment=3, mode="uniform", max_ndof=16, initial_level=0))
+        records = list(steps(RunConfig(experiment=3, mode="uniform", max_ndof=16, initial_level=0)))
+        rows = [step.row for step in records]
         assert [r.ndof for r in rows] == [4, 16]
-        for row, vh in zip(rows, solved):
+        for row, vh in zip(rows, (step.solve.u_h for step in records)):
             samples = build_samples(vh.space.mesh, QuadRule(20), per_edge=4)
             hull = lower_hull(samples, sample_values(vh, samples))
             hessians = sample_hessians(vh, samples)
@@ -224,22 +222,15 @@ class TestRunLoop:
         ],
         ids=["ex3-uniform", "ex1-adaptive"],
     )
-    def test_envelope_error_matches_evaluating_every_point(self, monkeypatch, config):
+    def test_envelope_error_matches_evaluating_every_point(self, config):
         # the envelope read from hull.gamma on leaves at the sampling floor or
         # finer agrees with evaluating the hull at every quadrature and grid point
-        import macert.bench as bench
-
-        envelope_error, calls = bench._envelope_error, []
-
-        def recording(*args):
-            calls.append((*args, envelope_error(*args)))
-            return calls[-1][-1]
-
-        monkeypatch.setattr(bench, "_envelope_error", recording)
-        run(RunConfig(**config))
+        run_config = RunConfig(**config)
+        exact = EXPERIMENTS[run_config.experiment].exact
+        quad, linf_samples = QuadRule(run_config.quad_degree), run_config.linf_samples
         kinds = set()
-        for v_h, exact, hull, quad, linf_samples, lhs in calls:
-            space = v_h.space
+        for step in steps(run_config):
+            space, hull, lhs = step.solve.u_h.space, step.hull, step.row.LHS
             cells = np.arange(len(space.mesh))
             pts = np.vstack([
                 space.cell_points(cells, ref).reshape(-1, 2)
@@ -251,6 +242,58 @@ class TestRunLoop:
         # meshes below the floor, at or above it, and (adaptive) both at once
         assert {(False,), (True,)} <= kinds
         assert ((False, True) in kinds) == (config["mode"] == "adaptive")
+
+    def test_solver_failure_aborts_with_finished_rows(self, monkeypatch, tmp_path, capsys):
+        # no solver failure occurs on the benchmarks, so one is forced on the
+        # third mesh; run and the CLI keep the two rows finished before it
+        config = RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0)
+        want = run(config)[:2]
+
+        def failing_solve(*args, **kwargs):
+            if kwargs["reduction"].ndof > 16:  # the third mesh
+                raise SolverError("forced")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "solve", failing_solve)
+        with pytest.raises(RunAborted, match=r"^solver failed at ndof 64: forced$") as info:
+            run(config)
+        assert info.value.rows == want
+
+        out = tmp_path / "partial.dat"
+        argv = ["--experiment", "1", "--max-ndof", "70", "--initial-level", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert read_dat(out) == want
+        printed = capsys.readouterr()
+        assert f"wrote partial history (2 rows) to {out}" in printed.out
+        assert printed.err == "error: solver failed at ndof 64: forced\n"
+
+    def test_benchmark_tracer_finds_every_target(self):
+        # perfbench/tracer.py wraps names the driver and the layers look up at
+        # call time; a name bound early or renamed leaves its metrics absent
+        script = textwrap.dedent("""
+            import json
+            from tracer import ROOT, TARGETS, Tracer
+            from macert import bench
+            tracer = Tracer()
+            tracer.install()
+            root = tracer.open(ROOT)
+            bench.run(bench.RunConfig(experiment=1, mode="adaptive", max_ndof=150, initial_level=0))
+            tracer.close(root)
+            print(json.dumps({
+                "absent": tracer.absent,
+                "unobserved": sorted(tracer.unobserved),
+                "unseen": [name for name, _ in TARGETS if name not in tracer.names],
+            }))
+        """)
+        src = pathlib.Path(bench.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=src.parent / "perfbench", env=env,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        found = json.loads(proc.stdout.splitlines()[-1])
+        assert found == {"absent": [], "unobserved": [], "unseen": []}
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    boundary_residual_reference,
     envelope_gap,
     lp_envelope,
     on_hull_reference,
@@ -18,7 +19,6 @@ from macert.bench import EXPERIMENTS
 from macert.envelope import (
     _CHUNK,
     SampleSet,
-    _lower_hull_1d,
     _side_point,
     _side_positions,
     _square,
@@ -561,6 +561,36 @@ class TestBoundaryResidual:
         mu = boundary_residual(hull, lambda x, y: 0.5 * (x**2 + y**2))
         assert mu == pytest.approx((1 / 16) ** 2 / 8, rel=1e-10)
 
+    @pytest.mark.parametrize("setup", ["graded", "random", "quadratic", "planar", "zero_boundary"])
+    def test_matches_side_hull_oracle(self, setup):
+        # the envelope at the boundary samples, averaged at the midpoints,
+        # against the 1D lower hull of each side's samples
+        mesh = init_uniform(2)
+        g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        if setup == "graded":
+            mesh, vh = TestBucketIndex._corner_graded()
+            g = EXPERIMENTS[1].g
+        elif setup == "zero_boundary":
+            mesh, vh = TestBucketIndex._skinny()
+            g = EXPERIMENTS[3].g
+        elif setup == "quadratic":
+            vh = nodal_fe(mesh, lambda x, y: 0.5 * (x**2 + y**2), lambda x, y: x, lambda x, y: y)
+        else:  # random values, or an affine v_h
+            vh = nodal_fe(
+                mesh,
+                lambda x, y: 1 + 2 * x - y,
+                lambda x, y: 2 * np.ones_like(x),
+                lambda x, y: -np.ones_like(x),
+            )
+        samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
+        values = sample_values(vh, samples)
+        if setup == "random":
+            values = np.random.default_rng(5).uniform(-1, 1, size=len(values))
+        hull = lower_hull(samples, values)
+        assert hull.planar == (setup == "planar")
+        mu, want = boundary_residual(hull, g), boundary_residual_reference(hull, g)
+        assert abs(mu - want) <= 1e-15 * (1.0 + np.max(np.abs(values)))
+
 
 class TestEnvelopeGap:
     def test_affine_gap_zero(self):
@@ -598,13 +628,3 @@ def test_sandwich_inequality():
     delta = envelope_gap(vh, samples)
     check = samples.points
     assert np.all(hull.evaluate(check) - delta <= point_values(vh, check) + 1e-10)
-
-
-def test_lower_hull_1d():
-    t = np.linspace(0, 1, 6)
-    v = np.array([0.0, 0.5, -0.2, 0.3, -0.1, 0.0])
-    ht, hv = _lower_hull_1d(t, v)
-    # hull vertices are a subset containing both endpoints
-    assert ht[0] == 0.0 and ht[-1] == 1.0
-    interp = np.interp(t, ht, hv)
-    assert np.all(interp <= v + 1e-15)
