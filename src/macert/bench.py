@@ -240,6 +240,10 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
+        for name in ("max_ndof", "initial_level", "quad_degree", "boundary_segments",
+                     "linf_samples"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name, least in (("initial_level", 0), ("boundary_segments", 1), ("linf_samples", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
@@ -440,9 +444,11 @@ def read_dat(path) -> list[HistoryRow]:
 def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> float:
     """Least-squares slope of log(column) against log(ndof).
 
-    ``window`` keeps only the trailing rows.  Raises on nonpositive values.
+    ``window`` keeps the trailing rows, at least two.  Raises on nonpositive values.
     """
     if window is not None:
+        if window < 2:
+            raise ValueError(f"window must be at least 2, got {window}")
         rows = rows[-window:]
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a rate")

@@ -11,9 +11,9 @@ the squares its bounding box meets, at most eight of them, or for a sliver
 (a long, thin box, as the fans Qhull builds along a side with affine data)
 at most twice the box's aspect ratio, capped at 256.  The side plane of the
 square supports the hull, so on a side the envelope is affine between
-consecutive samples, and the boundary residual reads it from the envelope at
-the boundary samples.  Boundary values come per boundary edge from one batch,
-``edge_values``, which serves the hull samples and the trace error alike.
+consecutive samples, and the boundary residual reads it edge by edge at the
+boundary samples: the grid points of every boundary edge, each once.  One batch,
+``edge_values``, gives values on that grid to the hull and the trace error alike.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ class SampleSet:
 
     Interior points keep their owning cell and quadrature weight so the same
     set drives both the envelope and the data-error quadrature.  Boundary
-    points are stored per side, ordered by arclength, corners included, in
-    the layout of ``_side_positions``.  ``edge_index`` names, per boundary
-    point, the (edge, parameter) of the ``edge_values`` grid that made it.
+    points are the grid points of every boundary edge, each once.  Row e of
+    ``edge_rows`` follows ``mesh.boundary_edges`` and names the row in
+    ``boundary`` of edge e's grid point i / per_edge, i = 0..per_edge.
     """
 
     mesh: RectMesh
@@ -42,11 +42,9 @@ class SampleSet:
     cell_index: np.ndarray  # (ni,)
     weights: np.ndarray  # (ni,)
     boundary: np.ndarray  # (nb, 2) deduplicated, all four sides
-    side_params: dict[str, np.ndarray]  # side -> sorted parameters in [0, 1]
+    edge_rows: np.ndarray  # (ne, per_edge + 1) rows into boundary
     quad: QuadRule | None = None  # rule the interior was built from
     min_level: int = 0  # sampling floor, see build_samples
-    per_edge: int = 1  # segments per boundary edge
-    edge_index: np.ndarray | None = None  # (nb,) flat index, set by build_samples
 
     @property
     def points(self) -> np.ndarray:
@@ -78,10 +76,10 @@ class SampleSet:
         One ``edge_values`` batch; a point shared by two edges takes either
         owner's value, which is the vertex's value coefficient in both.
         """
-        if self.edge_index is None:
-            raise ValueError("boundary samples without edge_index: use build_samples")
-        vals, _ = edge_values(v_h, np.arange(self.per_edge + 1) / self.per_edge)
-        return vals.ravel()[self.edge_index]
+        per_edge = self.edge_rows.shape[1] - 1
+        out = np.empty(len(self.boundary))
+        out[self.edge_rows] = edge_values(v_h, np.arange(per_edge + 1) / per_edge)[0]
+        return out
 
 
 def edge_values(v_h: FeFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,15 +88,21 @@ def edge_values(v_h: FeFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Rows are aligned with ``mesh.boundary_edges``: (ne, nt) values and
     (ne, nt, 2) points.  All owners are evaluated in one batch at the
     points of all four sides of the reference cell, and each edge keeps
-    the points of its own side.
+    the values of its own side.
     """
-    space = v_h.space
     ref = np.vstack([_side_point(side, t) for side in SIDES])
-    owners, side = space.mesh.boundary_edges.T
-    n, rows = len(owners), np.arange(len(owners))
-    vals = v_h.on_cells(owners, ref, what=("N",))["N"].reshape(n, 4, -1)[rows, side]
-    pts = space.cell_points(owners, ref).reshape(n, 4, -1, 2)[rows, side]
-    return vals, pts
+    owners, side = v_h.space.mesh.boundary_edges.T
+    vals = v_h.on_cells(owners, ref, what=("N",))["N"].reshape(len(owners), 4, -1)
+    vals = vals[np.arange(len(owners)), side]
+    return vals, _edge_points(v_h.space.mesh, t)
+
+
+def _edge_points(mesh: RectMesh, t: np.ndarray) -> np.ndarray:
+    """(ne, nt, 2) points at parameters ``t`` of the ``mesh.boundary_edges``."""
+    owners, side = mesh.boundary_edges.T
+    h = mesh.cell_sizes()[owners]
+    ref = np.stack([_side_point(s, t) for s in SIDES])[side]
+    return (mesh.cell_array[owners, 1:] * h[:, None])[:, None, :] + h[:, None, None] * ref
 
 
 def _side_point(side: str, t: np.ndarray) -> np.ndarray:
@@ -107,19 +111,6 @@ def _side_point(side: str, t: np.ndarray) -> np.ndarray:
     k = SIDES.index(side)
     fixed = np.full_like(t, float(side in ("right", "top")))
     return np.column_stack([t, fixed] if k % 2 == 0 else [fixed, t])
-
-
-def _side_positions(side_params) -> dict[str, np.ndarray]:
-    """Row of each side sample in ``SampleSet.boundary``.
-
-    The boundary lists the sides in ``SIDES`` order, each by increasing
-    parameter, and keeps each corner at its first side.
-    """
-    nb, nr, nt, nl = (len(side_params[s]) for s in SIDES)
-    right = nb - 1 + np.arange(nr)  # from (1, 0), the last point of bottom
-    top = np.append(right[-1] + 1 + np.arange(nt - 1), right[-1])  # to (1, 1)
-    left = np.concatenate([[0], top[-2] + 1 + np.arange(nl - 2), top[:1]])
-    return dict(zip(SIDES, (np.arange(nb), right, top, left)))
 
 
 def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
@@ -167,11 +158,11 @@ def build_samples(
     Every boundary edge of the mesh is subdivided into ``per_edge`` uniform
     segments regardless of its length, which keeps the boundary resolution
     proportional to the local edge size on adaptive meshes.  Corners and
-    edge endpoints are always present.  Each boundary sample records the
-    first (edge, parameter) that made it in ``edge_index``.
+    edge endpoints are always present.  The boundary lists each grid point
+    once, by its first side in ``SIDES`` and then its coordinate along it.
     """
-    if per_edge < 1:
-        raise ValueError("per_edge must be at least 1")
+    if not isinstance(per_edge, (int, np.integer)) or per_edge < 1:
+        raise ValueError(f"per_edge must be an integer at least 1, got {per_edge!r}")
     if min_level < 0:
         raise ValueError("min_level must be nonnegative")
     ncells = len(mesh)
@@ -187,25 +178,14 @@ def build_samples(
         interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
 
-    # the edges of each side tile it, so their points include 0 and 1
-    owners, on_side = mesh.boundary_edges.T
-    i = np.arange(per_edge + 1)
-    side_params: dict[str, np.ndarray] = {}
-    sources = {}
-    for k, side in enumerate(SIDES):
-        edges = np.flatnonzero(on_side == k)
-        cells = owners[edges]
-        a, h = origins[cells, k % 2, None], sizes[cells, None]  # coordinate along side k
-        side_params[side], first = np.unique(a + h * i / per_edge, return_index=True)
-        sources[side] = (edges[:, None] * (per_edge + 1) + i).ravel()[first]
-    nb = sum(map(len, side_params.values())) - 4
-    boundary, edge_index = np.empty((nb, 2)), np.empty(nb, dtype=np.int64)
-    for side, pos in _side_positions(side_params).items():
-        boundary[pos] = _side_point(side, side_params[side])
-        edge_index[pos] = sources[side]
+    pts = _edge_points(mesh, np.arange(per_edge + 1) / per_edge).reshape(-1, 2)
+    x, y = pts.T
+    side = np.select([y == 0.0, x == 1.0, y == 1.0], [0, 1, 2], 3)
+    key = np.column_stack([side, np.where(side % 2 == 0, x, y)])
+    _, first, rows = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    edge_rows = rows.reshape(len(mesh.boundary_edges), per_edge + 1)
     return SampleSet(
-        mesh, interior, cell_index, weights, boundary, side_params, quad, min_level,
-        per_edge, edge_index,
+        mesh, interior, cell_index, weights, pts[first], edge_rows, quad, min_level
     )
 
 
@@ -403,17 +383,14 @@ def boundary_residual(hull: LowerHull, g) -> float:
 
     The side plane supports the hull, so on a side the envelope is the 1D
     lower hull of the side's samples: affine between consecutive samples,
-    and at their midpoint the mean of its values at the two.
+    and at their midpoint the mean of its values at the two.  The edges of a
+    side tile it, so those pairs are consecutive grid points of one edge.
     """
     def with_midpoints(a):
-        return np.concatenate([a, 0.5 * (a[:-1] + a[1:])])
+        return np.concatenate([a, 0.5 * (a[:, :-1] + a[:, 1:])], axis=1)
 
     samples = hull.samples
-    mu = 0.0
-    for side, pos in _side_positions(samples.side_params).items():
-        t = with_midpoints(samples.side_params[side])
-        pts = _side_point(side, t)
-        gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), t.shape)
-        trace = with_midpoints(hull.gamma[samples.n_interior + pos])
-        mu = max(mu, float(np.max(np.abs(gv - trace))))
-    return mu
+    pts = with_midpoints(samples.boundary[samples.edge_rows]).reshape(-1, 2)
+    gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
+    trace = with_midpoints(hull.gamma[samples.n_interior + samples.edge_rows])
+    return float(np.max(np.abs(gv - trace.ravel())))

@@ -7,8 +7,9 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from macert.bfs import _hermite1d
-from macert.envelope import _side_point, _side_positions
+from macert.envelope import _side_point
 from macert.estimator import bound_value
+from macert.geometry import SIDES
 from macert.hjb import eval_F_batch
 
 
@@ -107,11 +108,14 @@ def on_hull_reference(hull):
 def boundary_residual_reference(hull, g):
     """max |g - envelope| over boundary samples and their midpoints, with the
     envelope on each side interpolated from the 1D lower hull of the side's
-    samples (a scalar monotone chain)."""
+    samples (a scalar monotone chain).  A side's samples are the boundary
+    points on it, by their coordinate along it."""
     samples = hull.samples
     mu = 0.0
-    for side, pos in _side_positions(samples.side_params).items():
-        t, v = samples.side_params[side], hull.values[samples.n_interior + pos]
+    for k, side in enumerate(SIDES):
+        on = np.flatnonzero(samples.boundary[:, 1 - k % 2] == float(side in ("right", "top")))
+        on = on[np.argsort(samples.boundary[on, k % 2])]
+        t, v = samples.boundary[on, k % 2], hull.values[samples.n_interior + on]
         keep: list[int] = []
         for i in range(len(t)):
             # drop the last kept point while it lies on or above the chord to i

@@ -9,6 +9,7 @@ MODULES = sorted(
     p for p in pathlib.Path(macert.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
 SCRIPTS = sorted((pathlib.Path(__file__).parents[1] / "scripts").glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def test_public_names_resolve_once():
@@ -19,7 +20,7 @@ def test_public_names_resolve_once():
     assert all(name in namespace for name in macert.__all__)
 
 
-@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     # no linter runs here; an import its module never reads is left over code
     tree = ast.parse(path.read_text())

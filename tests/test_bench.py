@@ -147,6 +147,14 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit(rows, "Linferr")
 
+    def test_window_below_two_raises(self):
+        # rows[-0:] is every row and rows[2:] drops the first two
+        rows = self._rows([1.0, 1.0, 0.25, 0.0625])
+        for window in (0, -2):
+            with pytest.raises(ValueError, match="window"):
+                rate_fit(rows, "Linferr", window=window)
+        assert rate_fit(rows, "Linferr", window=3) == rate_fit(rows[-3:], "Linferr")
+
 
 class TestProlongation:
     def test_exact_on_nested_spaces(self):
@@ -310,6 +318,18 @@ class TestRunLoop:
             with pytest.raises(ValueError):
                 RunConfig(experiment=1, **{name: value})
         RunConfig(experiment=1, eps=0.5, initial_level=0, quad_degree=3, linf_samples=1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_ndof", 200.0), ("initial_level", 0.5), ("quad_degree", 3.5),
+        ("boundary_segments", 2.5), ("linf_samples", 2.5),
+    ])
+    def test_non_integer_config_rejected(self, name, value):
+        # boundary_segments=2.5 would put a hull sample at x = 1.2, outside the square
+        with pytest.raises(ValueError, match=name):
+            RunConfig(experiment=1, mode="adaptive", **{name: value})
+        RunConfig(experiment=1, mode="adaptive", **{name: np.int64(5)})
+        with pytest.raises(ValueError, match="per_edge"):
+            build_samples(init_uniform(0), QuadRule(2), per_edge=value)
 
 
 class TestCli:

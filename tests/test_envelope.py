@@ -20,7 +20,6 @@ from macert.envelope import (
     _CHUNK,
     SampleSet,
     _side_point,
-    _side_positions,
     _square,
     _square_budget,
     _square_key,
@@ -30,7 +29,7 @@ from macert.envelope import (
     edge_values,
     lower_hull,
 )
-from macert.geometry import init_uniform, refine
+from macert.geometry import SIDES, init_uniform, refine
 
 
 def nodal_fe(mesh, u, ux, uy, uxy=lambda x, y: 0.0 * x):
@@ -51,17 +50,18 @@ def grid_samples(n, rng=None, values=None):
     boundary = np.array([p for p in pts if not (0 < p[0] < 1 and 0 < p[1] < 1)])
     if len(interior) == 0:
         interior = np.empty((0, 2))
-    side_params = {
-        "bottom": t.copy(), "top": t.copy(), "left": t.copy(), "right": t.copy()
-    }
     mesh = init_uniform(0)
+    row = {tuple(p): k for k, p in enumerate(boundary)}
+    edge_rows = np.array(
+        [[row[tuple(p)] for p in _side_point(SIDES[k], t)] for k in mesh.boundary_edges[:, 1]]
+    )
     return SampleSet(
         mesh,
         interior,
         np.zeros(len(interior), dtype=int),
         np.full(len(interior), 1.0 / max(len(interior), 1)),
         boundary,
-        side_params,
+        edge_rows,
     )
 
 
@@ -73,18 +73,53 @@ class TestBuildSamples:
 
     def test_boundary_layout(self):
         # each point once, sides in order, first occurrence of each corner
-        # kept, and _side_positions addresses every side's points
+        # kept, and edge_rows addresses every edge's points on its own side
         mesh = init_uniform(1)
         mesh = refine(mesh, rows_of(mesh, [(1, 0, 0)]))
         mesh = refine(mesh, rows_of(mesh, [(2, 1, 0)]))
         samples = build_samples(mesh, QuadRule(2), per_edge=3)
         expected = []
-        for side in ("bottom", "right", "top", "left"):
-            pts = _side_point(side, samples.side_params[side])
-            expected += [tuple(p) for p in pts if tuple(p) not in expected]
-            pos = _side_positions(samples.side_params)[side]
-            assert np.array_equal(samples.boundary[pos], pts)
+        for k, side in enumerate(SIDES):
+            pts = samples.boundary[samples.edge_rows[mesh.boundary_edges[:, 1] == k]]
+            pts = pts.reshape(-1, 2)
+            assert np.all(pts[:, 1 - k % 2] == float(side in ("right", "top")))
+            for p in pts[np.argsort(pts[:, k % 2], kind="stable")].tolist():
+                if tuple(p) not in expected:
+                    expected.append(tuple(p))
         assert [tuple(p) for p in samples.boundary] == expected
+
+    @pytest.mark.parametrize("per_edge", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("mesh_name", ["level0", "level1", "level2", "graded"])
+    def test_boundary_is_the_sorted_edge_grid(self, mesh_name, per_edge):
+        # from coordinates alone: the distinct grid points of the boundary
+        # edges, sorted by (first side holding the point, coordinate along
+        # it), each once; edge_rows gathers the edge_values grid bit for bit
+        if mesh_name == "graded":
+            vh = TestBoundaryValues.graded_fe(0)
+        else:
+            mesh = init_uniform(int(mesh_name[-1]))
+            vh = FeFunction(BfsSpace(mesh), np.zeros(BfsSpace(mesh).nfull))
+        mesh = vh.space.mesh
+        t = np.arange(per_edge + 1) / per_edge
+        grid = set()
+        for (level, ix, iy), k in zip(
+            (mesh.cell_ids[c] for c in mesh.boundary_edges[:, 0]), mesh.boundary_edges[:, 1]
+        ):
+            h = 0.5**level
+            fixed = float(SIDES[k] in ("right", "top"))
+            along = (ix if k % 2 == 0 else iy) * h + h * t
+            grid |= {(a, fixed) if k % 2 == 0 else (fixed, a) for a in along.tolist()}
+
+        def first_side(p):
+            x, y = p
+            side = 0 if y == 0 else 1 if x == 1 else 2 if y == 1 else 3
+            return side, p[side % 2]
+
+        samples = build_samples(mesh, QuadRule(2), per_edge=per_edge)
+        got = [tuple(p) for p in samples.boundary.tolist()]
+        assert len(set(got)) == len(got)
+        assert got == sorted(grid, key=first_side)
+        assert np.array_equal(samples.boundary[samples.edge_rows], edge_values(vh, t)[1])
 
     def test_corners_present(self):
         samples = build_samples(init_uniform(2), QuadRule(2), per_edge=1)
@@ -94,10 +129,12 @@ class TestBuildSamples:
     def test_doubling_density_halves_gap(self):
         def max_gap(per_edge):
             samples = build_samples(init_uniform(1), QuadRule(2), per_edge)
+            b = samples.boundary
             gaps = []
-            for side in ("bottom", "top", "left", "right"):
-                p = samples.side_params[side]
-                gaps.append(np.max(np.diff(p)))
+            for axis in (0, 1):
+                for fixed in (0.0, 1.0):
+                    p = np.sort(b[b[:, 1 - axis] == fixed, axis])
+                    gaps.append(np.max(np.diff(p)))
             return max(gaps)
 
         assert max_gap(4) == pytest.approx(0.5 * max_gap(2))
@@ -189,17 +226,10 @@ class TestBoundaryValues:
         assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
         samples = build_samples(mesh, QuadRule(2), per_edge=per_edge, min_level=2)
         _, pts = edge_values(vh, np.arange(per_edge + 1) / per_edge)
-        assert np.array_equal(pts.reshape(-1, 2)[samples.edge_index], samples.boundary)
+        assert np.array_equal(samples.boundary[samples.edge_rows], pts)
         got = samples.boundary_values(vh)
         want = point_values(vh, samples.boundary)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_hand_built_set_raises(self):
-        # a set not made by build_samples has no edge_index to gather by
-        vh = nodal_fe(init_uniform(0), lambda x, y: x + y, lambda x, y: 1.0 + 0 * x,
-                      lambda x, y: 1.0 + 0 * x)
-        with pytest.raises(ValueError, match="edge_index"):
-            grid_samples(4).boundary_values(vh)
 
     def test_edge_endpoints_are_value_coefficients(self):
         # every owner of a shared endpoint or corner returns the vertex's
@@ -284,8 +314,7 @@ class TestLowerHull:
         mesh = init_uniform(0)
         pts = np.column_stack([np.linspace(0, 1, 5), np.linspace(0, 1, 5)])
         samples = SampleSet(
-            mesh, pts[:0], np.zeros(0, int), np.zeros(0), pts,
-            {"bottom": np.zeros(0), "top": np.zeros(0), "left": np.zeros(0), "right": np.zeros(0)},
+            mesh, pts[:0], np.zeros(0, int), np.zeros(0), pts, np.zeros((0, 2), int)
         )
         with pytest.raises(ValueError):
             lower_hull(samples, pts[:, 0].copy())

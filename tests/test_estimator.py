@@ -22,7 +22,6 @@ from macert.estimator import (
     bound_value,
     contact_density,
     indicators_and_mark,
-    make_data_error,
     max_boundary_trace_error,
     rhs0,
     rhs_eps,
