@@ -113,9 +113,12 @@ class SolveResult:
     ``stop`` is "tol" (residual below tolerance), "policy" (policy fixed
     point), "floor" (residual down to the residual of its own frozen-policy
     linear system) or "max_iter".  Only "max_iter" counts as not converged.
-    ``backward_error`` is the largest ||K_r u - F_r|| / ||F_r|| over its
-    linear solves.  ``history`` holds one (residual, linear residual) pair
-    per full policy step, before any damping.
+    ``niter`` counts the linear systems solved and ``factorisations`` the
+    sparse LU factorisations among them; the others were solved by sweeps
+    with an earlier LU.  ``backward_error`` is the largest ||K_r u - F_r|| /
+    ||F_r|| over the accepted solutions of its linear systems, whether
+    solved directly or by sweeps.  ``history`` holds one (residual, linear
+    residual) pair per full policy step, before any damping.
     """
 
     u_h: FeFunction
@@ -124,6 +127,7 @@ class SolveResult:
     stop: str
     backward_error: float
     history: list[tuple[float, float]]
+    factorisations: int
 
     @property
     def converged(self) -> bool:
@@ -225,14 +229,21 @@ def solve(
 ) -> SolveResult:
     """Policy iteration for the discrete problem (F_eps(f; D^2 u_h), Lap v_h) = 0.
 
-    Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each sweep
+    Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each step
     freezes the pointwise argmax policy and solves the resulting linear,
-    nonsymmetric system K_r u = F_r by sparse LU (SuperLU) with diagonal
-    pivots in a minimum-degree order of K_r + K_r^T.  No row interchange is
-    needed: A has eigenvalues in [eps, 1-eps] and unit trace, and the
-    Miranda-Talenti identity holds under a Gauss rule of at least 3 points
-    per coordinate, so v^T K_r v >= eps v^T B_r v with B_r = ((Lap w,
+    nonsymmetric system K_r u = F_r.  A factorisation is sparse LU (SuperLU)
+    with diagonal pivots in a minimum-degree order of K_r + K_r^T.  No row
+    interchange is needed: A has eigenvalues in [eps, 1-eps] and unit trace,
+    and the Miranda-Talenti identity holds under a Gauss rule of at least 3
+    points per coordinate, so v^T K_r v >= eps v^T B_r v with B_r = ((Lap w,
     Lap phi)) SPD, and no pivot vanishes.
+    Late policy matrices barely differ, so the latest LU on the mesh is
+    reused: from the previous solution, sweeps u <- u + LU^-1 (F_r - K_r u)
+    run until the relative residual ||K_r u - F_r|| / ||F_r|| is at most
+    twice that of the LU's own solve, which accepts u.  The system is
+    refactorised instead once a sweep fails to halve the residual, or the
+    rate observed cannot reach that target within 12 sweeps.  The LU lives
+    for one call, one mesh, and is dropped before the next factorisation.
     Iteration stops when the Euclidean norm of the reduced residual falls
     below 1e-11 (1 + ||f||_L2) ("tol"), when the policy reaches a fixed
     point ("policy"), when a full step's residual is at most twice the
@@ -269,22 +280,35 @@ def solve(
     ref = quad.ref_points
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
-    berrs = []  # ||Kr u - Fr|| / ||Fr|| of every linear solve
+    berrs = []  # ||Kr u - Fr|| / ||Fr|| of every accepted linear solution
+    last = {}  # latest LU on this mesh: "lu", its own "berr", last solution "u"
+    nfact = 0
 
     def solve_linear(a11, a12, a22, rhs):
+        nonlocal nfact
         K, load = asm.linear_system(a11, a12, a22, rhs)
         Kr = red.reduce_matrix(K)
         Fr = red.reduce_vector(load - K @ red.offset)
-        try:
-            u_red = spla.splu(
-                Kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            ).solve(Fr)
-        except RuntimeError as exc:  # singular factorisation
-            raise SolverError(f"linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(u_red)):
-            raise SolverError("linear solve produced non-finite values")
-        berrs.append(np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0))
+        swept = _sweeps(last["lu"], Kr, Fr, last["u"], 2.0 * last["berr"]) if last else None
+        if swept is not None:
+            u_red, berr = swept
+        else:
+            last.clear()  # never hold two factorisations at once
+            try:
+                lu = spla.splu(
+                    Kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True),
+                )
+            except RuntimeError as exc:  # singular factorisation
+                raise SolverError(f"linear solve failed: {exc}") from exc
+            nfact += 1
+            u_red = lu.solve(Fr)
+            if not np.all(np.isfinite(u_red)):
+                raise SolverError("linear solve produced non-finite values")
+            berr = np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0)
+            last.update(lu=lu, berr=berr)
+        last["u"] = u_red
+        berrs.append(berr)
         return red.full_vector(u_red)
 
     def reduced_norm(vals):
@@ -341,7 +365,37 @@ def solve(
             stop = "floor"
 
     best = FeFunction(space, best_coeffs)
-    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs), history)
+    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs), history, nfact)
+
+
+_MAX_SWEEPS = 12
+
+
+def _sweeps(lu, Kr, Fr, u, target):
+    """Refine ``u`` towards Kr^-1 Fr by sweeps u <- u + lu.solve(Fr - Kr u).
+
+    ``lu`` factorises a nearby matrix.  Returns the refined vector and its
+    relative residual ||Kr u - Fr|| / ||Fr|| once that is at most ``target``,
+    or None when refactorising is the better course: a sweep fails to halve
+    the residual, or the residual at the rate observed so far would still
+    exceed ``target`` after ``_MAX_SWEEPS`` sweeps in all.  Each sweep costs
+    one ``lu.solve`` and one product with Kr, since the residual tested is
+    the next sweep's right-hand side.
+    """
+    fnorm = np.linalg.norm(Fr) or 1.0
+    r = Fr - Kr @ u
+    rel = np.linalg.norm(r) / fnorm
+    done = 0
+    while not rel <= target:
+        u = u + lu.solve(r)
+        r = Fr - Kr @ u
+        new = np.linalg.norm(r) / fnorm
+        rate = new / rel
+        done += 1
+        if not rate <= 0.5 or new * rate ** (_MAX_SWEEPS - done) > target:
+            return None
+        rel = new
+    return u, rel
 
 
 def _policy_close(p, q) -> bool:

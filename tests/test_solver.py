@@ -8,7 +8,7 @@ from macert.bfs import (
     BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary, norms_vs_exact,
 )
 from macert.geometry import init_uniform, refine
-from macert.hjb import HjbProblem, _Assembler, eval_F_batch, solve
+from macert.hjb import HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
 
 from oracles import assemble_reference, rows_of
 
@@ -136,13 +136,15 @@ class TestDiagonalPivoting:
         [(1, 1e-3, _corner_graded_mesh(3)), (3, 1e-4, init_uniform(3))],
         ids=["ex1-graded", "ex3-uniform"],
     )
-    def test_one_factorisation_per_solve_without_row_interchanges(
+    def test_factorisations_use_diagonal_pivots_without_row_interchanges(
         self, monkeypatch, number, eps, mesh
     ):
         exp = EXPERIMENTS[number]
         calls = _record_splu(monkeypatch)
         res = solve(BfsSpace(mesh), HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
-        assert res.converged and len(calls) == res.niter >= 2
+        # late policy systems are solved by sweeps with the latest LU
+        assert res.converged and 2 <= len(calls) < res.niter
+        assert res.factorisations == len(calls)
         for kwargs, lu in calls:
             assert kwargs == {
                 "permc_spec": "MMD_AT_PLUS_A",
@@ -168,7 +170,7 @@ class TestDiagonalPivoting:
             return red.reduce_matrix(asm.linear_system(a11, a12, a22, 0 * ones)[0]).toarray()
 
         B = reduced(ones, 0 * ones, ones)
-        cells = np.arange(len(mesh.cell_ids))
+        cells = np.arange(len(mesh))
         v = np.random.default_rng(0).standard_normal(red.ndof)
         hess = ("Nxx", "Nxy", "Nyy")
         for _ in range(5):
@@ -258,6 +260,61 @@ class TestAssembly:
         K1, load1 = asm.linear_system(*policy, rhs)
         K2, load2 = asm.linear_system(*policy, rhs)
         assert np.array_equal(K1.data, K2.data) and np.array_equal(load1, load2)
+
+
+_LU_OPTIONS = dict(
+    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+)
+
+
+def _direct(K, F):
+    """LU, solution and relative residual of one direct solve."""
+    lu = spla.splu(K, **_LU_OPTIONS)
+    u = lu.solve(F)
+    return lu, u, np.linalg.norm(K @ u - F) / np.linalg.norm(F)
+
+
+class TestSweeps:
+    @pytest.fixture(scope="class")
+    def ex3_systems(self):
+        """The reduced system (K_r, F_r) of every policy step of one ex3 solve."""
+        exp = EXPERIMENTS[3]
+        space = BfsSpace(init_uniform(3))
+        red = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
+        systems = []
+        assemble = _Assembler.linear_system
+
+        def recording(self, *args):
+            K, load = assemble(self, *args)
+            systems.append((red.reduce_matrix(K), red.reduce_vector(load - K @ red.offset)))
+            return K, load
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Assembler, "linear_system", recording)
+            solve(space, HjbProblem(1e-4, exp.f, exp.g, exp.grad_g), QuadRule(5), reduction=red)
+        return systems
+
+    def test_late_policy_refined_with_previous_lu(self, ex3_systems):
+        (K1, F1), (K2, F2) = ex3_systems[-2:]
+        lu, u1, berr = _direct(K1, F1)
+        u, rel = _sweeps(lu, K2, F2, u1, 2.0 * berr)
+        exact = _direct(K2, F2)[1]
+        assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
+        assert rel == np.linalg.norm(K2 @ u - F2) / np.linalg.norm(F2)
+        assert rel <= 2.0 * berr
+
+    def test_poisson_lu_far_from_late_policy_refactorises(self, ex3_systems):
+        (K1, F1), (K2, F2) = ex3_systems[0], ex3_systems[-1]
+        lu, u1, berr = _direct(K1, F1)
+        solves = []
+
+        class Counting:
+            def solve(self, r):
+                solves.append(r)
+                return lu.solve(r)
+
+        assert _sweeps(Counting(), K2, F2, u1, 2.0 * berr) is None
+        assert len(solves) == 1  # the rate test gives up after one sweep
 
 
 def _graded_toward_half(times):
