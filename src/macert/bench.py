@@ -9,7 +9,7 @@ as (f/2)^2 in two dimensions.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,20 +186,6 @@ EXPERIMENTS: dict[int, Experiment] = {
     3: _experiment3(),
 }
 
-DAT_COLUMNS = (
-    "ndof",
-    "hinv",
-    "Linferr",
-    "LHS",
-    "L2error",
-    "H1error",
-    "H2error",
-    "eta",
-    "eta2",
-    "niter",
-)
-
-
 @dataclass(frozen=True)
 class HistoryRow:
     """One refinement step in the paper-compatible 10-column layout.
@@ -222,6 +208,9 @@ class HistoryRow:
 
     def column(self, name: str) -> float:
         return float(getattr(self, name))
+
+
+DAT_COLUMNS = tuple(f.name for f in fields(HistoryRow))
 
 
 @dataclass(frozen=True)
@@ -315,12 +304,12 @@ def steps(config: RunConfig):
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
     quad = QuadRule(config.quad_degree)
-    problem = HjbProblem(eps, exp.f, exp.g, exp.grad_g)
+    problem = HjbProblem(eps, exp.f)
     mesh = init_uniform(config.initial_level)
     prev: FeFunction | None = None
     while count_free_dofs(mesh) <= config.max_ndof:
         space = BfsSpace(mesh)
-        reduction = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
+        reduction = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
         try:
             result = solve(space, problem, quad, reduction=reduction, initial=initial)
@@ -389,18 +378,16 @@ def _certify(v_h: FeFunction, exp: Experiment, eps: float, quad: QuadRule, per_e
 def _envelope_error(v_h, exact, hull, quad: QuadRule, linf_samples: int) -> float:
     """Sampled sup of |u - envelope| over quadrature points and cell grids.
 
-    Where the hull's interior samples are these quadrature points (the hull
-    was sampled on this mesh with this rule and the leaf is at its sampling
-    floor or finer), the envelope is read from ``hull.gamma``: ``cell_points``
-    and ``build_samples`` place the points by the same arithmetic.  Only the
+    The hull was sampled on this mesh with this rule, so on leaves at its
+    sampling floor or finer its interior samples are these quadrature points
+    and the envelope is read from ``hull.gamma``: ``cell_points`` and
+    ``build_samples`` place the points by the same arithmetic.  Only the
     other points are evaluated.
     """
     space, samples = v_h.space, hull.samples
     mesh = space.mesh
     cells = np.arange(len(mesh))
-    shared = np.zeros(len(mesh), dtype=bool)
-    if samples.mesh is mesh and samples.quad == quad:
-        shared = mesh.levels >= samples.min_level
+    shared = mesh.levels >= samples.min_level
     rows = np.searchsorted(samples.cell_index, cells[shared])[:, None] + np.arange(quad.npoints)
     known = space.cell_points(cells[shared], quad.ref_points).reshape(-1, 2)
     other = np.vstack([

@@ -135,10 +135,10 @@ class BfsSpace:
 
     # -- reductions ---------------------------------------------------------
 
-    def reduction(self, fixed: dict[int, float]) -> "Reduction":
+    def reduction(self, dofs: np.ndarray, values: np.ndarray) -> "Reduction":
         """Prolongation from free DOFs to the full vector, with fixed offsets.
 
-        ``fixed`` maps Dirichlet DOFs to their values.  Each slave DOF is a
+        ``values`` fix the Dirichlet ``dofs``.  Each slave DOF is a
         combination of the four master DOFs (vp, vq, dp, dq) of its master
         edge: free masters give its row of P, fixed ones its offset, summed
         in that order.  On a 1-irregular mesh no master is a slave: a master
@@ -148,9 +148,8 @@ class BfsSpace:
         Raises ``ValueError`` when a master is a slave.
         """
         nfull = self.nfull
-        dofs = np.fromiter(fixed, dtype=np.int64, count=len(fixed))
         value = np.zeros(nfull)
-        value[dofs] = np.fromiter(fixed.values(), dtype=float, count=len(fixed))
+        value[dofs] = values
         is_fixed = np.zeros(nfull, dtype=bool)
         is_fixed[dofs] = True
 
@@ -190,7 +189,7 @@ class BfsSpace:
         cols = np.concatenate([np.arange(len(free)), col[masters[entry]]])
         vals = np.concatenate([np.ones(len(free)), coefs[entry]])
         P = sp.csr_matrix((vals, (rows, cols)), shape=(nfull, len(free)))
-        return Reduction(self, P, offset, free)
+        return Reduction(P, offset, free)
 
     # -- batched tabulation --------------------------------------------------
 
@@ -217,7 +216,6 @@ class BfsSpace:
 class Reduction:
     """Affine map full = P @ free + offset induced by constraints and BCs."""
 
-    space: BfsSpace
     P: sp.csr_matrix
     offset: np.ndarray
     free_dofs: np.ndarray
@@ -272,52 +270,35 @@ class FeFunction:
 # -- boundary interpolation -----------------------------------------------
 
 
+def _fixed_kinds(mesh: RectMesh) -> np.ndarray:
+    """Whether each vertex's V, DX and DY DOFs are Dirichlet: (nv, 3) bool.
+
+    The value is fixed on the whole boundary, d/dx on the horizontal sides
+    and d/dy on the vertical ones, so both slopes at the corners.
+    """
+    kx, ky = mesh.vertex_keys.T
+    on_h, on_v = (ky == 0) | (ky == mesh.res), (kx == 0) | (kx == mesh.res)
+    return np.column_stack([on_h | on_v, on_h, on_v])
+
+
 def count_free_dofs(mesh: RectMesh) -> int:
-    """Free DOFs after boundary interpolation, without building the space.
+    """Free DOFs without building the space: boundary vertices lose their
+    ``_fixed_kinds``, hanging vertices all four DOFs to their master edges."""
+    return 4 * (len(mesh.vertex_keys) - len(mesh.hanging)) - int(_fixed_kinds(mesh).sum())
 
-    Boundary vertices lose value plus one tangential slope (two at the four
-    corners); hanging vertices lose all four DOFs to their master edges.
+
+def interpolate_boundary(space: BfsSpace, g, grad_g) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirichlet DOFs, ``_fixed_kinds`` by vertex, and their values.
+
+    ``grad_g`` is the gradient of an extension of g; only its tangential
+    components are used.
     """
-    nb = int(
-        np.count_nonzero(
-            mesh.vertex_on_left
-            | mesh.vertex_on_right
-            | mesh.vertex_on_bottom
-            | mesh.vertex_on_top
-        )
-    )
-    return 4 * len(mesh.vertex_keys) - 2 * nb - 4 - 4 * len(mesh.hanging)
-
-
-def interpolate_boundary(space: BfsSpace, g, grad_g) -> dict[int, float]:
-    """Fix boundary vertex DOFs from Dirichlet data.
-
-    Values are set everywhere on the boundary; first-derivative DOFs are set
-    only in the tangential direction of each boundary edge (both at corners).
-    Normal and mixed derivatives stay free.  ``grad_g`` supplies the gradient
-    of an extension of g; only its tangential components are used.
-    """
-    mesh = space.mesh
-    xs = mesh.vertex_coords[:, 0]
-    ys = mesh.vertex_coords[:, 1]
-    on_h = mesh.vertex_on_bottom | mesh.vertex_on_top  # horizontal edges
-    on_v = mesh.vertex_on_left | mesh.vertex_on_right
-    on_boundary = on_h | on_v
-    fixed: dict[int, float] = {}
-    idx = np.nonzero(on_boundary)[0]
-    if len(idx) == 0:
-        return fixed
-    gvals = np.broadcast_to(np.asarray(g(xs[idx], ys[idx]), dtype=float), idx.shape)
-    gx, gy = grad_g(xs[idx], ys[idx])
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), idx.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), idx.shape)
-    for k, vi in enumerate(idx):
-        fixed[4 * vi + V] = float(gvals[k])
-        if on_h[vi]:
-            fixed[4 * vi + DX] = float(gx[k])
-        if on_v[vi]:
-            fixed[4 * vi + DY] = float(gy[k])
-    return fixed
+    fixed = _fixed_kinds(space.mesh)
+    idx = np.flatnonzero(fixed[:, V])
+    x, y = space.mesh.vertex_coords[idx, 0], space.mesh.vertex_coords[idx, 1]
+    data = (g(x, y), *grad_g(x, y))
+    values = np.column_stack([np.broadcast_to(np.asarray(d, dtype=float), idx.shape) for d in data])
+    return (4 * idx[:, None] + np.array([V, DX, DY]))[fixed[idx]], values[fixed[idx]]
 
 
 # -- norms -------------------------------------------------------------------

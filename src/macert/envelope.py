@@ -351,17 +351,8 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
     return LowerHull(samples, values, planes, simplices, False)
 
 
-@dataclass
-class ContactSet:
-    """Flags over interior samples: envelope touches and Hessian is PSD."""
-
-    flags: np.ndarray  # bool, length n_interior
-    on_hull: np.ndarray
-    psd: np.ndarray
-
-
-def contact_set(hull: LowerHull, hessians) -> ContactSet:
-    """Contact flags at the interior samples of the hull's sample set.
+def contact_set(hull: LowerHull, hessians) -> np.ndarray:
+    """Contact flags (bool, length n_interior) at the hull's interior samples.
 
     A point belongs to the approximate contact set when its lifted sample
     lies on the lower hull and the piecewise Hessian (m11, m12, m22) of v_h
@@ -373,9 +364,7 @@ def contact_set(hull: LowerHull, hessians) -> ContactSet:
     tol = 1e-12 * float(np.max(frob)) if len(frob) else 0.0
     half = 0.5 * (m11 + m22)
     rad = np.hypot(0.5 * (m11 - m22), m12)
-    psd = half - rad >= -tol
-    on_hull = hull.on_hull[: hull.samples.n_interior]
-    return ContactSet(on_hull & psd, on_hull, psd)
+    return hull.on_hull[: hull.samples.n_interior] & (half - rad >= -tol)
 
 
 def boundary_residual(hull: LowerHull, g) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfs import FeFunction
-from .envelope import ContactSet, LowerHull, SampleSet, boundary_residual, edge_values
+from .envelope import LowerHull, SampleSet, boundary_residual, edge_values
 from .geometry import RectMesh, min_edge_length
 from .hjb import xi_of_batch
 
@@ -68,11 +68,11 @@ class ErrorCertificate:
     sigma: float
 
 
-def contact_density(v_h_hessians, contact: ContactSet) -> np.ndarray:
+def contact_density(v_h_hessians, contact: np.ndarray) -> np.ndarray:
     """f_h = 2 * chi * sqrt(det D2_pw v_h) at the interior samples."""
     m11, m12, m22 = v_h_hessians
     det = np.clip(m11 * m22 - m12**2, 0.0, None)
-    return np.where(contact.flags, 2.0 * np.sqrt(det), 0.0)
+    return np.where(contact, 2.0 * np.sqrt(det), 0.0)
 
 
 def _boundary_dist(pts: np.ndarray) -> np.ndarray:
@@ -151,7 +151,7 @@ def rhs0(
     f,
     g,
     hull: LowerHull,
-    contact: ContactSet,
+    contact: np.ndarray,
     hessians,
     j: int | None = None,
 ) -> ErrorCertificate:

@@ -22,6 +22,7 @@ SIDES = ("bottom", "right", "top", "left")  # counter-clockwise, as boundary sam
 # per cell edge bottom, top, left, right: its two local corners (local corner
 # order (0,0), (1,0), (0,1), (1,1) as in cell_corners) and the axis it runs along
 _EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
+_MAX_LEVEL = 30  # vertex keys, below (2**(level+1) + 1)**2, fit in int64
 
 
 class RectMesh:
@@ -47,6 +48,7 @@ class RectMesh:
         self.levels = self.cell_array[:, 0]
         self.max_level = int(self.levels[-1])
         self.min_level = int(self.levels[0])
+        self._check_partition()
         # integer resolution: unit square is [0, R] x [0, R]
         self.res = 2 ** (self.max_level + 1)
         self._build_topology()
@@ -76,15 +78,25 @@ class RectMesh:
         )
         self.hanging = records[np.argsort(records[:, 0], kind="stable")]
 
-        kx, ky = self.vertex_keys.T
-        self.vertex_on_left = kx == 0
-        self.vertex_on_right = kx == R
-        self.vertex_on_bottom = ky == 0
-        self.vertex_on_top = ky == R
-
         last = (1 << level) - 1
         on_side = np.column_stack([iy == 0, ix == last, iy == last, ix == 0])  # SIDES order
         self.boundary_edges = np.argwhere(on_side)
+
+    def _check_partition(self):
+        """Raise ``ValueError`` unless the cells tile the unit square once: in
+        range, no leaf is an ancestor of a finer one, and the areas sum to one."""
+        level, ix, iy = self.cell_array.T
+        if self.min_level < 0 or self.max_level > _MAX_LEVEL or np.any(
+                (np.minimum(ix, iy) < 0) | (np.maximum(ix, iy) >> level != 0)):
+            raise ValueError(f"cell out of range: need 0 <= level <= {_MAX_LEVEL}, "
+                             "0 <= ix, iy < 2**level")
+        for L in range(self.min_level, self.max_level):
+            finer = self.cell_array[level > L]
+            d = finer[:, 0] - L
+            if np.any(self._find(L, finer[:, 1] >> d, finer[:, 2] >> d) >= 0):
+                raise ValueError(f"a level-{L} cell overlaps finer cells")
+        if np.sum(1 << 2 * (self.max_level - level)) != 1 << 2 * self.max_level:
+            raise ValueError("cells leave a gap in the unit square")
 
     # -- queries -----------------------------------------------------------
 

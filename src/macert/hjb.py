@@ -20,17 +20,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, interpolate_boundary, level_scale
+from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, level_scale
 
 
 @dataclass(frozen=True)
 class HjbProblem:
-    """Regularised problem data: F_eps(f; x, D^2 u) = 0, u = g on the boundary."""
+    """Regularised problem data: F_eps(f; x, D^2 u) = 0; u = g enters by the reduction."""
 
     eps: float
     f: object  # f(x, y) -> array
-    g: object  # g(x, y) -> array
-    grad_g: object  # gradient of an extension of g, used tangentially
 
     def __post_init__(self):
         _check_eps(self.eps)
@@ -223,8 +221,8 @@ def solve(
     space: BfsSpace,
     problem: HjbProblem,
     quad: QuadRule,
+    reduction: Reduction,
     max_iter: int = 50,
-    reduction: Reduction | None = None,
     initial: np.ndarray | None = None,
 ) -> SolveResult:
     """Policy iteration for the discrete problem (F_eps(f; D^2 u_h), Lap v_h) = 0.
@@ -256,6 +254,7 @@ def solve(
     full step that overshoots the previous residual, without reaching the
     floor, is damped.
 
+    ``reduction`` fixes u = g, e.g. ``space.reduction(*interpolate_boundary(...))``.
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
     so it need not satisfy the boundary conditions.
@@ -271,10 +270,6 @@ def solve(
     fvals = fvals.reshape(asm.weights.shape)
     if not np.all(np.isfinite(fvals)):
         raise SolverError("right-hand side not finite at quadrature points")
-    if reduction is None:
-        fixed = interpolate_boundary(space, problem.g, problem.grad_g)
-        reduction = space.reduction(fixed)
-    red = reduction
     cells = np.arange(len(space.mesh))
     hess = ("Nxx", "Nxy", "Nyy")
     ref = quad.ref_points
@@ -287,8 +282,8 @@ def solve(
     def solve_linear(a11, a12, a22, rhs):
         nonlocal nfact
         K, load = asm.linear_system(a11, a12, a22, rhs)
-        Kr = red.reduce_matrix(K)
-        Fr = red.reduce_vector(load - K @ red.offset)
+        Kr = reduction.reduce_matrix(K)
+        Fr = reduction.reduce_vector(load - K @ reduction.offset)
         swept = _sweeps(last["lu"], Kr, Fr, last["u"], 2.0 * last["berr"]) if last else None
         if swept is not None:
             u_red, berr = swept
@@ -309,10 +304,10 @@ def solve(
             last.update(lu=lu, berr=berr)
         last["u"] = u_red
         berrs.append(berr)
-        return red.full_vector(u_red)
+        return reduction.full_vector(u_red)
 
     def reduced_norm(vals):
-        return float(np.linalg.norm(red.reduce_vector(asm.load(vals))))
+        return float(np.linalg.norm(reduction.reduce_vector(asm.load(vals))))
 
     def residual_of(coeffs, solved_policy=None):
         """Residual, linear residual and policy at ``coeffs``.

@@ -6,11 +6,17 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
-from macert.bfs import _hermite1d
+from macert.bfs import _hermite1d, interpolate_boundary
 from macert.envelope import _side_point
 from macert.estimator import bound_value
 from macert.geometry import SIDES
-from macert.hjb import eval_F_batch
+from macert.hjb import HjbProblem, eval_F_batch, solve
+
+
+def dirichlet_solve(space, eps, f, g, grad_g, quad, **kwargs):
+    """``solve`` with u = g on the boundary: the reduction of g and grad g."""
+    reduction = space.reduction(*interpolate_boundary(space, g, grad_g))
+    return solve(space, HjbProblem(eps, f), quad, reduction, **kwargs)
 
 
 def point_fields(vh, pts, what):
@@ -335,6 +341,22 @@ def topology_reference(mesh):
         hanging=hanging,
         boundary_edges=tuple(bedges),
     )
+
+
+def boundary_reference(space, g, grad_g):
+    """{dof: value} of the Dirichlet data by a loop over the vertices: the
+    value on the boundary, d/dx on y = 0 and 1, d/dy on x = 0 and 1."""
+    mesh, fixed = space.mesh, {}
+    for vi, ((kx, ky), (x, y)) in enumerate(zip(mesh.vertex_keys.tolist(), mesh.vertex_coords)):
+        on_h, on_v = ky in (0, mesh.res), kx in (0, mesh.res)
+        if on_h or on_v:
+            gx, gy = grad_g(x, y)
+            fixed[4 * vi] = float(g(x, y))
+            if on_h:
+                fixed[4 * vi + 1] = float(gx)
+            if on_v:
+                fixed[4 * vi + 2] = float(gy)
+    return fixed
 
 
 def reduction_reference(space, fixed):

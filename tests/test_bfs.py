@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from macert.bench import ExactSolution
+from macert.bench import ExactSolution, RunConfig, steps
 from macert.bfs import (
     BfsSpace,
     FeFunction,
     QuadRule,
+    count_free_dofs,
     interpolate_boundary,
     level_scale,
     norms_vs_exact,
@@ -13,7 +14,14 @@ from macert.bfs import (
 )
 from macert.geometry import RectMesh, init_uniform, refine
 
-from oracles import cell_rect, point_fields, point_values, rows_of, tabulate_basis_reference
+from oracles import (
+    boundary_reference,
+    cell_rect,
+    point_fields,
+    point_values,
+    rows_of,
+    tabulate_basis_reference,
+)
 
 
 def interpolant(space, u, ux, uy, uxy):
@@ -189,7 +197,7 @@ class TestContinuity:
         space = BfsSpace(mesh)
         assert len(mesh.hanging)
         rng = np.random.default_rng(0)
-        red = space.reduction({})
+        red = space.reduction([], [])
         vh = FeFunction(space, red.full_vector(rng.standard_normal(red.ndof)))
         # hanging edge x = 1/2: the left edge of coarse (1,1,0) faces the
         # right edges of the fine cells (2,1,0) and (2,1,1)
@@ -224,15 +232,28 @@ class TestBoundaryInterpolation:
     def test_zero_data(self):
         space = BfsSpace(init_uniform(1))
         zero = lambda x, y: np.zeros_like(x)
-        fixed = interpolate_boundary(space, zero, lambda x, y: (0.0 * x, 0.0 * y))
-        assert fixed and all(v == 0.0 for v in fixed.values())
+        dofs, values = interpolate_boundary(space, zero, lambda x, y: (0.0 * x, 0.0 * y))
+        assert len(dofs) == len(values) > 0 and np.all(values == 0.0)
+
+    def test_every_dof_fixed_once_as_the_vertex_loop(self):
+        mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 1)]))
+        space = BfsSpace(mesh)
+        g = lambda x, y: np.sin(x + 2 * y)
+        grad_g = lambda x, y: (np.cos(x + 2 * y), 2 * np.cos(x + 2 * y))
+        dofs, values = interpolate_boundary(space, g, grad_g)
+        assert len(np.unique(dofs)) == len(dofs) == len(values)
+        fixed = boundary_reference(space, g, grad_g)
+        assert dofs.tolist() == list(fixed)
+        # scalar and array evaluation of sin and cos may round differently
+        assert np.allclose(values, list(fixed.values()), rtol=4e-16, atol=4e-16)
 
     def test_affine_data_on_bottom_edge(self):
         space = BfsSpace(init_uniform(1))
         mesh = space.mesh
-        fixed = interpolate_boundary(
+        dofs, values = interpolate_boundary(
             space, lambda x, y: x + 0.0 * y, lambda x, y: (np.ones_like(x), np.zeros_like(x))
         )
+        fixed = dict(zip(dofs.tolist(), values.tolist()))
         for vi, (kx, ky) in enumerate(mesh.vertex_keys):
             if ky == 0:  # bottom edge: value x, tangential slope 1
                 assert fixed[4 * vi + 0] == pytest.approx(mesh.vertex_coords[vi, 0])
@@ -241,7 +262,7 @@ class TestBoundaryInterpolation:
 
     def test_corner_fixes_both_first_derivatives(self):
         space = BfsSpace(init_uniform(1))
-        fixed = interpolate_boundary(
+        dofs, values = interpolate_boundary(
             space, lambda x, y: x * y, lambda x, y: (y, x)
         )
         corner = [
@@ -249,6 +270,7 @@ class TestBoundaryInterpolation:
             for vi, key in enumerate(space.mesh.vertex_keys)
             if tuple(key) == (space.mesh.res, space.mesh.res)
         ][0]
+        fixed = dict(zip(dofs.tolist(), values.tolist()))
         assert fixed[4 * corner + 0] == pytest.approx(1.0)
         assert fixed[4 * corner + 1] == pytest.approx(1.0)
         assert fixed[4 * corner + 2] == pytest.approx(1.0)
@@ -262,7 +284,7 @@ class TestBoundaryInterpolation:
         errs = []
         for level in (2, 3, 4):
             space = BfsSpace(init_uniform(level))
-            red = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
+            red = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
             vh = FeFunction(space, red.full_vector(np.zeros(red.ndof)))
             errs.append(max_boundary_trace_error(vh, exp.g, points_per_edge=101)[1])
         assert errs[1] < 0.5 * errs[0]
@@ -275,7 +297,7 @@ class TestNdof:
         for level, expected in ((0, 4), (1, 16), (2, 64), (3, 256)):
             space = BfsSpace(init_uniform(level))
             red = space.reduction(
-                interpolate_boundary(
+                *interpolate_boundary(
                     space, lambda x, y: 0 * x, lambda x, y: (0 * x, 0 * y)
                 )
             )
@@ -286,10 +308,26 @@ class TestNdof:
         space = BfsSpace(mesh)
         zero = lambda x, y: 0 * x
         gz = lambda x, y: (0 * x, 0 * y)
-        n1 = space.reduction(interpolate_boundary(space, zero, gz)).ndof
+        n1 = space.reduction(*interpolate_boundary(space, zero, gz)).ndof
         space2 = BfsSpace(refine(mesh, np.arange(len(mesh))))
-        n2 = space2.reduction(interpolate_boundary(space2, zero, gz)).ndof
+        n2 = space2.reduction(*interpolate_boundary(space2, zero, gz)).ndof
         assert n2 == 4 * n1
+
+    def test_count_matches_reduction(self):
+        # uniform meshes, meshes graded toward a corner and an adaptive history
+        meshes = [init_uniform(level) for level in range(4)]
+        for level in range(1, 5):
+            coarse = meshes[-1] if level > 1 else init_uniform(1)
+            meshes.append(refine(coarse, rows_of(coarse, [(level, 0, 0)])))
+        config = RunConfig(1, "adaptive", max_ndof=1000, initial_level=0)
+        meshes += [step.solve.u_h.space.mesh for step in steps(config)]
+        assert any(len(mesh.hanging) for mesh in meshes[-3:])
+        zero = lambda x, y: 0 * x
+        gz = lambda x, y: (0 * x, 0 * y)
+        for mesh in meshes:
+            space = BfsSpace(mesh)
+            red = space.reduction(*interpolate_boundary(space, zero, gz))
+            assert count_free_dofs(mesh) == red.ndof
 
 
 class TestNorms:
@@ -348,7 +386,7 @@ def test_hanging_constraints_reproduce_bicubics():
         lambda x, y: 3 * x**2,
     )
     # slaved coefficients agree with direct interpolation
-    red = space.reduction({})
+    red = space.reduction([], [])
     recovered = red.full_vector(vh.coeffs[red.free_dofs])
     assert np.allclose(recovered, vh.coeffs, atol=1e-12)
 
@@ -364,4 +402,4 @@ def test_chained_constraints_rejected():
     masters = mesh.hanging[:, 1:3]
     assert sorted(slaves[np.isin(masters, slaves).any(axis=1)]) == [5, 10]
     with pytest.raises(ValueError, match="not 1-irregular"):
-        BfsSpace(mesh).reduction({})
+        BfsSpace(mesh).reduction([], [])

@@ -507,16 +507,18 @@ class TestContactSet:
     def test_convex_quadratic_all_flagged(self):
         vh, samples, hull = self._quadratic_setup()
         contact = contact_set(hull, sample_hessians(vh, samples))
-        assert contact.flags.all()
+        assert contact.all()
 
     def test_indefinite_hessian_filtered(self):
         # weakly concave in y: some samples still sit on the lower hull, but
         # the PSD filter must reject every one of them
         vh, samples, hull = self._quadratic_setup(fyy=-0.005)
-        contact = contact_set(hull, sample_hessians(vh, samples))
-        assert contact.on_hull.any()
-        assert not contact.psd.any()
-        assert not contact.flags.any()
+        m11, m12, m22 = hessians = sample_hessians(vh, samples)
+        contact = contact_set(hull, hessians)
+        assert hull.on_hull[: samples.n_interior].any()
+        smallest_eigenvalue = 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
+        assert not (smallest_eigenvalue >= 0).any()
+        assert not contact.any()
 
     def test_monge_ampere_density_of_quadratic(self):
         # density of the envelope of a PD quadratic equals det M at samples
@@ -525,7 +527,7 @@ class TestContactSet:
             contact = contact_set(hull, sample_hessians(vh, samples))
             H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
             det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
-            density = np.where(contact.flags, det, 0.0)
+            density = np.where(contact, det, 0.0)
             assert np.allclose(density, m11 * m22 - m12**2, atol=1e-9)
 
     def test_kink_interpolant_fully_flagged(self):
@@ -539,7 +541,7 @@ class TestContactSet:
         samples = build_samples(mesh, QuadRule(3), per_edge=8)
         hull = lower_hull(samples, sample_values(vh, samples))
         contact = contact_set(hull, sample_hessians(vh, samples))
-        assert contact.flags.all()
+        assert contact.all()
         H = point_fields(vh, samples.interior, ("Nxx", "Nxy", "Nyy"))
         det = H[:, 0] * H[:, 2] - H[:, 1] ** 2
         assert np.allclose(det, 0.0, atol=1e-12)
@@ -555,7 +557,7 @@ class TestContactSet:
             exact = lp_envelope(samples.points, np.concatenate(
                 [vals, samples.boundary_values(vh)]), pts[k])
             if abs(vals[k] - exact) < 1e-13:
-                assert contact.flags[k]
+                assert contact[k]
 
 
 class TestBoundaryResidual:

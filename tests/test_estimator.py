@@ -66,7 +66,7 @@ class TestDataErrorNorms:
         hull = envelope_of(vh, samples)
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
-        assert contact.flags.all()
+        assert contact.all()
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
             cert = rhs0(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, H,

@@ -58,6 +58,22 @@ class TestInitUniform:
             init_uniform(-1)
 
 
+class TestRectMeshPartition:
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([(1, 5, 0)], "out of range"),
+            ([(0, 0, 0), (1, 0, 0)], "overlaps"),
+            ([(1, 0, 0), (1, 1, 0), (1, 0, 1)], "gap"),
+            ([(-1, 0, 0)], "out of range"),
+        ],
+        ids=["index-out-of-range", "overlap", "gap", "negative-level"],
+    )
+    def test_non_partition_rejected(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            RectMesh(cells)
+
+
 class TestRefine:
     def test_uniform_refinement(self):
         mesh = refine(init_uniform(1), np.arange(4))
@@ -128,10 +144,10 @@ def assert_matches_reference(coarse, marked, rng):
     g = lambda x, y: np.sin(x + 2 * y)
     boundary = interpolate_boundary(space, g, lambda x, y: (np.cos(x + 2 * y), 2 * np.cos(x + 2 * y)))
     # any DOFs may be fixed, slaves and several masters of one slave too
-    some = rng.choice(space.nfull, space.nfull // 3, replace=False).tolist()
-    for fixed in (boundary, dict(zip(some, rng.standard_normal(len(some)).tolist()))):
-        red = space.reduction(fixed)
-        P, offset, free = reduction_reference(space, fixed)
+    some = rng.choice(space.nfull, space.nfull // 3, replace=False)
+    for dofs, values in (boundary, (some, rng.standard_normal(len(some)))):
+        red = space.reduction(dofs, values)
+        P, offset, free = reduction_reference(space, dict(zip(dofs.tolist(), values.tolist())))
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(red.P, name), getattr(P, name))
         assert np.array_equal(red.offset, offset)

@@ -10,7 +10,10 @@ from macert.bfs import (
 from macert.geometry import init_uniform, refine
 from macert.hjb import HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
 
-from oracles import assemble_reference, rows_of
+from oracles import assemble_reference, dirichlet_solve, rows_of
+
+
+TWO = lambda x, y: 2.0 + 0 * x  # f of u = (x^2 + y^2) / 2
 
 
 def quadratic_exact():
@@ -24,10 +27,9 @@ class TestQuadraticReproduction:
     def test_poisson_regime(self):
         # eps = 1/2 pins the policy at I/2: the scheme is a Poisson solve
         exact = quadratic_exact()
-        problem = HjbProblem(0.5, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
         coarse = init_uniform(1)
         for mesh in (coarse, refine(coarse, rows_of(coarse, [(1, 1, 1)]))):
-            res = solve(BfsSpace(mesh), problem, QuadRule(5))
+            res = dirichlet_solve(BfsSpace(mesh), 0.5, TWO, exact.u, exact.grad, QuadRule(5))
             assert res.converged
             linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
             assert linf <= 1e-9
@@ -35,18 +37,16 @@ class TestQuadraticReproduction:
     @pytest.mark.parametrize("eps", [0.2, 0.1, 1e-3])
     def test_inactive_regularisation(self, eps):
         exact = quadratic_exact()
-        problem = HjbProblem(eps, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
-        res = solve(BfsSpace(init_uniform(2)), problem, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(init_uniform(2)), eps, TWO, exact.u, exact.grad, QuadRule(5))
         assert res.converged
         linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
         assert linf <= 1e-8
 
     def test_hanging_node_mesh(self):
         exact = quadratic_exact()
-        problem = HjbProblem(0.2, lambda x, y: 2.0 + 0 * x, exact.u, exact.grad)
         mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
-        res = solve(BfsSpace(mesh), problem, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), 0.2, TWO, exact.u, exact.grad, QuadRule(5))
         linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
         assert linf <= 1e-8
 
@@ -56,8 +56,8 @@ class TestBenchmarkSolves:
         # discrete error at the 8x8 mesh within a factor two of the
         # reference history value 3.2142e-3
         exp = EXPERIMENTS[1]
-        problem = HjbProblem(1e-3, exp.f, exp.g, exp.grad_g)
-        res = solve(BfsSpace(init_uniform(2)), problem, QuadRule(5))
+        space = BfsSpace(init_uniform(2))
+        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, QuadRule(5))
         assert res.converged
         linf = norms_vs_exact(res.u_h, exp.exact, QuadRule(5))[0]
         assert 0.5 * 3.2142e-3 <= linf <= 2.0 * 3.2142e-3
@@ -69,22 +69,23 @@ class TestBenchmarkSolves:
         space = BfsSpace(init_uniform(2))
         sols = []
         for eps in (0.2, 1e-2, 1e-3):
-            res = solve(space, HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
+            res = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
             sols.append(res.u_h.coeffs)
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-7
         assert np.max(np.abs(sols[1] - sols[2])) <= 1e-7
 
     def test_oscillating_density_matches_reference(self):
         exp = EXPERIMENTS[3]
-        problem = HjbProblem(1e-4, exp.f, exp.g, exp.grad_g)
-        res = solve(BfsSpace(init_uniform(2)), problem, QuadRule(5))
+        space = BfsSpace(init_uniform(2))
+        res = dirichlet_solve(space, 1e-4, exp.f, exp.g, exp.grad_g, QuadRule(5))
         linf = norms_vs_exact(res.u_h, exp.exact, QuadRule(5))[0]
         # reference history: 1.1503e-2 at this mesh
         assert 0.5 * 1.1503e-2 <= linf <= 2.0 * 1.1503e-2
 
     def test_niter_reported(self):
         exp = EXPERIMENTS[1]
-        res = solve(BfsSpace(init_uniform(1)), HjbProblem(1e-3, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        space = BfsSpace(init_uniform(1))
+        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, QuadRule(5))
         assert 1 <= res.niter <= 50
         assert res.residual >= 0.0
 
@@ -92,17 +93,14 @@ class TestBenchmarkSolves:
     def test_backward_error_measured(self, number, eps):
         exp = EXPERIMENTS[number]
         mesh = _corner_graded_mesh(2)
-        res = solve(BfsSpace(mesh), HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
         assert np.isfinite(res.backward_error)
         assert 0.0 <= res.backward_error < 1e-8
 
     def test_max_iter_flags_without_raising(self):
         exp = EXPERIMENTS[3]
-        res = solve(
-            BfsSpace(init_uniform(1)),
-            HjbProblem(1e-4, exp.f, exp.g, exp.grad_g),
-            QuadRule(5),
-            max_iter=2,
+        res = dirichlet_solve(
+            BfsSpace(init_uniform(1)), 1e-4, exp.f, exp.g, exp.grad_g, QuadRule(5), max_iter=2
         )
         assert res.niter == 2
         assert not res.converged
@@ -141,7 +139,7 @@ class TestDiagonalPivoting:
     ):
         exp = EXPERIMENTS[number]
         calls = _record_splu(monkeypatch)
-        res = solve(BfsSpace(mesh), HjbProblem(eps, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
         # late policy systems are solved by sweeps with the latest LU
         assert res.converged and 2 <= len(calls) < res.niter
         assert res.factorisations == len(calls)
@@ -163,7 +161,7 @@ class TestDiagonalPivoting:
         space, quad = BfsSpace(mesh), QuadRule(5)
         asm = _Assembler(space, quad)
         zero = lambda x, y: 0.0 * x
-        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        red = space.reduction(*interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
         ones = np.ones(asm.weights.shape)
 
         def reduced(a11, a12, a22):
@@ -194,7 +192,7 @@ class TestDiagonalPivoting:
         assert len(np.unique(mesh.levels)) == 3
         space, quad = BfsSpace(mesh), QuadRule(degree)
         zero = lambda x, y: 0.0 * x
-        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        red = space.reduction(*interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
         v = np.random.default_rng(degree).standard_normal(red.ndof)
         cells = np.arange(len(mesh))
         H = FeFunction(space, red.full_vector(v)).on_cells(
@@ -243,7 +241,7 @@ class TestAssembly:
         space, quad = BfsSpace(mesh), QuadRule(5)
         asm = _Assembler(space, quad)
         zero = lambda x, y: 0.0 * x
-        red = space.reduction(interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
+        red = space.reduction(*interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
         K = asm.linear_system(*_random_policy(asm.weights.shape, 1), np.ones(asm.weights.shape))[0]
         Kr = red.reduce_matrix(K)
         ref = (red.P.T @ (K @ red.P)).tocsr().tocsc()
@@ -280,7 +278,7 @@ class TestSweeps:
         """The reduced system (K_r, F_r) of every policy step of one ex3 solve."""
         exp = EXPERIMENTS[3]
         space = BfsSpace(init_uniform(3))
-        red = space.reduction(interpolate_boundary(space, exp.g, exp.grad_g))
+        red = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
         systems = []
         assemble = _Assembler.linear_system
 
@@ -291,7 +289,7 @@ class TestSweeps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Assembler, "linear_system", recording)
-            solve(space, HjbProblem(1e-4, exp.f, exp.g, exp.grad_g), QuadRule(5), reduction=red)
+            solve(space, HjbProblem(1e-4, exp.f), QuadRule(5), reduction=red)
         return systems
 
     def test_late_policy_refined_with_previous_lu(self, ex3_systems):
@@ -334,7 +332,7 @@ class TestFloorStop:
         exp = EXPERIMENTS[2]
         space = BfsSpace(_graded_toward_half(4))
         assert count_free_dofs(space.mesh) >= 570
-        res = solve(space, HjbProblem(0.1, exp.f, exp.g, exp.grad_g), QuadRule(5))
+        res = dirichlet_solve(space, 0.1, exp.f, exp.g, exp.grad_g, QuadRule(5))
         assert res.stop == "floor"
         assert len(res.history) == res.niter
         *earlier, (last_res, last_lin) = res.history
@@ -354,15 +352,15 @@ class TestFloorStop:
     def test_restart_from_converged_solution_takes_one_solve(self, number, eps, mesh):
         exp = EXPERIMENTS[number]
         space, quad = BfsSpace(mesh), QuadRule(5)
-        problem = HjbProblem(eps, exp.f, exp.g, exp.grad_g)
-        first = solve(space, problem, quad)
+        first = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, quad)
         assert first.converged
-        again = solve(space, problem, quad, initial=first.u_h.coeffs)
+        again = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, quad,
+                                initial=first.u_h.coeffs)
         assert again.niter == len(again.history) == 1
         assert again.stop in ("tol", "floor")
 
     def test_max_iter_below_one_rejected(self):
         exp = EXPERIMENTS[1]
         with pytest.raises(ValueError, match="max_iter"):
-            solve(BfsSpace(init_uniform(1)), HjbProblem(1e-3, exp.f, exp.g, exp.grad_g),
-                  QuadRule(5), max_iter=0)
+            dirichlet_solve(BfsSpace(init_uniform(1)), 1e-3, exp.f, exp.g, exp.grad_g,
+                            QuadRule(5), max_iter=0)
