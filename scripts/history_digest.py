@@ -4,11 +4,12 @@
 Takes the flags of ``macert`` except ``--out``, iterates the refinement
 steps of ``macert.bench.steps`` and prints the digest of the ``.dat`` text
 ``macert`` would write, then one line per step with the free DOFs, the
-linear solves, the LU factorisations among them, the digest of that step's
+linear solves, the LU factorisations among them, the band index j of the
+certificate, the number of lower hull facets, the digest of that step's
 ``.dat`` row, the number of marked cells and the digest of the marked cell
-rows (sorted int64).  Two checkouts produce the same histories, markings and
-factorisation counts exactly when these lines are equal, and a ``diff`` of
-the two outputs names the steps whose rows changed:
+rows (sorted int64).  Two checkouts produce the same histories, markings,
+factorisation counts, bands and hulls exactly when these lines are equal,
+and a ``diff`` of the two outputs names the steps whose rows changed:
 
     PYTHONPATH=src python scripts/history_digest.py --experiment 1 \\
         --mode adaptive --max-ndof 3000 --initial-level 0
@@ -37,19 +38,20 @@ def main(argv=None) -> int:
         kw = vars(parser.parse_args([*argv, "--out", str(out)]))
         kw["eps"] = kw.pop("epsilon")
         del kw["out"]
-        rows, marks, facts = [], [], []
+        rows, marks, counts = [], [], []
         for step in steps(RunConfig(**kw)):
             rows.append(step.row)
             marks.append(np.asarray(step.marked, dtype=np.int64))
-            facts.append(step.solve.factorisations)
+            counts.append((step.solve.factorisations, step.certificate.j, len(step.hull.planes)))
         if not rows:
             parser.error("the initial mesh already exceeds --max-ndof")
         emit_dat(rows, out)
         text = out.read_bytes()
     print(f"dat {sha(text)}  rows {len(rows)}")
     lines = text.splitlines()[1:]  # one per row, after the header
-    for k, (row, marked, fact, line) in enumerate(zip(rows, marks, facts, lines)):
+    for k, (row, marked, (fact, j, facets), line) in enumerate(zip(rows, marks, counts, lines)):
         print(f"step {k:>3d}  ndof {row.ndof:>7d}  niter {row.niter:>3d}  lu {fact:>3d}  "
+              f"j {j:>4d}  facets {facets:>7d}  "
               f"row {sha(line)[:16]}  marked {len(marked):>6d}  {sha(marked.tobytes())}")
     return 0
 

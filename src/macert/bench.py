@@ -247,7 +247,7 @@ class RunConfig:
 
 
 class RunAborted(RuntimeError):
-    """Solver failure mid-run; carries the rows finished so far."""
+    """Solver or refinement failure mid-run; carries the rows finished so far."""
 
     def __init__(self, message: str, rows: list[HistoryRow]):
         super().__init__(message)
@@ -298,8 +298,9 @@ def steps(config: RunConfig):
 
     Yields one ``Step`` per mesh whose free DOFs fit ``config.max_ndof``.
     Each solve after the first starts from the previous solution prolongated
-    to the refined mesh.  A solver failure raises ``SolverError`` naming the
-    DOFs of the mesh it failed on.
+    to the refined mesh.  A solver failure, or a refinement past the finest
+    level a ``RectMesh`` holds, raises ``SolverError`` naming the DOFs of the
+    mesh it failed on.
     """
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
@@ -339,13 +340,16 @@ def steps(config: RunConfig):
         if not len(marked):  # uniform, or vanished indicator and boundary error
             marked = np.arange(len(mesh))
         yield Step(row, result, hull, cert, marked)
-        mesh = refine(mesh, marked)
+        try:
+            mesh = refine(mesh, marked)
+        except ValueError as exc:  # the marked rows are valid, so the level cap
+            raise SolverError(f"refinement failed at ndof {reduction.ndof}: {exc}") from exc
         prev = v_h
 
 
 def run(config: RunConfig) -> list[HistoryRow]:
-    """The rows of ``steps(config)``; a solver failure raises ``RunAborted``
-    with the rows finished so far."""
+    """The rows of ``steps(config)``; a solver or refinement failure raises
+    ``RunAborted`` with the rows finished so far."""
     rows: list[HistoryRow] = []
     try:
         for step in steps(config):

@@ -188,7 +188,7 @@ class BfsSpace:
         rows = np.concatenate([free, np.repeat(slaves, entry.sum(axis=1))])
         cols = np.concatenate([np.arange(len(free)), col[masters[entry]]])
         vals = np.concatenate([np.ones(len(free)), coefs[entry]])
-        P = sp.csr_matrix((vals, (rows, cols)), shape=(nfull, len(free)))
+        P = sp.csc_matrix((vals, (rows, cols)), shape=(nfull, len(free)))
         return Reduction(P, offset, free)
 
     # -- batched tabulation --------------------------------------------------
@@ -216,9 +216,14 @@ class BfsSpace:
 class Reduction:
     """Affine map full = P @ free + offset induced by constraints and BCs."""
 
-    P: sp.csr_matrix
+    P: sp.csc_matrix
     offset: np.ndarray
     free_dofs: np.ndarray
+
+    @cached_property
+    def _PT(self) -> sp.csc_matrix:
+        """P^T in CSC, converted once per reduction for ``reduce_matrix``."""
+        return self.P.T.tocsc()
 
     @property
     def ndof(self) -> int:
@@ -227,13 +232,17 @@ class Reduction:
     def full_vector(self, u_free: np.ndarray) -> np.ndarray:
         return self.P @ u_free + self.offset
 
-    def reduce_matrix(self, K: sp.spmatrix) -> sp.csc_matrix:
+    def reduce_matrix(self, K: sp.csc_matrix) -> sp.csc_matrix:
         """P^T K P in CSC, the format SuperLU takes, with sorted indices.
 
-        P^T is CSC, so the product is CSC already; only its row indices
-        within each column come out unsorted.
+        K, P and P^T are all CSC, so no product converts a format.  A
+        product leaves the row indices within a column unsorted; K P is
+        sorted before the second product, so every entry of K_r sums its
+        terms in row order.
         """
-        Kr = self.P.T @ (K @ self.P)
+        KP = K @ self.P
+        KP.sort_indices()
+        Kr = self._PT @ KP
         Kr.sort_indices()
         return Kr
 

@@ -18,6 +18,7 @@ boundary samples: the grid points of every boundary edge, each once.  One batch,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -53,6 +54,12 @@ class SampleSet:
     @property
     def n_interior(self) -> int:
         return len(self.interior)
+
+    @cached_property
+    def boundary_dist(self) -> np.ndarray:
+        """Distance of each interior sample to the boundary of the unit square."""
+        x, y = self.interior[:, 0], self.interior[:, 1]
+        return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
 
     def interior_fields(self, v_h: FeFunction, what) -> dict[str, np.ndarray]:
         """Derivatives of ``v_h`` at the interior samples, in sample order.
@@ -210,7 +217,8 @@ class LowerHull:
 
     def __post_init__(self):
         pts = self.samples.points
-        self._buckets = _bucket_index(pts[self.simplices], self.samples.mesh.max_level + 2)
+        top = min(self.samples.mesh.max_level + 2, _MAX_DEPTH)
+        self._buckets = _bucket_index(pts[self.simplices], top)
         rest = np.ones(len(pts), dtype=bool)
         rest[self.simplices] = False
         self.gamma = self.values.copy()
@@ -260,6 +268,7 @@ class LowerHull:
 _MIN_SQUARES = 8  # index entries a facet may always take
 _MAX_SQUARES = 256  # index entries a sliver facet may take at most
 _CHUNK = 1 << 16  # (point, facet) pairs per segmented max, index entries per pass
+_MAX_DEPTH = 31  # square counts and keys, at most 4**depth, fit in int64
 
 
 def _square(q: np.ndarray, n) -> np.ndarray:

@@ -31,25 +31,6 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass
-class DataError:
-    """Pointwise residual f - f_h at the interior samples, with quadrature data."""
-
-    residual: np.ndarray
-    weights: np.ndarray
-    cell_index: np.ndarray
-    dist: np.ndarray  # distance to the boundary of the unit square
-
-    def per_cell_sq(self, offset: float, ncells: int):
-        wr2 = self.weights * self.residual**2
-        total = np.bincount(self.cell_index, weights=wr2, minlength=ncells)
-        m = self.dist >= offset
-        inner = np.bincount(
-            self.cell_index[m], weights=wr2[m], minlength=ncells
-        )
-        return total, inner
-
-
-@dataclass
 class ErrorCertificate:
     """Certified bound with its localisation data.
 
@@ -75,39 +56,27 @@ def contact_density(v_h_hessians, contact: np.ndarray) -> np.ndarray:
     return np.where(contact, 2.0 * np.sqrt(det), 0.0)
 
 
-def _boundary_dist(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    return np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
-
-
-def make_data_error(samples: SampleSet, fvals: np.ndarray, f_h: np.ndarray) -> DataError:
-    return DataError(
-        residual=fvals - f_h,
-        weights=samples.weights,
-        cell_index=samples.cell_index,
-        dist=_boundary_dist(samples.interior),
-    )
-
-
 def bound_value(mu: float, jd: float, inner: float, glob: float) -> float:
     return mu + 0.5 * (1.0 - 2.0 * jd) * inner + 0.5 * 2.0**0.25 * np.sqrt(jd) * glob
 
 
-def select_j(mu: float, data: DataError, delta: float) -> int:
+def select_j(mu: float, dist: np.ndarray, wr2: np.ndarray, delta: float) -> int:
     """Smallest j whose bound is not improved by shrinking the band once more.
 
-    Among j = 0, 1, ... with j*delta < 1/2 returns the first j with
-    RHS0(j+1) > RHS0(j), or the last j when the bound never rises.  ``delta``
-    is a power of two (a cell size), so there are ceil(1/(2 delta))
-    candidates: millions on finely graded meshes, while the answer is usually
-    a few bands.  They are evaluated in array blocks of growing length over a
-    single distance sort, stopping at the block with the first rise.  A data
-    error that vanishes at every sample makes every band's bound mu, so the
-    answer is then the last j without a sweep.
+    ``dist`` is each interior sample's distance to the boundary and ``wr2``
+    its weighted squared residual w * (f - f_h)**2.  Among j = 0, 1, ... with
+    j*delta < 1/2 returns the first j with RHS0(j+1) > RHS0(j), or the last j
+    when the bound never rises.  ``delta`` is a power of two (a cell size),
+    so there are ceil(1/(2 delta)) candidates: millions on finely graded
+    meshes, while the answer is usually a few bands.  They are evaluated in
+    array blocks of growing length over a single distance sort, stopping at
+    the block with the first rise.  A data error that vanishes at every
+    sample makes every band's bound mu, so the answer is then the last j
+    without a sweep.
     """
-    order = np.argsort(data.dist, kind="stable")
-    wr2 = (data.weights * data.residual**2)[order]
-    dist_sorted = data.dist[order]
+    order = np.argsort(dist, kind="stable")
+    wr2 = wr2[order]
+    dist_sorted = dist[order]
     suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
     glob = np.sqrt(suffix[0])
     n = max(1, int(np.ceil(0.5 / delta)))
@@ -126,12 +95,19 @@ def select_j(mu: float, data: DataError, delta: float) -> int:
         lo, hi = hi - 1, min(n, 8 * hi)  # overlap one j to compare across blocks
 
 
-def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCertificate:
+def _certificate(mu, samples: SampleSet, residual, j=None) -> ErrorCertificate:
+    """Certificate from the boundary term ``mu`` and the residual f - f_h at
+    the interior samples, in the band ``j``, by default the one of ``select_j``."""
+    mesh = samples.mesh
     delta = min_edge_length(mesh)
+    wr2 = samples.weights * residual**2
+    dist = samples.boundary_dist
     if j is None:
-        j = select_j(mu, data, delta)
+        j = select_j(mu, dist, wr2, delta)
     jd = j * delta
-    total, inner = data.per_cell_sq(jd, len(mesh))
+    inside = dist >= jd
+    total = np.bincount(samples.cell_index, weights=wr2, minlength=len(mesh))
+    inner = np.bincount(samples.cell_index[inside], weights=wr2[inside], minlength=len(mesh))
     inner_norm = float(np.sqrt(inner.sum()))
     global_norm = float(np.sqrt(total.sum()))
     rhs0_val = bound_value(mu, jd, inner_norm, global_norm)
@@ -147,14 +123,7 @@ def _certificate(mu, data: DataError, mesh: RectMesh, j: int | None) -> ErrorCer
     )
 
 
-def rhs0(
-    f,
-    g,
-    hull: LowerHull,
-    contact: np.ndarray,
-    hessians,
-    j: int | None = None,
-) -> ErrorCertificate:
+def rhs0(f, g, hull: LowerHull, contact: np.ndarray, hessians) -> ErrorCertificate:
     """Certificate for ||u - envelope(v_h)||_Linf from envelope outputs.
 
     ``hessians`` is (m11, m12, m22) of v_h at the hull's interior samples.
@@ -163,19 +132,11 @@ def rhs0(
     """
     samples = hull.samples
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
-    data = make_data_error(samples, fvals, contact_density(hessians, contact))
-    mu = boundary_residual(hull, g)
-    return _certificate(mu, data, samples.mesh, j)
+    residual = fvals - contact_density(hessians, contact)
+    return _certificate(boundary_residual(hull, g), samples, residual)
 
 
-def rhs_eps(
-    f,
-    eps: float,
-    samples: SampleSet,
-    hessians,
-    boundary_err: float,
-    j: int | None = None,
-) -> ErrorCertificate:
+def rhs_eps(f, eps: float, samples: SampleSet, hessians, boundary_err: float) -> ErrorCertificate:
     """Certificate for ||u_eps - v_h||_Linf via the exact HJB right-hand side.
 
     f_h(x) = xi(D2_pw v_h(x)) makes the regularised operator vanish at v_h
@@ -185,9 +146,7 @@ def rhs_eps(
     the interior samples.
     """
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
-    f_h = xi_of_batch(eps, *hessians)
-    data = make_data_error(samples, fvals, f_h)
-    return _certificate(boundary_err, data, samples.mesh, j)
+    return _certificate(boundary_err, samples, fvals - xi_of_batch(eps, *hessians))
 
 
 def max_boundary_trace_error(

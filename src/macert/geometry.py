@@ -38,13 +38,16 @@ class RectMesh:
     """
 
     def __init__(self, cells: Iterable[CellId]):
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
-        if not len(cells):
+        cells = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
+        if not cells.size:
             raise ValueError("mesh needs at least one cell")
+        if cells.dtype.kind not in "iu":
+            raise ValueError(f"cells must be integer (level, ix, iy), not {cells.dtype}")
+        cells = cells.astype(np.int64).reshape(-1, 3)
         # (level, ix, iy) per cell, sorted, so each level is contiguous
         self.cell_array = np.unique(cells, axis=0)
+        if len(self.cell_array) < len(cells):
+            raise ValueError("a cell is repeated")
         self.levels = self.cell_array[:, 0]
         self.max_level = int(self.levels[-1])
         self.min_level = int(self.levels[0])

@@ -142,7 +142,7 @@ class _Assembler:
     Holds the quadrature points and weights; on the unit cell, Lap(phi_i) at
     the quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q)
     * H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); the per-cell factor
-    ``level_scale(levels, 2)`` that takes both to a cell's size; and the CSR
+    ``level_scale(levels, 2)`` that takes both to a cell's size; and the CSC
     pattern of the full matrix with the slot of each of the nc*256
     element-block entries.
     """
@@ -164,7 +164,9 @@ class _Assembler:
         # Block entry (c, i, j) sits at row dofs[c, i] and column dofs[c, j],
         # with dofs = 4 * vertex + kind.  The pattern is that of the vertex
         # pairs sharing a cell, each expanded to 4 x 4: row 4v + k holds the
-        # columns 4w + l of every neighbour w of v in ascending order.
+        # columns 4w + l of every neighbour w of v in ascending order.  It is
+        # symmetric, so its CSR arrays serve as CSC, where entry (c, i, j)
+        # takes the CSR slot of (c, j, i).
         corners = space.mesh.cell_corners
         nc, nv = len(corners), space.nvertices
         pairs = (corners[:, :, None] * nv + corners[:, None, :]).ravel()
@@ -174,14 +176,15 @@ class _Assembler:
         base = 16 * first + 4 * (pair_slot.reshape(nc, 4, 4) - first)  # (nc, a, b)
         row_len = 4 * degree[corners]  # (nc, a)
         k = np.arange(4)
-        self.slot = (
+        csr_slot = (
             base[:, :, None, :, None]
             + row_len[:, :, None, None, None] * k[:, None, None]
             + k
-        ).ravel()  # (c, a, k, b, l) order, i = 4a + k and j = 4b + l
+        ).reshape(nc, 16, 16)  # (c, a, k, b, l) order, i = 4a + k and j = 4b + l
+        self.slot = csr_slot.transpose(0, 2, 1).ravel()
         self.indices = np.empty(16 * len(unique), dtype=np.int32)
         self.indices[self.slot] = np.broadcast_to(
-            space.cell_dofs[:, None, :], (nc, 16, 16)
+            space.cell_dofs[:, :, None], (nc, 16, 16)
         ).ravel()
         row_nnz = np.repeat(4 * degree, 4)
         self.indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
@@ -198,7 +201,7 @@ class _Assembler:
 
         The element blocks are one product [w a11 | w a12 | w a22] @ M over
         all cells, scaled in place by each cell's factor for i and for j, and
-        summed into the fixed CSR pattern by one ``bincount``.
+        summed into the fixed CSC pattern by one ``bincount``.
         """
         nfull = self.space.nfull
         w, s = self.weights, self.scale
@@ -207,7 +210,7 @@ class _Assembler:
         b *= s[:, :, None]
         b *= s[:, None, :]
         data = np.bincount(self.slot, weights=blocks.ravel(), minlength=len(self.indices))
-        K = sp.csr_matrix((data, self.indices, self.indptr), shape=(nfull, nfull))
+        K = sp.csc_matrix((data, self.indices, self.indptr), shape=(nfull, nfull))
         return K, self.load(rhs_vals)
 
 

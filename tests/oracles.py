@@ -152,11 +152,11 @@ def envelope_gap(v_h, samples, subdiv=4):
     return float(np.max(np.abs(point_values(v_h, qpts) - ivals)))
 
 
-def select_j_scalar(mu, data, delta):
+def select_j_scalar(mu, dist, wr2, delta):
     """Band index by a scalar sweep: j = 0, 1, ... until RHS0(j+1) > RHS0(j)."""
-    order = np.argsort(data.dist, kind="stable")
-    wr2 = (data.weights * data.residual**2)[order]
-    dist_sorted = data.dist[order]
+    order = np.argsort(dist, kind="stable")
+    wr2 = wr2[order]
+    dist_sorted = dist[order]
     suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
 
     def rhs0_at(j):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -27,6 +28,7 @@ from macert.bfs import BfsSpace, QuadRule, _cell_grid
 from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
+from macert import geometry
 from macert.geometry import init_uniform, refine
 from macert.hjb import SolverError, solve
 
@@ -275,6 +277,26 @@ class TestRunLoop:
         assert f"wrote partial history (2 rows) to {out}" in printed.out
         assert printed.err == "error: solver failed at ndof 64: forced\n"
 
+    def test_level_cap_aborts_with_finished_rows(self, monkeypatch, tmp_path, capsys):
+        # the finest level a mesh holds is forced down to 1, so the refinement
+        # of the second mesh fails; run and the CLI keep the two rows before it
+        config = RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0)
+        want = run(config)[:2]
+
+        monkeypatch.setattr(geometry, "_MAX_LEVEL", 1)
+        message = "refinement failed at ndof 16: cell out of range: need 0 <= level <= 1"
+        with pytest.raises(RunAborted, match=f"^{message}") as info:
+            run(config)
+        assert info.value.rows == want
+
+        out = tmp_path / "partial.dat"
+        argv = ["--experiment", "1", "--max-ndof", "70", "--initial-level", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert read_dat(out) == want
+        printed = capsys.readouterr()
+        assert f"wrote partial history (2 rows) to {out}" in printed.out
+        assert printed.err.startswith(f"error: {message}")
+
     def test_benchmark_tracer_finds_every_target(self):
         # perfbench/tracer.py wraps names the driver and the layers look up at
         # call time; a name bound early or renamed leaves its metrics absent
@@ -302,6 +324,24 @@ class TestRunLoop:
         assert proc.returncode == 0, proc.stderr
         found = json.loads(proc.stdout.splitlines()[-1])
         assert found == {"absent": [], "unobserved": [], "unseen": []}
+
+    def test_history_digest_script_matches_emit_dat(self, tmp_path):
+        # scripts/history_digest.py runs the steps itself; its history digest
+        # is that of the .dat text emit_dat writes for the same run
+        config = RunConfig(experiment=1, mode="adaptive", max_ndof=100, initial_level=0)
+        rows = run(config)
+        out = tmp_path / "history.dat"
+        emit_dat(rows, out)
+        root = pathlib.Path(bench.__file__).parents[2]
+        argv = ["--experiment", "1", "--mode", "adaptive", "--max-ndof", "100", "--initial-level", "0"]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "history_digest.py"), *argv],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"dat {hashlib.sha256(out.read_bytes()).hexdigest()}  rows {len(rows)}"
+        assert [line.split()[:2] for line in lines[1:]] == [["step", str(k)] for k in range(len(rows))]
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

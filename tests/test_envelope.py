@@ -355,11 +355,27 @@ class TestBucketIndex:
     """Indexed evaluation against the brute-force max over every lower plane."""
 
     @staticmethod
-    def _corner_graded():
+    def _corner_graded(levels=8):
         mesh = init_uniform(0)
-        for level in range(8):
+        for level in range(levels):
             mesh = refine(mesh, rows_of(mesh, [(level, 0, 0)]))
         return mesh, exact_fe(mesh, 1)
+
+    @classmethod
+    def _corner_graded_30(cls):
+        # the finest level a mesh holds, with ex1's u less (x^2 + y^2) / 2:
+        # convex near the corner, concave away from it, so some facets span
+        # most of the square, and at depth max_level + 2 = 32 their square
+        # counts, over 2**63, would overflow int64
+        mesh, _ = cls._corner_graded(30)
+        exact = EXPERIMENTS[1].exact
+        return mesh, nodal_fe(
+            mesh,
+            lambda x, y: exact.u(x, y) - 0.5 * (x**2 + y**2),
+            lambda x, y: exact.grad(x, y)[0] - x,
+            lambda x, y: exact.grad(x, y)[1] - y,
+            lambda x, y: exact.hess(x, y)[1],
+        )
 
     @staticmethod
     def _skinny():
@@ -412,7 +428,7 @@ class TestBucketIndex:
             cover = np.all((lo[None] <= q[:, None]) & (q[:, None] <= hi[None]), axis=2)
             assert not np.any(cover & ~self._candidates(hull, q))
 
-    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny"])
+    @pytest.mark.parametrize("setup", ["_corner_graded", "_skinny", "_corner_graded_30"])
     def test_matches_all_planes(self, setup):
         samples, values, hull = self._hull(setup)
         keys, facets, depths = hull._buckets

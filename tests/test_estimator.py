@@ -16,10 +16,9 @@ from oracles import (
 
 from macert import estimator
 from macert.bfs import BfsSpace, FeFunction, QuadRule
-from macert.envelope import build_samples, contact_set, lower_hull
+from macert.envelope import SampleSet, boundary_residual, build_samples, contact_set, lower_hull
 from macert.estimator import (
-    DataError,
-    bound_value,
+    _certificate,
     contact_density,
     indicators_and_mark,
     max_boundary_trace_error,
@@ -45,6 +44,21 @@ def envelope_of(vh, samples):
     return lower_hull(samples, sample_values(vh, samples))
 
 
+def rhs0_in_band(f, g, hull, contact, hessians, j):
+    """``rhs0`` with the band fixed at ``j`` rather than chosen by ``select_j``."""
+    samples = hull.samples
+    fvals = f(samples.interior[:, 0], samples.interior[:, 1])
+    residual = fvals - contact_density(hessians, contact)
+    return _certificate(boundary_residual(hull, g), samples, residual, j)
+
+
+def samples_at(dist, weights, mesh):
+    """Samples, all filed in cell 0, at distances ``dist`` < 1/2 from the boundary."""
+    interior = np.column_stack([dist, np.full(len(dist), 0.5)])
+    return SampleSet(mesh, interior, np.zeros(len(dist), dtype=int), weights,
+                     np.empty((0, 2)), np.empty((0, 2), dtype=int))
+
+
 class TestDataErrorNorms:
     def test_exact_quadratic_zero_residual(self):
         mesh = init_uniform(2)
@@ -53,7 +67,7 @@ class TestDataErrorNorms:
         hull = envelope_of(vh, samples)
         g = lambda x, y: 0.5 * (x**2 + y**2)
         H = sample_hessians(vh, samples)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact_set(hull, H), H, j=1)
+        cert = rhs0_in_band(lambda x, y: 2.0 + 0 * x, g, hull, contact_set(hull, H), H, j=1)
         assert cert.data_err_global <= 1e-11
         assert cert.data_err_inner <= cert.data_err_global + 1e-15
 
@@ -69,8 +83,8 @@ class TestDataErrorNorms:
         assert contact.all()
         delta = min_edge_length(mesh)
         for j in (0, 1, 2):
-            cert = rhs0(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, H,
-                        j=j)
+            cert = rhs0_in_band(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact,
+                                H, j=j)
             glob, inner, jd = cert.data_err_global, cert.data_err_inner, j * delta
             assert glob == pytest.approx(1.0, abs=1e-13)
             # the band [jd, 1 - jd]^2 has area (1 - 2jd)^2
@@ -83,17 +97,13 @@ class TestDataErrorNorms:
         # scaling f - f_h by lam scales both data terms by exactly lam
         rng = np.random.default_rng(2)
         n = 200
-        data = DataError(
-            residual=rng.uniform(-1, 1, n),
-            weights=rng.uniform(0, 1, n),
-            cell_index=np.zeros(n, dtype=int),
-            dist=rng.uniform(0, 0.5, n),
-        )
+        residual = rng.uniform(-1, 1, n)
+        weights = rng.uniform(0, 1, n)
+        samples = samples_at(rng.uniform(0, 0.5, n), weights, init_uniform(4))
         lam = 3.7
-        scaled = DataError(lam * data.residual, data.weights, data.cell_index, data.dist)
-        for off in (0.0, 0.1, 0.3):
-            assert np.sqrt(scaled.per_cell_sq(off, 1)[1].sum()) == pytest.approx(
-                lam * np.sqrt(data.per_cell_sq(off, 1)[1].sum()), rel=1e-12
+        for j in (0, 2, 5):  # bands at 0, 1/8 and 5/16 from the boundary
+            assert _certificate(0.0, samples, lam * residual, j).data_err_inner == pytest.approx(
+                lam * _certificate(0.0, samples, residual, j).data_err_inner, rel=1e-12
             )
 
 
@@ -105,13 +115,11 @@ class TestSelectJ:
         n = 4000
         dist = rng.uniform(0, 0.5, n)
         residual = np.where(dist < 0.05, 10.0, 0.01)
-        data = DataError(residual, np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
+        weights = np.full(n, 1.0 / n)
+        samples = samples_at(dist, weights, init_uniform(5))
         delta = 1 / 32
-        j = select_j(0.0, data, delta)
-        vals = []
-        for k in range(j + 2):
-            total, inner = data.per_cell_sq(k * delta, 1)
-            vals.append(bound_value(0.0, k * delta, np.sqrt(inner.sum()), np.sqrt(total.sum())))
+        j = select_j(0.0, dist, weights * residual**2, delta)
+        vals = [_certificate(0.0, samples, residual, k).rhs0 for k in range(j + 2)]
         assert all(vals[k + 1] <= vals[k] for k in range(j))  # descended to j
         assert vals[j + 1] > vals[j]  # first ascent right after
 
@@ -119,13 +127,7 @@ class TestSelectJ:
         # residual mass away from the boundary: any band shrink only adds the
         # global term, so j = 0 is the first minimum
         n = 1000
-        data = DataError(
-            residual=np.ones(n),
-            weights=np.full(n, 1.0 / n),
-            cell_index=np.zeros(n, dtype=int),
-            dist=np.full(n, 0.49),
-        )
-        assert select_j(0.0, data, 1 / 16) == 0
+        assert select_j(0.0, np.full(n, 0.49), np.full(n, 1.0 / n), 1 / 16) == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_scalar_sweep(self, seed):
@@ -133,10 +135,10 @@ class TestSelectJ:
         n = int(rng.integers(1, 3000))
         dist = rng.uniform(0, 0.5, n) ** rng.uniform(0.5, 4.0)
         residual = rng.standard_normal(n) * np.exp(-dist / rng.uniform(0.01, 0.5))
-        data = DataError(residual, rng.uniform(0, 1e-3, n), np.zeros(n, dtype=int), dist)
+        wr2 = rng.uniform(0, 1e-3, n) * residual**2
         mu = float(rng.uniform(0, 1e-2))
         for delta in (1.0, 0.5, 1 / 4, 1 / 64, 2.0**-12):
-            assert select_j(mu, data, delta) == select_j_scalar(mu, data, delta)
+            assert select_j(mu, dist, wr2, delta) == select_j_scalar(mu, dist, wr2, delta)
 
     @pytest.mark.parametrize(
         "j, delta",
@@ -146,29 +148,26 @@ class TestSelectJ:
         # one unit of residual in each of the first j bands: every shrink
         # drops more inner mass than the sqrt(jd) term adds, until band j
         dist = np.append((np.arange(j) + 0.5) * delta, 0.49)
-        weights = np.append(np.ones(j), 1e-3)
-        data = DataError(np.ones(j + 1), weights, np.zeros(j + 1, dtype=int), dist)
-        assert select_j(0.0, data, delta) == select_j_scalar(0.0, data, delta) == j
+        wr2 = np.append(np.ones(j), 1e-3)
+        assert select_j(0.0, dist, wr2, delta) == select_j_scalar(0.0, dist, wr2, delta) == j
 
     def test_zero_residual_walks_to_the_last_band(self):
         n = 500
         dist = np.random.default_rng(7).uniform(0, 0.5, n)
-        data = DataError(np.zeros(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
-        delta = 2.0**-16
-        assert select_j(0.0, data, delta) == select_j_scalar(0.0, data, delta) == 2**15 - 1
+        wr2, delta = np.zeros(n), 2.0**-16
+        assert select_j(0.0, dist, wr2, delta) == select_j_scalar(0.0, dist, wr2, delta) == 2**15 - 1
 
     def test_zero_residual_skips_the_sweep(self, monkeypatch):
         # every band's bound is mu, so the last band is known without
         # evaluating any of the 2**21 candidates
         n = 500
         dist = np.random.default_rng(7).uniform(0, 0.5, n)
-        data = DataError(np.zeros(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int), dist)
 
         def unexpected(*args):
             raise AssertionError("bound_value called")
 
         monkeypatch.setattr(estimator, "bound_value", unexpected)
-        assert select_j(1e-3, data, 2.0**-22) == 2**21 - 1
+        assert select_j(1e-3, dist, np.zeros(n), 2.0**-22) == 2**21 - 1
 
 
 class TestCertificates:

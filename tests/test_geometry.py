@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,8 @@ from hypothesis import strategies as st
 
 from macert.bench import prolongate
 from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary
-from macert.envelope import build_samples
-from macert.estimator import DataError, make_data_error, select_j
+from macert.envelope import SampleSet, build_samples
+from macert.estimator import _certificate, select_j
 from macert.geometry import SIDES, RectMesh, init_uniform, min_edge_length, refine
 
 from oracles import (
@@ -66,8 +64,10 @@ class TestRectMeshPartition:
             ([(0, 0, 0), (1, 0, 0)], "overlaps"),
             ([(1, 0, 0), (1, 1, 0), (1, 0, 1)], "gap"),
             ([(-1, 0, 0)], "out of range"),
+            ([(0, 0.5, 0)], "integer"),
+            ([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 1)], "repeated"),
         ],
-        ids=["index-out-of-range", "overlap", "gap", "negative-level"],
+        ids=["index-out-of-range", "overlap", "gap", "negative-level", "non-integer", "repeated"],
     )
     def test_non_partition_rejected(self, cells, message):
         with pytest.raises(ValueError, match=message):
@@ -148,8 +148,9 @@ def assert_matches_reference(coarse, marked, rng):
     for dofs, values in (boundary, (some, rng.standard_normal(len(some)))):
         red = space.reduction(dofs, values)
         P, offset, free = reduction_reference(space, dict(zip(dofs.tolist(), values.tolist())))
+        assert red.P.format == "csc"
         for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(red.P, name), getattr(P, name))
+            assert np.array_equal(getattr(red.P, name), getattr(P.tocsc(), name))
         assert np.array_equal(red.offset, offset)
         assert np.array_equal(red.free_dofs, free)
 
@@ -194,14 +195,16 @@ def test_min_edge_halves_under_uniform_refinement():
         assert min_edge_length(mesh) == previous / 2
 
 
-def band_parts(mesh, j):
+def band_parts(mesh, j, samples=None):
     """Per-cell (area, area of the band {dist >= j delta}) as the estimator
-    measures them: its data-error squares of a unit residual.  The 2x2 Gauss
-    rule is exact here because the band edges fall on cell edges or centres."""
-    samples = build_samples(mesh, QuadRule(2), per_edge=1)
-    ones = np.ones(samples.n_interior)
-    data = make_data_error(samples, ones, 0.0 * ones)
-    return data.per_cell_sq(j * min_edge_length(mesh), len(mesh))
+    measures them: its squared data-error norms of a unit residual on one
+    cell at a time.  The samples default to the 2x2 Gauss rule, which is
+    exact here because the band edges fall on cell edges or centres."""
+    if samples is None:
+        samples = build_samples(mesh, QuadRule(2), per_edge=1)
+    certs = [_certificate(0.0, samples, (samples.cell_index == k) * 1.0, j)
+             for k in range(len(mesh))]
+    return np.array([[c.data_err_global**2, c.data_err_inner**2] for c in certs]).T
 
 
 class TestInteriorBand:
@@ -209,15 +212,15 @@ class TestInteriorBand:
         # the selected band stays nonempty, j * delta < 1/2, even when
         # shrinking it always lowers the bound
         n = 100
-        data = DataError(np.ones(n), np.full(n, 1.0 / n), np.zeros(n, dtype=int),
-                         np.full(n, 0.1))
-        assert select_j(0.0, data, 0.25) == 1
+        assert select_j(0.0, np.full(n, 0.1), np.full(n, 1.0 / n), 0.25) == 1
 
     def test_membership_exact(self):
         pts = np.array([(0.25, 0.5), (0.25 - 1e-16, 0.5), (0.1, 0.9)])
-        samples = SimpleNamespace(interior=pts, weights=np.ones(3), cell_index=np.arange(3))
-        _, inner = make_data_error(samples, np.ones(3), np.zeros(3)).per_cell_sq(0.25, 3)
-        assert inner.tolist() == [1.0, 0.0, 0.0]
+        mesh = init_uniform(2)  # delta = 1/4
+        samples = SampleSet(mesh, pts, np.arange(3), np.ones(3), np.empty((0, 2)),
+                            np.empty((0, 2), dtype=int))
+        _, inner = band_parts(mesh, 1, samples)
+        assert inner[:3].tolist() == [1.0, 0.0, 0.0]
 
 
 class TestBandSplit:

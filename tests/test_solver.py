@@ -229,11 +229,13 @@ class TestAssembly:
         K = asm.linear_system(*policy, np.ones(asm.weights.shape))[0]
         ref = assemble_reference(space, quad, *policy)
         assert ref.has_canonical_format  # sorted indices, no duplicates
+        # K is CSC; its pattern is symmetric, so its arrays are those of the CSR ref
+        assert K.format == "csc"
         assert np.array_equal(K.indptr, ref.indptr)
         assert np.array_equal(K.indices, ref.indices)
         row_max = np.maximum.reduceat(np.abs(ref.data), ref.indptr[:-1])
         scale = np.repeat(row_max, np.diff(ref.indptr))
-        assert np.all(np.abs(K.data - ref.data) <= 1e-13 * scale)
+        assert np.all(np.abs(K.tocsr().data - ref.data) <= 1e-13 * scale)
 
     def test_reduced_matrix_is_sorted_csc(self):
         # splu takes CSC; sorted indices keep K_r equal to a CSR -> CSC round trip
