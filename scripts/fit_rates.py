@@ -6,7 +6,7 @@ Usage: fit_rates.py FILE [FILE ...] [--window N] [--columns a,b,c]
 import argparse
 import sys
 
-from macert.bench import read_dat, rate_fit
+from macert.bench import DAT_COLUMNS, read_dat, rate_fit
 
 
 def main(argv=None) -> int:
@@ -19,6 +19,9 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
     columns = args.columns.split(",")
+    unknown = [c for c in columns if c not in DAT_COLUMNS]
+    if unknown:
+        ap.error(f"unknown columns {','.join(unknown)}; choose from {','.join(DAT_COLUMNS)}")
     header = "file".ljust(42) + "".join(c.rjust(10) for c in columns)
     print(header)
     for path in args.files:

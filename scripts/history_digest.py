@@ -21,8 +21,8 @@ import tempfile
 
 import numpy as np
 
-from macert.bench import RunConfig, emit_dat, steps
-from macert.cli import build_parser
+from macert.bench import emit_dat, steps
+from macert.cli import build_parser, parse_config
 
 
 def sha(data: bytes) -> str:
@@ -35,11 +35,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "history.dat"
-        kw = vars(parser.parse_args([*argv, "--out", str(out)]))
-        kw["eps"] = kw.pop("epsilon")
-        del kw["out"]
+        config, _ = parse_config(parser, [*argv, "--out", str(out)])
         rows, marks, counts = [], [], []
-        for step in steps(RunConfig(**kw)):
+        for step in steps(config):
             rows.append(step.row)
             marks.append(np.asarray(step.marked, dtype=np.int64))
             counts.append((step.solve.factorisations, step.certificate.j, len(step.hull.planes)))

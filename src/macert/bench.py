@@ -19,6 +19,7 @@ from .bfs import (
     BfsSpace,
     FeFunction,
     QuadRule,
+    _LINF_GRID,
     _cell_grid,
     count_free_dofs,
     interpolate_boundary,
@@ -28,10 +29,16 @@ from .geometry import init_uniform, refine
 from .hjb import HjbProblem, SolveResult, SolverError, _check_eps, solve
 
 _TINY = 1e-300
+# The Gauss rule of the solve, the certificate and the norms.  With at least
+# 3 points per coordinate it integrates v_xy^2 - v_xx v_yy, of degree (4, 4)
+# per cell, exactly, so the Miranda-Talenti identity holds and the
+# diagonal-pivot LU needs no row interchanges.
+_QUAD = QuadRule(5)
 # Certificate samples are taken no coarser than on a 4x4 grid: 1/4 is the
 # coarsest mesh on which the band sweep can leave j = 0, and one 5x5 rule on
 # the 1x1 or 2x2 mesh misjudges the contact set and ||f - f_h||.
 _SAMPLE_LEVEL = 2
+_BOUNDARY_SEGMENTS = 4  # hull samples subdivide every boundary edge this often
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,11 @@ class Experiment:
     f: object  # HJB right-hand side, 2 sqrt(det D2 u)
     g: object
     grad_g: object
+
+
+def _zeros(x, y):
+    """The zero field on the broadcast shape of x and y."""
+    return np.zeros_like(np.asarray(x, dtype=float) + 0.0 * np.asarray(y))
 
 
 def _experiment1() -> Experiment:
@@ -100,22 +112,17 @@ def _experiment2() -> Experiment:
         return np.abs(np.asarray(x, dtype=float) - 0.5) + 0.0 * np.asarray(y)
 
     def grad(x, y):
-        x = np.asarray(x, dtype=float)
-        return np.sign(x - 0.5), np.zeros_like(x + 0.0 * np.asarray(y))
+        return np.sign(np.asarray(x, dtype=float) - 0.5), _zeros(x, y)
 
     def hess(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float) + 0.0 * np.asarray(y))
-        return z, z.copy(), z.copy()
-
-    def zero(x, y):
-        return np.zeros_like(np.asarray(x, dtype=float) + 0.0 * np.asarray(y))
+        return _zeros(x, y), _zeros(x, y), _zeros(x, y)
 
     return Experiment(
         2,
         "boundary-envelope",
         1e-3,
         ExactSolution(u, grad, hess),
-        zero,
+        _zeros,
         u,
         grad,
     )
@@ -162,12 +169,8 @@ def _experiment3() -> Experiment:
         den = np.where(s + t > 0, s + t, _TINY)
         return 2.0 * np.pi**2 * s * t * np.sqrt(2.0 - s * t) / den**2
 
-    def zero(x, y):
-        return np.zeros_like(np.asarray(x, dtype=float) + 0.0 * np.asarray(y))
-
     def zgrad(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float) + 0.0 * np.asarray(y))
-        return z, z.copy()
+        return _zeros(x, y), _zeros(x, y)
 
     return Experiment(
         3,
@@ -175,7 +178,7 @@ def _experiment3() -> Experiment:
         1e-4,
         ExactSolution(u, grad, hess),
         f,
-        zero,
+        _zeros,
         zgrad,
     )
 
@@ -220,25 +223,17 @@ class RunConfig:
     eps: float | None = None
     max_ndof: int = 20000
     initial_level: int = 1
-    quad_degree: int = 5
-    boundary_segments: int = 4  # hull subdivisions of every boundary edge
-    linf_samples: int = 8
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
-        for name in ("max_ndof", "initial_level", "quad_degree", "boundary_segments",
-                     "linf_samples"):
+        for name in ("max_ndof", "initial_level"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name, least in (("initial_level", 0), ("boundary_segments", 1), ("linf_samples", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if self.quad_degree < 3:  # v_xy^2 - v_xx v_yy has degree (4, 4) per cell
-            raise ValueError(f"quad_degree must be at least 3, got {self.quad_degree}: the "
-                             "diagonal-pivot LU needs the Miranda-Talenti identity exact")
+        if self.initial_level < 0:
+            raise ValueError(f"initial_level must be at least 0, got {self.initial_level}")
         if self.eps is not None:
             _check_eps(self.eps)
 
@@ -304,7 +299,6 @@ def steps(config: RunConfig):
     """
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
-    quad = QuadRule(config.quad_degree)
     problem = HjbProblem(eps, exp.f)
     mesh = init_uniform(config.initial_level)
     prev: FeFunction | None = None
@@ -313,14 +307,14 @@ def steps(config: RunConfig):
         reduction = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
         try:
-            result = solve(space, problem, quad, reduction=reduction, initial=initial)
+            result = solve(space, problem, _QUAD, reduction=reduction, initial=initial)
         except SolverError as exc:
             raise SolverError(f"solver failed at ndof {reduction.ndof}: {exc}") from exc
         v_h = result.u_h
-        hull, cert, eta, edge_errors = _certify(v_h, exp, eps, quad, config.boundary_segments)
+        hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
 
-        linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact, quad, config.linf_samples)
-        lhs = _envelope_error(v_h, exp.exact, hull, quad, config.linf_samples)
+        linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact, _QUAD)
+        lhs = _envelope_error(v_h, exp.exact, hull)
         row = HistoryRow(
             ndof=reduction.ndof,
             hinv=1.0 / (np.sqrt(2.0) * mesh.max_cell_size()),
@@ -360,14 +354,16 @@ def run(config: RunConfig) -> list[HistoryRow]:
     return rows
 
 
-def _certify(v_h: FeFunction, exp: Experiment, eps: float, quad: QuadRule, per_edge: int):
+def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     """Hull of v_h, certificate RHS0, bound RHS_eps and per-edge trace errors.
 
-    The samples are the points of ``quad`` on every leaf, no coarser than
-    ``_SAMPLE_LEVEL``, plus ``per_edge`` segments on every boundary edge; they
-    serve the hull, the contact set and both data-error quadratures.
+    The samples are the points of ``_QUAD`` on every leaf, no coarser than
+    ``_SAMPLE_LEVEL``, plus ``_BOUNDARY_SEGMENTS`` segments on every boundary
+    edge; they serve the hull, the contact set and both data-error quadratures.
     """
-    samples = env.build_samples(v_h.space.mesh, quad, per_edge=per_edge, min_level=_SAMPLE_LEVEL)
+    samples = env.build_samples(
+        v_h.space.mesh, _QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL
+    )
     fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
     hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
     values = np.concatenate([fields["N"], samples.boundary_values(v_h)])
@@ -379,24 +375,24 @@ def _certify(v_h: FeFunction, exp: Experiment, eps: float, quad: QuadRule, per_e
     return hull, cert, eta, edge_errors
 
 
-def _envelope_error(v_h, exact, hull, quad: QuadRule, linf_samples: int) -> float:
-    """Sampled sup of |u - envelope| over quadrature points and cell grids.
+def _envelope_error(v_h, exact, hull) -> float:
+    """Sampled sup of |u - envelope| over the hull's quadrature points and the
+    ``_LINF_GRID`` grid of every cell, the points of ``Linferr``.
 
-    The hull was sampled on this mesh with this rule, so on leaves at its
-    sampling floor or finer its interior samples are these quadrature points
-    and the envelope is read from ``hull.gamma``: ``cell_points`` and
-    ``build_samples`` place the points by the same arithmetic.  Only the
-    other points are evaluated.
+    The hull was sampled on this mesh, so on leaves at its sampling floor or
+    finer its interior samples are these quadrature points and the envelope
+    is read from ``hull.gamma``: ``cell_points`` and ``build_samples`` place
+    the points by the same arithmetic.  Only the other points are evaluated.
     """
     space, samples = v_h.space, hull.samples
-    mesh = space.mesh
+    mesh, quad = space.mesh, samples.quad
     cells = np.arange(len(mesh))
     shared = mesh.levels >= samples.min_level
     rows = np.searchsorted(samples.cell_index, cells[shared])[:, None] + np.arange(quad.npoints)
     known = space.cell_points(cells[shared], quad.ref_points).reshape(-1, 2)
     other = np.vstack([
         space.cell_points(cells[~shared], quad.ref_points).reshape(-1, 2),
-        space.cell_points(cells, _cell_grid(linf_samples)).reshape(-1, 2),
+        space.cell_points(cells, _cell_grid(_LINF_GRID)).reshape(-1, 2),
     ])
     worst = 0.0
     for pts, gamma in ((known, hull.gamma[rows.ravel()]), (other, hull.evaluate(other))):
@@ -418,16 +414,27 @@ def emit_dat(rows: list[HistoryRow], path) -> None:
 
 
 def read_dat(path) -> list[HistoryRow]:
+    """The rows of a history file, blank lines skipped.  A row with the wrong
+    token count or a non-integral ndof or niter raises ValueError naming its line."""
     rows = []
     with open(path) as fh:
         header = fh.readline().split()
         if tuple(header) != DAT_COLUMNS:
             raise ValueError(f"unexpected header {header}")
-        for line in fh:
-            vals = [float(tok) for tok in line.split()]
-            kw = dict(zip(DAT_COLUMNS, vals))
-            kw["ndof"] = int(kw["ndof"])
-            kw["niter"] = int(kw["niter"])
+        for lineno, line in enumerate(fh, start=2):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                if len(tokens) != len(DAT_COLUMNS):
+                    raise ValueError(f"{len(tokens)} tokens, expected {len(DAT_COLUMNS)}")
+                kw = {name: float(tok) for name, tok in zip(DAT_COLUMNS, tokens)}
+                for name in ("ndof", "niter"):
+                    if not kw[name].is_integer():
+                        raise ValueError(f"{name} {kw[name]!r} is not an integer")
+                    kw[name] = int(kw[name])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
             rows.append(HistoryRow(**kw))
     return rows
 
@@ -435,11 +442,14 @@ def read_dat(path) -> list[HistoryRow]:
 def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> float:
     """Least-squares slope of log(column) against log(ndof).
 
-    ``window`` keeps the trailing rows, at least two.  Raises on nonpositive values.
+    ``window`` keeps the trailing rows, an integer at least 2.  Raises
+    ``ValueError`` on an unknown column, a bad window or nonpositive values.
     """
+    if column not in DAT_COLUMNS:
+        raise ValueError(f"unknown column {column!r}, expected one of {', '.join(DAT_COLUMNS)}")
     if window is not None:
-        if window < 2:
-            raise ValueError(f"window must be at least 2, got {window}")
+        if not isinstance(window, (int, np.integer)) or window < 2:
+            raise ValueError(f"window must be an integer at least 2, got {window!r}")
         rows = rows[-window:]
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a rate")
@@ -447,6 +457,4 @@ def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> 
     vals = np.array([r.column(column) for r in rows])
     if np.any(vals <= 0):
         raise ValueError(f"nonpositive values in column {column}")
-    y = np.log(vals)
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    return float(np.polyfit(x, np.log(vals), 1)[0])

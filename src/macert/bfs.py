@@ -312,6 +312,8 @@ def interpolate_boundary(space: BfsSpace, g, grad_g) -> tuple[np.ndarray, np.nda
 
 # -- norms -------------------------------------------------------------------
 
+_LINF_GRID = 8  # points per direction of the per-cell L-infinity grid, corners included
+
 
 def _cell_grid(n: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, n)
@@ -319,17 +321,11 @@ def _cell_grid(n: int) -> np.ndarray:
     return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def norms_vs_exact(
-    v_h: FeFunction,
-    exact,
-    quad: QuadRule,
-    linf_samples: int = 8,
-) -> tuple[float, float, float, float]:
+def norms_vs_exact(v_h: FeFunction, exact, quad: QuadRule) -> tuple[float, float, float, float]:
     """(Linf, L2, H1, H2) distances between v_h and an exact solution.
 
     L2/H1/H2 are full Sobolev norms computed by quadrature; Linf is the max
-    over the quadrature points plus a uniform per-cell grid with
-    ``linf_samples`` points per direction (cell corners included).
+    over the quadrature points plus the ``_LINF_GRID`` grid of every cell.
     """
     space = v_h.space
     cells = np.arange(len(space.mesh))
@@ -355,7 +351,7 @@ def norms_vs_exact(
     h2sq = h1sq + float(w @ (dxx**2 + 2 * dxy**2 + dyy**2))
 
     linf = float(np.max(np.abs(du))) if du.size else 0.0
-    grid = _cell_grid(linf_samples)
+    grid = _cell_grid(_LINF_GRID)
     gpts = space.cell_points(cells, grid).reshape(-1, 2)
     gvals = v_h.on_cells(cells, grid, what=("N",))["N"].ravel()
     linf = max(linf, float(np.max(np.abs(gvals - exact.u(gpts[:, 0], gpts[:, 1])))))

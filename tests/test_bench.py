@@ -24,7 +24,7 @@ from macert.bench import (
     run,
     steps,
 )
-from macert.bfs import BfsSpace, QuadRule, _cell_grid
+from macert.bfs import BfsSpace, QuadRule, _LINF_GRID, _cell_grid
 from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
@@ -123,6 +123,29 @@ class TestEmitDat:
         with pytest.raises(ValueError):
             emit_dat([], tmp_path / "h.dat")
 
+    def _edited(self, tmp_path, edit):
+        # a three-row history with its last row passed through edit
+        path = tmp_path / "h.dat"
+        emit_dat(self._rows(3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + edit(lines[-1]))
+        return path
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = self._edited(tmp_path, lambda line: line + "\n   \n")
+        assert read_dat(path) == self._rows(3)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.rstrip() + "   1.0e+00\n", "line 4: 11 tokens, expected 10"),
+        (lambda line: line.rsplit(None, 1)[0] + "\n", "line 4: 9 tokens, expected 10"),
+        (lambda line: "4.5" + line[line.index(" "):], "line 4: ndof 4.5 is not an integer"),
+        (lambda line: line.rsplit(None, 1)[0] + "   6.25\n", "line 4: niter 6.25 is not an"),
+        (lambda line: line.replace("e-01", "e-0x", 1), "line 4: could not convert"),
+    ], ids=["extra-column", "missing-column", "ndof", "niter", "not-a-number"])
+    def test_malformed_row_names_its_line(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            read_dat(self._edited(tmp_path, edit))
+
 
 class TestRateFit:
     def _rows(self, values, ndofs=None):
@@ -156,6 +179,19 @@ class TestRateFit:
             with pytest.raises(ValueError, match="window"):
                 rate_fit(rows, "Linferr", window=window)
         assert rate_fit(rows, "Linferr", window=3) == rate_fit(rows[-3:], "Linferr")
+
+    def test_non_integer_window_raises(self):
+        rows = self._rows([1.0, 1.0, 0.25, 0.0625])
+        for window in (2.5, "3"):
+            with pytest.raises(ValueError, match="window"):
+                rate_fit(rows, "Linferr", window=window)
+        assert rate_fit(rows, "Linferr", window=np.int64(3)) == rate_fit(rows[-3:], "Linferr")
+
+    def test_unknown_column_raises(self):
+        rows = self._rows([1.0, 0.5])
+        for column in ("nope", "column"):
+            with pytest.raises(ValueError, match=f"unknown column '{column}'"):
+                rate_fit(rows, column)
 
 
 class TestProlongation:
@@ -237,14 +273,14 @@ class TestRunLoop:
         # finer agrees with evaluating the hull at every quadrature and grid point
         run_config = RunConfig(**config)
         exact = EXPERIMENTS[run_config.experiment].exact
-        quad, linf_samples = QuadRule(run_config.quad_degree), run_config.linf_samples
+        quad = bench._QUAD
         kinds = set()
         for step in steps(run_config):
             space, hull, lhs = step.solve.u_h.space, step.hull, step.row.LHS
             cells = np.arange(len(space.mesh))
             pts = np.vstack([
                 space.cell_points(cells, ref).reshape(-1, 2)
-                for ref in (quad.ref_points, _cell_grid(linf_samples))
+                for ref in (quad.ref_points, _cell_grid(_LINF_GRID))
             ])
             want = np.max(np.abs(exact.u(pts[:, 0], pts[:, 1]) - hull.evaluate(pts)))
             assert abs(lhs - want) <= 1e-13 * want
@@ -343,31 +379,50 @@ class TestRunLoop:
         assert lines[0] == f"dat {hashlib.sha256(out.read_bytes()).hexdigest()}  rows {len(rows)}"
         assert [line.split()[:2] for line in lines[1:]] == [["step", str(k)] for k in range(len(rows))]
 
+    def test_fit_rates_script_prints_rate_fit(self, tmp_path):
+        # scripts/fit_rates.py prints rate_fit of every column to 3 decimals,
+        # and an unknown column is a usage error
+        rows = run(RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0))
+        path = tmp_path / "history.dat"
+        emit_dat(rows, path)
+        root = pathlib.Path(bench.__file__).parents[2]
+
+        def fit_rates(*argv):
+            return subprocess.run(
+                [sys.executable, str(root / "scripts" / "fit_rates.py"), str(path), *argv],
+                env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+            )
+
+        columns = ["Linferr", "LHS", "H1error", "H2error", "eta2"]
+        proc = fit_rates("--columns", ",".join(columns))
+        assert proc.returncode == 0, proc.stderr
+        header, line = proc.stdout.splitlines()
+        assert header.split() == ["file", *columns]
+        assert line.split() == [str(path), *(f"{rate_fit(rows, c):+.3f}" for c in columns)]
+        proc = fit_rates("--columns", "Linferr,nope")
+        assert proc.returncode == 2
+        assert "unknown columns nope" in proc.stderr
+        assert proc.stdout == ""
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             RunConfig(experiment=7)
         with pytest.raises(ValueError):
             RunConfig(experiment=1, mode="sideways")
-        for segments in (0, -3):
-            with pytest.raises(ValueError):
-                RunConfig(experiment=1, boundary_segments=segments)
-        for name, value in (
-            ("initial_level", -1), ("quad_degree", 0), ("quad_degree", 2), ("linf_samples", 0),
-            ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3),
-        ):
+        for name, value in (("initial_level", -1), ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3)):
             with pytest.raises(ValueError):
                 RunConfig(experiment=1, **{name: value})
-        RunConfig(experiment=1, eps=0.5, initial_level=0, quad_degree=3, linf_samples=1)
+        RunConfig(experiment=1, eps=0.5, initial_level=0)
 
-    @pytest.mark.parametrize("name, value", [
-        ("max_ndof", 200.0), ("initial_level", 0.5), ("quad_degree", 3.5),
-        ("boundary_segments", 2.5), ("linf_samples", 2.5),
-    ])
+    @pytest.mark.parametrize("name, value", [("max_ndof", 200.0), ("initial_level", 0.5)])
     def test_non_integer_config_rejected(self, name, value):
-        # boundary_segments=2.5 would put a hull sample at x = 1.2, outside the square
         with pytest.raises(ValueError, match=name):
             RunConfig(experiment=1, mode="adaptive", **{name: value})
         RunConfig(experiment=1, mode="adaptive", **{name: np.int64(5)})
+
+    @pytest.mark.parametrize("value", [200.0, 0.5, 2.5, 3.5])
+    def test_non_integer_per_edge_rejected(self, value):
+        # per_edge=2.5 would put a hull sample at x = 1.2, outside the square
         with pytest.raises(ValueError, match="per_edge"):
             build_samples(init_uniform(0), QuadRule(2), per_edge=value)
 
@@ -389,20 +444,10 @@ class TestCli:
         header = payload.decode().splitlines()[0]
         assert header.split() == list(DAT_COLUMNS)
 
-    def test_cli_rejects_zero_boundary_segments(self, tmp_path, capsys):
-        argv = ["--experiment", "1", "--boundary-segments", "0", "--out", str(tmp_path / "a.dat")]
-        with pytest.raises(SystemExit):
-            main(argv)
-        assert "boundary_segments must be at least 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--linf-samples", "0", "linf_samples must be at least 1"),
             ("--initial-level", "-1", "initial_level must be at least 0"),
-            ("--quad-degree", "0", "quad_degree must be at least 3"),
-            ("--quad-degree", "1", "quad_degree must be at least 3, got 1: the diagonal-pivot"),
-            ("--quad-degree", "2", "needs the Miranda-Talenti identity exact"),
             ("--epsilon", "0.7", "eps must lie in (0, 1/2]"),
             ("--max-ndof", "-5", "below the 4 free DOFs of the initial mesh"),
         ],
