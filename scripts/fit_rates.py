@@ -22,10 +22,12 @@ def main(argv=None) -> int:
     unknown = [c for c in columns if c not in DAT_COLUMNS]
     if unknown:
         ap.error(f"unknown columns {','.join(unknown)}; choose from {','.join(DAT_COLUMNS)}")
-    header = "file".ljust(42) + "".join(c.rjust(10) for c in columns)
-    print(header)
-    for path in args.files:
-        rows = read_dat(path)
+    try:
+        histories = [(path, read_dat(path)) for path in args.files]
+    except (OSError, ValueError) as exc:
+        ap.error(str(exc))
+    print("file".ljust(42) + "".join(c.rjust(10) for c in columns))
+    for path, rows in histories:
         cells = []
         for col in columns:
             try:

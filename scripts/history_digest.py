@@ -7,7 +7,9 @@ steps of ``macert.bench.steps`` and prints the digest of the ``.dat`` text
 linear solves, the LU factorisations among them, the band index j of the
 certificate, the number of lower hull facets, the digest of that step's
 ``.dat`` row, the number of marked cells and the digest of the marked cell
-rows (sorted int64).  Two checkouts produce the same histories, markings,
+rows (sorted int64).  A run that aborts prints the lines of its finished
+steps, then ``error: ...`` on stderr, and exits with code 2, as ``macert``
+does.  Two checkouts produce the same histories, markings,
 factorisation counts, bands and hulls exactly when these lines are equal,
 and a ``diff`` of the two outputs names the steps whose rows changed:
 
@@ -23,6 +25,7 @@ import numpy as np
 
 from macert.bench import emit_dat, steps
 from macert.cli import build_parser, parse_config
+from macert.hjb import SolverError
 
 
 def sha(data: bytes) -> str:
@@ -36,21 +39,32 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "history.dat"
         config, _ = parse_config(parser, [*argv, "--out", str(out)])
-        rows, marks, counts = [], [], []
-        for step in steps(config):
-            rows.append(step.row)
-            marks.append(np.asarray(step.marked, dtype=np.int64))
-            counts.append((step.solve.factorisations, step.certificate.j, len(step.hull.planes)))
-        if not rows:
+        rows, marks, counts, error = [], [], [], None
+        try:
+            for step in steps(config):
+                rows.append(step.row)
+                marks.append(np.asarray(step.marked, dtype=np.int64))
+                counts.append(
+                    (step.solve.factorisations, step.certificate.j, len(step.hull.planes))
+                )
+        except SolverError as exc:
+            error = exc
+        if not rows and error is None:
             parser.error("the initial mesh already exceeds --max-ndof")
-        emit_dat(rows, out)
-        text = out.read_bytes()
-    print(f"dat {sha(text)}  rows {len(rows)}")
+        text = b""
+        if rows:
+            emit_dat(rows, out)
+            text = out.read_bytes()
+    if rows:
+        print(f"dat {sha(text)}  rows {len(rows)}")
     lines = text.splitlines()[1:]  # one per row, after the header
     for k, (row, marked, (fact, j, facets), line) in enumerate(zip(rows, marks, counts, lines)):
         print(f"step {k:>3d}  ndof {row.ndof:>7d}  niter {row.niter:>3d}  lu {fact:>3d}  "
               f"j {j:>4d}  facets {facets:>7d}  "
               f"row {sha(line)[:16]}  marked {len(marked):>6d}  {sha(marked.tobytes())}")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

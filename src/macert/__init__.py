@@ -7,8 +7,10 @@ the convex envelope of the discrete solution to obtain guaranteed
 L-infinity error bounds.
 """
 
-from .bench import EXPERIMENTS, HistoryRow, RunConfig, emit_dat, rate_fit, run, steps
-from .bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary, norms_vs_exact
+from .bench import (
+    EXPERIMENTS, HistoryRow, RunConfig, emit_dat, norms_vs_exact, rate_fit, run, steps,
+)
+from .bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary
 from .envelope import build_samples, contact_set, lower_hull
 from .estimator import ErrorCertificate, indicators_and_mark, rhs0, rhs_eps, select_j
 from .geometry import RectMesh, init_uniform, min_edge_length, refine
@@ -19,6 +21,7 @@ __all__ = [
     "HistoryRow",
     "RunConfig",
     "emit_dat",
+    "norms_vs_exact",
     "rate_fit",
     "run",
     "steps",
@@ -26,7 +29,6 @@ __all__ = [
     "FeFunction",
     "QuadRule",
     "interpolate_boundary",
-    "norms_vs_exact",
     "build_samples",
     "contact_set",
     "lower_hull",

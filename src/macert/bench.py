@@ -15,18 +15,9 @@ import numpy as np
 
 from . import envelope as env
 from . import estimator as est
-from .bfs import (
-    BfsSpace,
-    FeFunction,
-    QuadRule,
-    _LINF_GRID,
-    _cell_grid,
-    count_free_dofs,
-    interpolate_boundary,
-    norms_vs_exact,
-)
+from .bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
 from .geometry import init_uniform, refine
-from .hjb import HjbProblem, SolveResult, SolverError, _check_eps, solve
+from .hjb import HjbProblem, SolveResult, SolverError, check_eps, solve
 
 _TINY = 1e-300
 # The Gauss rule of the solve, the certificate and the norms.  With at least
@@ -39,6 +30,7 @@ _QUAD = QuadRule(5)
 # the 1x1 or 2x2 mesh misjudges the contact set and ||f - f_h||.
 _SAMPLE_LEVEL = 2
 _BOUNDARY_SEGMENTS = 4  # hull samples subdivide every boundary edge this often
+_LINF_GRID = 8  # points per direction of the per-cell L-infinity grid, corners included
 
 
 @dataclass(frozen=True)
@@ -235,7 +227,7 @@ class RunConfig:
         if self.initial_level < 0:
             raise ValueError(f"initial_level must be at least 0, got {self.initial_level}")
         if self.eps is not None:
-            _check_eps(self.eps)
+            check_eps(self.eps)
 
     def resolved_eps(self) -> float:
         return EXPERIMENTS[self.experiment].default_eps if self.eps is None else self.eps
@@ -313,7 +305,7 @@ def steps(config: RunConfig):
         v_h = result.u_h
         hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
 
-        linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact, _QUAD)
+        linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact)
         lhs = _envelope_error(v_h, exp.exact, hull)
         row = HistoryRow(
             ndof=reduction.ndof,
@@ -375,27 +367,68 @@ def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     return hull, cert, eta, edge_errors
 
 
-def _envelope_error(v_h, exact, hull) -> float:
-    """Sampled sup of |u - envelope| over the hull's quadrature points and the
-    ``_LINF_GRID`` grid of every cell, the points of ``Linferr``.
+def _cell_grid(n: int) -> np.ndarray:
+    """The n x n grid of the reference cell, corners included."""
+    t = np.linspace(0.0, 1.0, n)
+    xx, yy = np.meshgrid(t, t, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
-    The hull was sampled on this mesh, so on leaves at its sampling floor or
-    finer its interior samples are these quadrature points and the envelope
-    is read from ``hull.gamma``: ``cell_points`` and ``build_samples`` place
-    the points by the same arithmetic.  Only the other points are evaluated.
+
+def norms_vs_exact(v_h: FeFunction, exact: ExactSolution) -> tuple[float, float, float, float]:
+    """(Linf, L2, H1, H2) distances between v_h and an exact solution.
+
+    L2/H1/H2 are full Sobolev norms computed by the ``_QUAD`` quadrature;
+    Linf is the max over the ``_QUAD`` points plus the ``_LINF_GRID`` grid
+    of every cell.
     """
-    space, samples = v_h.space, hull.samples
-    mesh, quad = space.mesh, samples.quad
+    mesh = v_h.space.mesh
     cells = np.arange(len(mesh))
-    shared = mesh.levels >= samples.min_level
-    rows = np.searchsorted(samples.cell_index, cells[shared])[:, None] + np.arange(quad.npoints)
-    known = space.cell_points(cells[shared], quad.ref_points).reshape(-1, 2)
+    flat = mesh.cell_points(cells, _QUAD.ref_points).reshape(-1, 2)
+    areas = mesh.cell_sizes() ** 2
+    w = (areas[:, None] * _QUAD.ref_weights[None, :]).ravel()
+
+    vals = v_h.on_cells(cells, _QUAD.ref_points, what=("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy"))
+    du = vals["N"].ravel() - exact.u(flat[:, 0], flat[:, 1])
+    gx, gy = exact.grad(flat[:, 0], flat[:, 1])
+    dgx = vals["Nx"].ravel() - gx
+    dgy = vals["Ny"].ravel() - gy
+    hxx, hxy, hyy = exact.hess(flat[:, 0], flat[:, 1])
+    dxx = vals["Nxx"].ravel() - hxx
+    dxy = vals["Nxy"].ravel() - hxy
+    dyy = vals["Nyy"].ravel() - hyy
+
+    l2sq = float(w @ du**2)
+    h1sq = l2sq + float(w @ (dgx**2 + dgy**2))
+    h2sq = h1sq + float(w @ (dxx**2 + 2 * dxy**2 + dyy**2))
+
+    linf = float(np.max(np.abs(du))) if du.size else 0.0
+    grid = _cell_grid(_LINF_GRID)
+    gpts = mesh.cell_points(cells, grid).reshape(-1, 2)
+    gvals = v_h.on_cells(cells, grid, what=("N",))["N"].ravel()
+    linf = max(linf, float(np.max(np.abs(gvals - exact.u(gpts[:, 0], gpts[:, 1])))))
+    return linf, np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(h2sq)
+
+
+def _envelope_error(v_h, exact, hull) -> float:
+    """Sampled sup of |u - envelope| over the points of ``Linferr``: the
+    ``_QUAD`` points and the ``_LINF_GRID`` grid of every cell.
+
+    The hull was sampled on this mesh by ``_certify``, so on leaves at
+    ``_SAMPLE_LEVEL`` or finer the ``_QUAD`` points are its interior samples,
+    read by row, and the envelope there is ``hull.gamma``.  Only the other
+    points are evaluated.
+    """
+    mesh, samples = v_h.space.mesh, hull.samples
+    cells = np.arange(len(mesh))
+    shared = mesh.levels >= _SAMPLE_LEVEL
+    first = np.searchsorted(samples.cell_index, cells[shared])
+    rows = (first[:, None] + np.arange(_QUAD.npoints)).ravel()
     other = np.vstack([
-        space.cell_points(cells[~shared], quad.ref_points).reshape(-1, 2),
-        space.cell_points(cells, _cell_grid(_LINF_GRID)).reshape(-1, 2),
+        mesh.cell_points(cells[~shared], _QUAD.ref_points).reshape(-1, 2),
+        mesh.cell_points(cells, _cell_grid(_LINF_GRID)).reshape(-1, 2),
     ])
     worst = 0.0
-    for pts, gamma in ((known, hull.gamma[rows.ravel()]), (other, hull.evaluate(other))):
+    for pts, gamma in ((samples.interior[rows], hull.gamma[rows]), (other, hull.evaluate(other))):
         err = np.abs(exact.u(pts[:, 0], pts[:, 1]) - gamma)
         worst = max(worst, float(np.max(err, initial=0.0)))
     return worst
@@ -443,7 +476,8 @@ def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> 
     """Least-squares slope of log(column) against log(ndof).
 
     ``window`` keeps the trailing rows, an integer at least 2.  Raises
-    ``ValueError`` on an unknown column, a bad window or nonpositive values.
+    ``ValueError`` on an unknown column, a bad window or a value that is
+    not finite and positive, such as ``nan``.
     """
     if column not in DAT_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {', '.join(DAT_COLUMNS)}")
@@ -455,6 +489,6 @@ def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> 
         raise ValueError("need at least two rows to fit a rate")
     x = np.log([r.ndof for r in rows])
     vals = np.array([r.column(column) for r in rows])
-    if np.any(vals <= 0):
-        raise ValueError(f"nonpositive values in column {column}")
+    if not np.all(np.isfinite(vals) & (vals > 0)):
+        raise ValueError(f"values in column {column} must be finite and positive")
     return float(np.polyfit(x, np.log(vals), 1)[0])

@@ -205,12 +205,6 @@ class BfsSpace:
             tab = self._tab_cache[cache_key] = tabulate_basis(ref_pts)
         return tab
 
-    def cell_points(self, cells: np.ndarray, ref_pts: np.ndarray) -> np.ndarray:
-        """Physical coordinates of reference points on each cell: (nc, np, 2)."""
-        h = self.mesh.cell_sizes()[cells]
-        orig = self.mesh.cell_array[cells, 1:] * h[:, None]
-        return orig[:, None, :] + h[:, None, None] * ref_pts[None, :, :]
-
 
 @dataclass
 class Reduction:
@@ -308,51 +302,3 @@ def interpolate_boundary(space: BfsSpace, g, grad_g) -> tuple[np.ndarray, np.nda
     data = (g(x, y), *grad_g(x, y))
     values = np.column_stack([np.broadcast_to(np.asarray(d, dtype=float), idx.shape) for d in data])
     return (4 * idx[:, None] + np.array([V, DX, DY]))[fixed[idx]], values[fixed[idx]]
-
-
-# -- norms -------------------------------------------------------------------
-
-_LINF_GRID = 8  # points per direction of the per-cell L-infinity grid, corners included
-
-
-def _cell_grid(n: int) -> np.ndarray:
-    t = np.linspace(0.0, 1.0, n)
-    xx, yy = np.meshgrid(t, t, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-def norms_vs_exact(v_h: FeFunction, exact, quad: QuadRule) -> tuple[float, float, float, float]:
-    """(Linf, L2, H1, H2) distances between v_h and an exact solution.
-
-    L2/H1/H2 are full Sobolev norms computed by quadrature; Linf is the max
-    over the quadrature points plus the ``_LINF_GRID`` grid of every cell.
-    """
-    space = v_h.space
-    cells = np.arange(len(space.mesh))
-    ref = quad.ref_points
-    wref = quad.ref_weights
-    pts = space.cell_points(cells, ref)
-    flat = pts.reshape(-1, 2)
-    areas = space.mesh.cell_sizes() ** 2
-    w = (areas[:, None] * wref[None, :]).ravel()
-
-    vals = v_h.on_cells(cells, ref, what=("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy"))
-    du = vals["N"].ravel() - exact.u(flat[:, 0], flat[:, 1])
-    gx, gy = exact.grad(flat[:, 0], flat[:, 1])
-    dgx = vals["Nx"].ravel() - gx
-    dgy = vals["Ny"].ravel() - gy
-    hxx, hxy, hyy = exact.hess(flat[:, 0], flat[:, 1])
-    dxx = vals["Nxx"].ravel() - hxx
-    dxy = vals["Nxy"].ravel() - hxy
-    dyy = vals["Nyy"].ravel() - hyy
-
-    l2sq = float(w @ du**2)
-    h1sq = l2sq + float(w @ (dgx**2 + dgy**2))
-    h2sq = h1sq + float(w @ (dxx**2 + 2 * dxy**2 + dyy**2))
-
-    linf = float(np.max(np.abs(du))) if du.size else 0.0
-    grid = _cell_grid(_LINF_GRID)
-    gpts = space.cell_points(cells, grid).reshape(-1, 2)
-    gvals = v_h.on_cells(cells, grid, what=("N",))["N"].ravel()
-    linf = max(linf, float(np.max(np.abs(gvals - exact.u(gpts[:, 0], gpts[:, 1])))))
-    return linf, np.sqrt(l2sq), np.sqrt(h1sq), np.sqrt(h2sq)

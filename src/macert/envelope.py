@@ -32,8 +32,10 @@ class SampleSet:
     """Interior quadrature points plus boundary points of the unit square.
 
     Interior points keep their owning cell and quadrature weight so the same
-    set drives both the envelope and the data-error quadrature.  Boundary
-    points are the grid points of every boundary edge, each once.  Row e of
+    set drives both the envelope and the data-error quadrature.  ``rules``
+    holds the (leaves, reference points) pairs that placed them; a leaf's
+    points are the rows from its first in ``cell_index``.  Boundary points
+    are the grid points of every boundary edge, each once.  Row e of
     ``edge_rows`` follows ``mesh.boundary_edges`` and names the row in
     ``boundary`` of edge e's grid point i / per_edge, i = 0..per_edge.
     """
@@ -44,8 +46,7 @@ class SampleSet:
     weights: np.ndarray  # (ni,)
     boundary: np.ndarray  # (nb, 2) deduplicated, all four sides
     edge_rows: np.ndarray  # (ne, per_edge + 1) rows into boundary
-    quad: QuadRule | None = None  # rule the interior was built from
-    min_level: int = 0  # sampling floor, see build_samples
+    rules: list | None = None  # (cells, ref) per leaf group, from build_samples
 
     @property
     def points(self) -> np.ndarray:
@@ -64,15 +65,13 @@ class SampleSet:
     def interior_fields(self, v_h: FeFunction, what) -> dict[str, np.ndarray]:
         """Derivatives of ``v_h`` at the interior samples, in sample order.
 
-        Evaluated leaf by leaf through shared reference points, so it needs
-        the sample set to come from ``build_samples``.
+        Evaluated leaf by leaf through the shared reference points of
+        ``rules``, so it needs the sample set to come from ``build_samples``.
         """
-        rules, counts = _leaf_rules(self.mesh, self.quad, self.min_level)
-        starts = np.cumsum(counts) - counts
         out = {name: np.empty(self.n_interior) for name in what}
-        for cells, ref, _ in rules:
+        for cells, ref in self.rules:
             vals = v_h.on_cells(cells, ref, what=what)
-            idx = starts[cells][:, None] + np.arange(len(ref))
+            idx = np.searchsorted(self.cell_index, cells)[:, None] + np.arange(len(ref))
             for name in what:
                 out[name][idx] = vals[name]
         return out
@@ -107,9 +106,7 @@ def edge_values(v_h: FeFunction, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _edge_points(mesh: RectMesh, t: np.ndarray) -> np.ndarray:
     """(ne, nt, 2) points at parameters ``t`` of the ``mesh.boundary_edges``."""
     owners, side = mesh.boundary_edges.T
-    h = mesh.cell_sizes()[owners]
-    ref = np.stack([_side_point(s, t) for s in SIDES])[side]
-    return (mesh.cell_array[owners, 1:] * h[:, None])[:, None, :] + h[:, None, None] * ref
+    return mesh.cell_points(owners, np.stack([_side_point(s, t) for s in SIDES])[side])
 
 
 def _side_point(side: str, t: np.ndarray) -> np.ndarray:
@@ -172,17 +169,15 @@ def build_samples(
         raise ValueError(f"per_edge must be an integer at least 1, got {per_edge!r}")
     if min_level < 0:
         raise ValueError("min_level must be nonnegative")
-    ncells = len(mesh)
     sizes = mesh.cell_sizes()
-    origins = mesh.cell_array[:, 1:] * sizes[:, None]
     rules, counts = _leaf_rules(mesh, quad, min_level)
-    cell_index = np.repeat(np.arange(ncells), counts)
+    cell_index = np.repeat(np.arange(len(mesh)), counts)
     starts = np.cumsum(counts) - counts
     interior = np.empty((len(cell_index), 2))
     weights = np.empty(len(cell_index))
     for cells, ref, wref in rules:
         idx = starts[cells][:, None] + np.arange(len(ref))
-        interior[idx] = origins[cells, None, :] + sizes[cells, None, None] * ref[None, :, :]
+        interior[idx] = mesh.cell_points(cells, ref)
         weights[idx] = sizes[cells, None] ** 2 * wref[None, :]
 
     pts = _edge_points(mesh, np.arange(per_edge + 1) / per_edge).reshape(-1, 2)
@@ -191,9 +186,8 @@ def build_samples(
     key = np.column_stack([side, np.where(side % 2 == 0, x, y)])
     _, first, rows = np.unique(key, axis=0, return_index=True, return_inverse=True)
     edge_rows = rows.reshape(len(mesh.boundary_edges), per_edge + 1)
-    return SampleSet(
-        mesh, interior, cell_index, weights, pts[first], edge_rows, quad, min_level
-    )
+    rules = [(cells, ref) for cells, ref, _ in rules]
+    return SampleSet(mesh, interior, cell_index, weights, pts[first], edge_rows, rules)
 
 
 @dataclass

@@ -117,6 +117,13 @@ class RectMesh:
     def max_cell_size(self) -> float:
         return 0.5**self.min_level
 
+    def cell_points(self, rows: np.ndarray, ref: np.ndarray) -> np.ndarray:
+        """Physical coordinates of reference points on the leaves at ``rows``:
+        (nrows, np, 2).  ``ref`` is (np, 2), shared by every leaf, or
+        (nrows, np, 2), one set per leaf."""
+        h = self.cell_sizes()[rows]
+        return (self.cell_array[rows, 1:] * h[:, None])[:, None, :] + h[:, None, None] * ref
+
     def _find(self, level: int, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         """Index of the leaf (level, ix, iy) for each pair, or -1 if none.
 

@@ -31,10 +31,11 @@ class HjbProblem:
     f: object  # f(x, y) -> array
 
     def __post_init__(self):
-        _check_eps(self.eps)
+        check_eps(self.eps)
 
 
-def _check_eps(eps):
+def check_eps(eps):
+    """Raise ``ValueError`` unless every eps lies in (0, 1/2]."""
     eps = np.asarray(eps)
     if not (np.all(eps > 0.0) and np.all(eps <= 0.5)):
         raise ValueError("eps must lie in (0, 1/2] for n = 2")
@@ -64,7 +65,7 @@ def eval_F_batch(eps, fval, m11, m12, m22):
 
     Returns (value, t, a11, a12, a22).
     """
-    _check_eps(eps)
+    check_eps(eps)
     fval = np.asarray(fval, dtype=float)
     mu1, mu2, phi = _eig_batch(
         np.asarray(m11, dtype=float),
@@ -88,7 +89,7 @@ def xi_of_batch(eps, m11, m12, m22):
     inactive and xi = 2 sqrt(det M).  Otherwise the argmax is pinned at the
     endpoint t = 1-eps and xi = ((1-eps)*mu1 + eps*mu2) / sqrt(eps(1-eps)).
     """
-    _check_eps(eps)
+    check_eps(eps)
     mu1, mu2, _ = _eig_batch(
         np.asarray(m11, dtype=float),
         np.asarray(m12, dtype=float),
@@ -151,7 +152,7 @@ class _Assembler:
         self.space = space
         ref = quad.ref_points
         cells = np.arange(len(space.mesh))
-        self.points = space.cell_points(cells, ref)  # (nc, nq, 2)
+        self.points = space.mesh.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
         self.weights = areas[:, None] * quad.ref_weights[None, :]  # (nc, nq)
         tab = space.tabulation(ref)

@@ -35,3 +35,29 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+PACKAGE = sorted(pathlib.Path(macert.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_names_from_sibling_modules(path):
+    # an underscore name belongs to its module: a sibling that needs it
+    # should read a public name, or the code should move to one owner
+    tree = ast.parse(path.read_text())
+    siblings = {p.stem for p in PACKAGE}
+    modules = set()  # local names bound to sibling modules
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "macert"):
+            for alias in node.names:
+                if node.module in (None, "macert") and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert not private, f"{path.name} reads private names of other modules: {private}"

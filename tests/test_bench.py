@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -24,7 +25,7 @@ from macert.bench import (
     run,
     steps,
 )
-from macert.bfs import BfsSpace, QuadRule, _LINF_GRID, _cell_grid
+from macert.bfs import BfsSpace, QuadRule
 from macert.cli import main
 from macert.envelope import build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
@@ -172,6 +173,12 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit(rows, "Linferr")
 
+    def test_non_finite_raises(self):
+        # nan <= 0 is false, so a nan in the column once fitted to nan
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                rate_fit(self._rows([1.0, bad, 0.25]), "Linferr")
+
     def test_window_below_two_raises(self):
         # rows[-0:] is every row and rows[2:] drops the first two
         rows = self._rows([1.0, 1.0, 0.25, 0.0625])
@@ -276,15 +283,15 @@ class TestRunLoop:
         quad = bench._QUAD
         kinds = set()
         for step in steps(run_config):
-            space, hull, lhs = step.solve.u_h.space, step.hull, step.row.LHS
-            cells = np.arange(len(space.mesh))
+            mesh, hull, lhs = step.solve.u_h.space.mesh, step.hull, step.row.LHS
+            cells = np.arange(len(mesh))
             pts = np.vstack([
-                space.cell_points(cells, ref).reshape(-1, 2)
-                for ref in (quad.ref_points, _cell_grid(_LINF_GRID))
+                mesh.cell_points(cells, ref).reshape(-1, 2)
+                for ref in (quad.ref_points, bench._cell_grid(bench._LINF_GRID))
             ])
             want = np.max(np.abs(exact.u(pts[:, 0], pts[:, 1]) - hull.evaluate(pts)))
             assert abs(lhs - want) <= 1e-13 * want
-            kinds.add(tuple(sorted(set((space.mesh.levels >= bench._SAMPLE_LEVEL).tolist()))))
+            kinds.add(tuple(sorted(set((mesh.levels >= bench._SAMPLE_LEVEL).tolist()))))
         # meshes below the floor, at or above it, and (adaptive) both at once
         assert {(False,), (True,)} <= kinds
         assert ((False, True) in kinds) == (config["mode"] == "adaptive")
@@ -379,6 +386,35 @@ class TestRunLoop:
         assert lines[0] == f"dat {hashlib.sha256(out.read_bytes()).hexdigest()}  rows {len(rows)}"
         assert [line.split()[:2] for line in lines[1:]] == [["step", str(k)] for k in range(len(rows))]
 
+    def test_history_digest_script_reports_an_aborted_run(self, monkeypatch, tmp_path, capsys):
+        # a solver failure forced on the third mesh: the script prints the
+        # lines of the two finished steps, then the error, and exits with 2
+        config = RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0)
+        finished = tmp_path / "finished.dat"
+        emit_dat(run(config)[:2], finished)
+
+        def failing_solve(*args, **kwargs):
+            if kwargs["reduction"].ndof > 16:  # the third mesh
+                raise SolverError("forced")
+            return solve(*args, **kwargs)
+
+        root = pathlib.Path(bench.__file__).parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "history_digest", root / "scripts" / "history_digest.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(bench, "solve", failing_solve)
+        argv = ["--experiment", "1", "--max-ndof", "70", "--initial-level", "0"]
+        assert script.main(argv) == 2
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
+        assert lines[0] == f"dat {hashlib.sha256(finished.read_bytes()).hexdigest()}  rows 2"
+        assert [line.split()[:4] for line in lines[1:]] == [
+            ["step", "0", "ndof", "4"], ["step", "1", "ndof", "16"]
+        ]
+        assert printed.err == "error: solver failed at ndof 64: forced\n"
+
     def test_fit_rates_script_prints_rate_fit(self, tmp_path):
         # scripts/fit_rates.py prints rate_fit of every column to 3 decimals,
         # and an unknown column is a usage error
@@ -402,6 +438,15 @@ class TestRunLoop:
         proc = fit_rates("--columns", "Linferr,nope")
         assert proc.returncode == 2
         assert "unknown columns nope" in proc.stderr
+        assert proc.stdout == ""
+        # a malformed file is a usage error too, and no file is reported
+        bad = tmp_path / "bad.dat"
+        lines = path.read_text().splitlines(keepends=True)
+        bad.write_text("".join(lines[:-1]) + lines[-1].rstrip() + "   1.0e+00\n")
+        proc = fit_rates(str(bad))
+        assert proc.returncode == 2
+        assert "line 4: 11 tokens, expected 10" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
     def test_invalid_config(self):

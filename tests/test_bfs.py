@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from macert.bench import ExactSolution, RunConfig, steps
+from macert.bench import ExactSolution, RunConfig, norms_vs_exact, steps
 from macert.bfs import (
     BfsSpace,
     FeFunction,
@@ -9,7 +9,6 @@ from macert.bfs import (
     count_free_dofs,
     interpolate_boundary,
     level_scale,
-    norms_vs_exact,
     tabulate_basis,
 )
 from macert.geometry import RectMesh, init_uniform, refine
@@ -349,7 +348,7 @@ class TestNorms:
             lambda x, y: (1.0 + x + y, -2.0 + x - 2 * y),
             lambda x, y: (np.ones_like(x), np.ones_like(x), -2 * np.ones_like(x)),
         )
-        for err in norms_vs_exact(vh, exact, QuadRule(5)):
+        for err in norms_vs_exact(vh, exact):
             assert err <= 1e-10
 
     def test_single_basis_function_linf(self):
@@ -368,7 +367,7 @@ class TestNorms:
             lambda x, y: (0 * x, 0 * x),
             lambda x, y: (0 * x, 0 * x, 0 * x),
         )
-        linf = norms_vs_exact(vh, zero, QuadRule(5))[0]
+        linf = norms_vs_exact(vh, zero)[0]
         assert linf == pytest.approx(1.0, abs=1e-13)
 
 

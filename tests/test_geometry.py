@@ -264,3 +264,22 @@ def test_locate_and_ids_stable():
     assert [mesh.cell_ids[r] for r in rows] == [(2, 0, 0), (1, 1, 1)]
     # parent-child path encoding: the surviving coarse ids are unchanged
     assert (1, 1, 1) in mesh.cell_ids
+
+
+def test_cell_points_place_reference_points_by_level():
+    # the one placement of reference points: (ix + ref, iy + ref) * 2**-level
+    # on a mesh of level-1 and level-2 leaves, dyadic scaling of one rounded
+    # sum, so equal bit for bit; the samples of the leaves at the sampling
+    # floor or finer are these points, read by row
+    mesh = refine(init_uniform(1), [0])
+    quad = QuadRule(5)
+    rows = np.array([5, 0, 2, 0, 6, 3])
+    h = np.ldexp(1.0, -mesh.levels[rows])
+    want = (mesh.cell_array[rows, None, 1:] + quad.ref_points) * h[:, None, None]
+    assert set(mesh.levels[rows].tolist()) == {1, 2}
+    assert np.array_equal(mesh.cell_points(rows, quad.ref_points), want)
+    samples = build_samples(mesh, quad, per_edge=4, min_level=2)
+    fine = np.flatnonzero(mesh.levels >= 2)
+    first = np.searchsorted(samples.cell_index, fine)
+    got = samples.interior[first[:, None] + np.arange(quad.npoints)]
+    assert np.array_equal(got, mesh.cell_points(fine, quad.ref_points))

@@ -3,10 +3,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from macert.bench import EXPERIMENTS, ExactSolution
-from macert.bfs import (
-    BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary, norms_vs_exact,
-)
+from macert.bench import EXPERIMENTS, ExactSolution, norms_vs_exact
+from macert.bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
 from macert.geometry import init_uniform, refine
 from macert.hjb import HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
 
@@ -31,7 +29,7 @@ class TestQuadraticReproduction:
         for mesh in (coarse, refine(coarse, rows_of(coarse, [(1, 1, 1)]))):
             res = dirichlet_solve(BfsSpace(mesh), 0.5, TWO, exact.u, exact.grad, QuadRule(5))
             assert res.converged
-            linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
+            linf = norms_vs_exact(res.u_h, exact)[0]
             assert linf <= 1e-9
 
     @pytest.mark.parametrize("eps", [0.2, 0.1, 1e-3])
@@ -39,7 +37,7 @@ class TestQuadraticReproduction:
         exact = quadratic_exact()
         res = dirichlet_solve(BfsSpace(init_uniform(2)), eps, TWO, exact.u, exact.grad, QuadRule(5))
         assert res.converged
-        linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
+        linf = norms_vs_exact(res.u_h, exact)[0]
         assert linf <= 1e-8
 
     def test_hanging_node_mesh(self):
@@ -47,7 +45,7 @@ class TestQuadraticReproduction:
         mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
         res = dirichlet_solve(BfsSpace(mesh), 0.2, TWO, exact.u, exact.grad, QuadRule(5))
-        linf = norms_vs_exact(res.u_h, exact, QuadRule(5))[0]
+        linf = norms_vs_exact(res.u_h, exact)[0]
         assert linf <= 1e-8
 
 
@@ -59,7 +57,7 @@ class TestBenchmarkSolves:
         space = BfsSpace(init_uniform(2))
         res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, QuadRule(5))
         assert res.converged
-        linf = norms_vs_exact(res.u_h, exp.exact, QuadRule(5))[0]
+        linf = norms_vs_exact(res.u_h, exp.exact)[0]
         assert 0.5 * 3.2142e-3 <= linf <= 2.0 * 3.2142e-3
 
     def test_eps_independence_in_inactive_range(self):
@@ -78,7 +76,7 @@ class TestBenchmarkSolves:
         exp = EXPERIMENTS[3]
         space = BfsSpace(init_uniform(2))
         res = dirichlet_solve(space, 1e-4, exp.f, exp.g, exp.grad_g, QuadRule(5))
-        linf = norms_vs_exact(res.u_h, exp.exact, QuadRule(5))[0]
+        linf = norms_vs_exact(res.u_h, exp.exact)[0]
         # reference history: 1.1503e-2 at this mesh
         assert 0.5 * 1.1503e-2 <= linf <= 2.0 * 1.1503e-2
 
