@@ -15,21 +15,17 @@ import numpy as np
 
 from . import envelope as env
 from . import estimator as est
-from .bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
+from .bfs import BfsSpace, FeFunction, count_free_dofs, interpolate_boundary
 from .geometry import init_uniform, refine
-from .hjb import HjbProblem, SolveResult, SolverError, check_eps, solve
+from .hjb import QUAD, HjbProblem, SolveResult, SolverError, check_eps, solve
 
 _TINY = 1e-300
-# The Gauss rule of the solve, the certificate and the norms.  With at least
-# 3 points per coordinate it integrates v_xy^2 - v_xx v_yy, of degree (4, 4)
-# per cell, exactly, so the Miranda-Talenti identity holds and the
-# diagonal-pivot LU needs no row interchanges.
-_QUAD = QuadRule(5)
 # Certificate samples are taken no coarser than on a 4x4 grid: 1/4 is the
 # coarsest mesh on which the band sweep can leave j = 0, and one 5x5 rule on
 # the 1x1 or 2x2 mesh misjudges the contact set and ||f - f_h||.
 _SAMPLE_LEVEL = 2
 _BOUNDARY_SEGMENTS = 4  # hull samples subdivide every boundary edge this often
+_TRACE_REFINE = 4  # the trace grid subdivides every hull segment this often
 _LINF_GRID = 8  # points per direction of the per-cell L-infinity grid, corners included
 
 
@@ -222,12 +218,13 @@ class RunConfig:
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
         for name in ("max_ndof", "initial_level"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.initial_level < 0:
             raise ValueError(f"initial_level must be at least 0, got {self.initial_level}")
         if self.eps is not None:
-            check_eps(self.eps)
+            check_eps(self.eps, scalar=True)
 
     def resolved_eps(self) -> float:
         return EXPERIMENTS[self.experiment].default_eps if self.eps is None else self.eps
@@ -299,7 +296,7 @@ def steps(config: RunConfig):
         reduction = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
         try:
-            result = solve(space, problem, _QUAD, reduction=reduction, initial=initial)
+            result = solve(space, problem, reduction=reduction, initial=initial)
         except SolverError as exc:
             raise SolverError(f"solver failed at ndof {reduction.ndof}: {exc}") from exc
         v_h = result.u_h
@@ -349,20 +346,24 @@ def run(config: RunConfig) -> list[HistoryRow]:
 def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     """Hull of v_h, certificate RHS0, bound RHS_eps and per-edge trace errors.
 
-    The samples are the points of ``_QUAD`` on every leaf, no coarser than
+    The samples are the points of ``QUAD`` on every leaf, no coarser than
     ``_SAMPLE_LEVEL``, plus ``_BOUNDARY_SEGMENTS`` segments on every boundary
     edge; they serve the hull, the contact set and both data-error quadratures.
+    The one boundary evaluation of v_h has ``_TRACE_REFINE`` times as many
+    segments: the hull reads every ``_TRACE_REFINE``-th point, the trace error all.
     """
     samples = env.build_samples(
-        v_h.space.mesh, _QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL
+        v_h.space.mesh, QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL
     )
     fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
     hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
-    values = np.concatenate([fields["N"], samples.boundary_values(v_h)])
+    n = _TRACE_REFINE * _BOUNDARY_SEGMENTS
+    edge_vals, edge_pts = env.edge_values(v_h, np.arange(n + 1) / n)
+    values = np.concatenate([fields["N"], samples.boundary_values(edge_vals[:, ::_TRACE_REFINE])])
     hull = env.lower_hull(samples, values)
     contact = env.contact_set(hull, hessians)
-    cert = est.rhs0(exp.f, exp.g, hull, contact, hessians)
-    edge_errors, boundary_err = est.max_boundary_trace_error(v_h, exp.g)
+    cert = est.rhs0(exp.f, env.boundary_residual(hull, exp.g), samples, contact, hessians)
+    edge_errors, boundary_err = est.max_boundary_trace_error(edge_vals, edge_pts, exp.g)
     eta = est.rhs_eps(exp.f, eps, samples, hessians, boundary_err).rhs0
     return hull, cert, eta, edge_errors
 
@@ -377,17 +378,17 @@ def _cell_grid(n: int) -> np.ndarray:
 def norms_vs_exact(v_h: FeFunction, exact: ExactSolution) -> tuple[float, float, float, float]:
     """(Linf, L2, H1, H2) distances between v_h and an exact solution.
 
-    L2/H1/H2 are full Sobolev norms computed by the ``_QUAD`` quadrature;
-    Linf is the max over the ``_QUAD`` points plus the ``_LINF_GRID`` grid
+    L2/H1/H2 are full Sobolev norms computed by the ``QUAD`` quadrature;
+    Linf is the max over the ``QUAD`` points plus the ``_LINF_GRID`` grid
     of every cell.
     """
     mesh = v_h.space.mesh
     cells = np.arange(len(mesh))
-    flat = mesh.cell_points(cells, _QUAD.ref_points).reshape(-1, 2)
+    flat = mesh.cell_points(cells, QUAD.ref_points).reshape(-1, 2)
     areas = mesh.cell_sizes() ** 2
-    w = (areas[:, None] * _QUAD.ref_weights[None, :]).ravel()
+    w = (areas[:, None] * QUAD.ref_weights[None, :]).ravel()
 
-    vals = v_h.on_cells(cells, _QUAD.ref_points, what=("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy"))
+    vals = v_h.on_cells(cells, QUAD.ref_points, what=("N", "Nx", "Ny", "Nxx", "Nxy", "Nyy"))
     du = vals["N"].ravel() - exact.u(flat[:, 0], flat[:, 1])
     gx, gy = exact.grad(flat[:, 0], flat[:, 1])
     dgx = vals["Nx"].ravel() - gx
@@ -411,10 +412,10 @@ def norms_vs_exact(v_h: FeFunction, exact: ExactSolution) -> tuple[float, float,
 
 def _envelope_error(v_h, exact, hull) -> float:
     """Sampled sup of |u - envelope| over the points of ``Linferr``: the
-    ``_QUAD`` points and the ``_LINF_GRID`` grid of every cell.
+    ``QUAD`` points and the ``_LINF_GRID`` grid of every cell.
 
     The hull was sampled on this mesh by ``_certify``, so on leaves at
-    ``_SAMPLE_LEVEL`` or finer the ``_QUAD`` points are its interior samples,
+    ``_SAMPLE_LEVEL`` or finer the ``QUAD`` points are its interior samples,
     read by row, and the envelope there is ``hull.gamma``.  Only the other
     points are evaluated.
     """
@@ -422,9 +423,9 @@ def _envelope_error(v_h, exact, hull) -> float:
     cells = np.arange(len(mesh))
     shared = mesh.levels >= _SAMPLE_LEVEL
     first = np.searchsorted(samples.cell_index, cells[shared])
-    rows = (first[:, None] + np.arange(_QUAD.npoints)).ravel()
+    rows = (first[:, None] + np.arange(QUAD.npoints)).ravel()
     other = np.vstack([
-        mesh.cell_points(cells[~shared], _QUAD.ref_points).reshape(-1, 2),
+        mesh.cell_points(cells[~shared], QUAD.ref_points).reshape(-1, 2),
         mesh.cell_points(cells, _cell_grid(_LINF_GRID)).reshape(-1, 2),
     ])
     worst = 0.0

@@ -12,8 +12,8 @@ the squares its bounding box meets, at most eight of them, or for a sliver
 at most twice the box's aspect ratio, capped at 256.  The side plane of the
 square supports the hull, so on a side the envelope is affine between
 consecutive samples, and the boundary residual reads it edge by edge at the
-boundary samples: the grid points of every boundary edge, each once.  One batch,
-``edge_values``, gives values on that grid to the hull and the trace error alike.
+boundary samples: the grid points of every boundary edge, each once.  One
+``edge_values`` batch on a finer grid gives values to the hull and the trace error.
 """
 from __future__ import annotations
 
@@ -76,15 +76,12 @@ class SampleSet:
                 out[name][idx] = vals[name]
         return out
 
-    def boundary_values(self, v_h: FeFunction) -> np.ndarray:
-        """Values of ``v_h`` at the boundary samples of ``build_samples``.
-
-        One ``edge_values`` batch; a point shared by two edges takes either
-        owner's value, which is the vertex's value coefficient in both.
-        """
-        per_edge = self.edge_rows.shape[1] - 1
+    def boundary_values(self, edge_vals: np.ndarray) -> np.ndarray:
+        """Values at the boundary samples from values at the grid points of
+        every boundary edge, (ne, per_edge + 1) as ``edge_values`` gives them.
+        A point on two edges takes either owner's value: for v_h, the same."""
         out = np.empty(len(self.boundary))
-        out[self.edge_rows] = edge_values(v_h, np.arange(per_edge + 1) / per_edge)[0]
+        out[self.edge_rows] = edge_vals
         return out
 
 

@@ -9,7 +9,8 @@ interior band Omega_jd = [jd, 1-jd]^2 the certified bound reads
 with mu the boundary residual of the convex envelope and
 f_h = 2 * chi_contact * sqrt(det D2_pw v_h).  The HJB variant replaces mu by
 the boundary trace error of v_h itself and f_h by the exact pointwise
-right-hand side xi(D2_pw v_h) of the regularised operator.
+right-hand side xi(D2_pw v_h) of the regularised operator.  Both boundary
+terms and v_h come in as numbers and sampled arrays; only f is evaluated here.
 
 The norms of f - f_h are quadrature values over the interior samples of a
 ``SampleSet`` (the same points decide the contact set), not bounds on the
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfs import FeFunction
-from .envelope import LowerHull, SampleSet, boundary_residual, edge_values
+from .envelope import SampleSet
 from .geometry import RectMesh, min_edge_length
 from .hjb import xi_of_batch
 
@@ -123,17 +123,15 @@ def _certificate(mu, samples: SampleSet, residual, j=None) -> ErrorCertificate:
     )
 
 
-def rhs0(f, g, hull: LowerHull, contact: np.ndarray, hessians) -> ErrorCertificate:
+def rhs0(f, mu: float, samples: SampleSet, contact: np.ndarray, hessians) -> ErrorCertificate:
     """Certificate for ||u - envelope(v_h)||_Linf from envelope outputs.
 
-    ``hessians`` is (m11, m12, m22) of v_h at the hull's interior samples.
-    ``mu`` is the boundary residual at the boundary samples, which can
-    undershoot the true supremum between them.
+    ``mu`` is the boundary residual, e.g. ``boundary_residual``, which can
+    undershoot sup |g - envelope| between the boundary samples.  ``contact``
+    and ``hessians`` (m11, m12, m22) of v_h are given at the interior samples.
     """
-    samples = hull.samples
     fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
-    residual = fvals - contact_density(hessians, contact)
-    return _certificate(boundary_residual(hull, g), samples, residual)
+    return _certificate(mu, samples, fvals - contact_density(hessians, contact))
 
 
 def rhs_eps(f, eps: float, samples: SampleSet, hessians, boundary_err: float) -> ErrorCertificate:
@@ -149,16 +147,13 @@ def rhs_eps(f, eps: float, samples: SampleSet, hessians, boundary_err: float) ->
     return _certificate(boundary_err, samples, fvals - xi_of_batch(eps, *hessians))
 
 
-def max_boundary_trace_error(
-    v_h: FeFunction, g, points_per_edge: int = 17
-) -> tuple[np.ndarray, float]:
-    """Per-boundary-edge and global sup of |g - v_h| on the boundary.
+def max_boundary_trace_error(vals: np.ndarray, pts: np.ndarray, g) -> tuple[np.ndarray, float]:
+    """Per-boundary-edge and global sup of |g - v_h| over points of the boundary.
 
-    The per-edge errors are aligned with ``mesh.boundary_edges``.  Each edge
-    is sampled at ``points_per_edge`` equispaced points, all edges in one
-    ``edge_values`` batch.
+    ``vals`` (ne, nt) and ``pts`` (ne, nt, 2) are v_h and its points on every
+    boundary edge, as ``edge_values`` gives them; the per-edge errors are
+    aligned with ``mesh.boundary_edges``.
     """
-    vals, pts = edge_values(v_h, np.linspace(0.0, 1.0, points_per_edge))
     pts = pts.reshape(-1, 2)
     gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
     errs = np.max(np.abs(gv.reshape(vals.shape) - vals), axis=1)

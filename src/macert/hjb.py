@@ -22,6 +22,10 @@ import scipy.sparse.linalg as spla
 
 from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, level_scale
 
+# The Gauss rule of the solve: 3 or more points per coordinate keep the
+# Miranda-Talenti identity exact, so the diagonal-pivot LU needs no row interchanges.
+QUAD = QuadRule(5)
+
 
 @dataclass(frozen=True)
 class HjbProblem:
@@ -31,11 +35,14 @@ class HjbProblem:
     f: object  # f(x, y) -> array
 
     def __post_init__(self):
-        check_eps(self.eps)
+        check_eps(self.eps, scalar=True)
 
 
-def check_eps(eps):
-    """Raise ``ValueError`` unless every eps lies in (0, 1/2]."""
+def check_eps(eps, scalar=False):
+    """Raise ``ValueError`` unless every eps lies in (0, 1/2]; with
+    ``scalar``, also unless eps is one real number."""
+    if scalar and not isinstance(eps, (int, float, np.integer, np.floating)):
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     eps = np.asarray(eps)
     if not (np.all(eps > 0.0) and np.all(eps <= 0.5)):
         raise ValueError("eps must lie in (0, 1/2] for n = 2")
@@ -140,7 +147,7 @@ class SolverError(RuntimeError):
 class _Assembler:
     """Per-mesh workspace shared by every policy solve on one mesh.
 
-    Holds the quadrature points and weights; on the unit cell, Lap(phi_i) at
+    Holds the ``QUAD`` points and weights; on the unit cell, Lap(phi_i) at
     the quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q)
     * H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); the per-cell factor
     ``level_scale(levels, 2)`` that takes both to a cell's size; and the CSC
@@ -148,13 +155,13 @@ class _Assembler:
     element-block entries.
     """
 
-    def __init__(self, space: BfsSpace, quad: QuadRule):
+    def __init__(self, space: BfsSpace):
         self.space = space
-        ref = quad.ref_points
+        ref = QUAD.ref_points
         cells = np.arange(len(space.mesh))
         self.points = space.mesh.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
-        self.weights = areas[:, None] * quad.ref_weights[None, :]  # (nc, nq)
+        self.weights = areas[:, None] * QUAD.ref_weights[None, :]  # (nc, nq)
         tab = space.tabulation(ref)
         self.lap = tab["Nxx"] + tab["Nyy"]  # (nq, 16)
         self.table = np.vstack([
@@ -224,7 +231,6 @@ def _policy_fields(eps, fvals, m11, m12, m22):
 def solve(
     space: BfsSpace,
     problem: HjbProblem,
-    quad: QuadRule,
     reduction: Reduction,
     max_iter: int = 50,
     initial: np.ndarray | None = None,
@@ -236,9 +242,9 @@ def solve(
     nonsymmetric system K_r u = F_r.  A factorisation is sparse LU (SuperLU)
     with diagonal pivots in a minimum-degree order of K_r + K_r^T.  No row
     interchange is needed: A has eigenvalues in [eps, 1-eps] and unit trace,
-    and the Miranda-Talenti identity holds under a Gauss rule of at least 3
-    points per coordinate, so v^T K_r v >= eps v^T B_r v with B_r = ((Lap w,
-    Lap phi)) SPD, and no pivot vanishes.
+    and the Miranda-Talenti identity holds under the Gauss rule ``QUAD``, so
+    v^T K_r v >= eps v^T B_r v with B_r = ((Lap w, Lap phi)) SPD, and no
+    pivot vanishes.
     Late policy matrices barely differ, so the latest LU on the mesh is
     reused: from the previous solution, sweeps u <- u + LU^-1 (F_r - K_r u)
     run until the relative residual ||K_r u - F_r|| / ||F_r|| is at most
@@ -266,7 +272,7 @@ def solve(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     eps = problem.eps
-    asm = _Assembler(space, quad)
+    asm = _Assembler(space)
     pts = asm.points.reshape(-1, 2)
     fvals = np.asarray(problem.f(pts[:, 0], pts[:, 1]), dtype=float)
     if fvals.ndim == 0:
@@ -276,7 +282,6 @@ def solve(
         raise SolverError("right-hand side not finite at quadrature points")
     cells = np.arange(len(space.mesh))
     hess = ("Nxx", "Nxy", "Nyy")
-    ref = quad.ref_points
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
     berrs = []  # ||Kr u - Fr|| / ||Fr|| of every accepted linear solution
@@ -319,7 +324,7 @@ def solve(
         The linear residual is that of the frozen-policy system ``coeffs``
         solves, ``solved_policy``; it is None without one.
         """
-        H = FeFunction(space, coeffs).on_cells(cells, ref, hess)
+        H = FeFunction(space, coeffs).on_cells(cells, QUAD.ref_points, hess)
         hxx, hxy, hyy = (H[k] for k in hess)
         value, a11, a12, a22, rhs = _policy_fields(eps, fvals, hxx, hxy, hyy)
         r_lin = None

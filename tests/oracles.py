@@ -7,16 +7,29 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from macert.bfs import _hermite1d, interpolate_boundary
-from macert.envelope import _side_point
-from macert.estimator import bound_value
+from macert.envelope import _side_point, edge_values
+from macert.estimator import bound_value, max_boundary_trace_error
 from macert.geometry import SIDES
 from macert.hjb import HjbProblem, eval_F_batch, solve
 
 
-def dirichlet_solve(space, eps, f, g, grad_g, quad, **kwargs):
+def dirichlet_solve(space, eps, f, g, grad_g, **kwargs):
     """``solve`` with u = g on the boundary: the reduction of g and grad g."""
     reduction = space.reduction(*interpolate_boundary(space, g, grad_g))
-    return solve(space, HjbProblem(eps, f), quad, reduction, **kwargs)
+    return solve(space, HjbProblem(eps, f), reduction, **kwargs)
+
+
+def boundary_values(vh, samples):
+    """Values of vh at the boundary samples of a build_samples set, by one
+    ``edge_values`` batch on the sample grid itself."""
+    per_edge = samples.edge_rows.shape[1] - 1
+    return samples.boundary_values(edge_values(vh, np.arange(per_edge + 1) / per_edge)[0])
+
+
+def trace_error(vh, g, npoints=17):
+    """``max_boundary_trace_error`` of vh on ``npoints`` equispaced points of
+    every boundary edge, 17 as on the trace grid of ``bench``."""
+    return max_boundary_trace_error(*edge_values(vh, np.linspace(0.0, 1.0, npoints)), g)
 
 
 def point_fields(vh, pts, what):
@@ -41,8 +54,8 @@ def point_values(vh, pts):
 
 def sample_values(vh, samples):
     """Values of vh at all points of a build_samples set, in point order: the
-    interior by ``point_values``, the boundary by its per-edge batch."""
-    return np.concatenate([point_values(vh, samples.interior), samples.boundary_values(vh)])
+    interior by ``point_values``, the boundary by ``boundary_values``."""
+    return np.concatenate([point_values(vh, samples.interior), boundary_values(vh, samples)])
 
 
 def sample_hessians(vh, samples):

@@ -16,7 +16,7 @@ from oracles import dirichlet_solve, lp_envelope, sample_hessians, sample_values
 
 from macert.bench import RunConfig, norms_vs_exact, rate_fit, run, steps
 from macert.bfs import BfsSpace, QuadRule
-from macert.envelope import build_samples, contact_set, lower_hull
+from macert.envelope import boundary_residual, build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
 from macert.geometry import init_uniform
 from macert.hjb import eval_F_batch, xi_of_batch
@@ -193,7 +193,7 @@ def test_criterion_3_quadratic_reproduction():
     mesh = init_uniform(2)  # 4x4
     space = BfsSpace(mesh)
     for eps in (0.2, 0.05):
-        result = dirichlet_solve(space, eps, lambda x, y: 2.0 + 0 * x, u, grad, quad)
+        result = dirichlet_solve(space, eps, lambda x, y: 2.0 + 0 * x, u, grad)
         assert result.converged and result.stop in ("tol", "policy")
         from macert.bench import ExactSolution
 
@@ -207,7 +207,7 @@ def test_criterion_3_quadratic_reproduction():
         hull = lower_hull(samples, sample_values(v_h, samples))
         hessians = sample_hessians(v_h, samples)
         contact = contact_set(hull, hessians)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, u, hull, contact, hessians)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, u), samples, contact, hessians)
         assert cert.rhs0 <= 1e-6
     _report("3 quadratic reproduction", "Linf <= 1e-8, RHS0 <= 1e-6")
 

@@ -61,3 +61,20 @@ def test_no_private_names_from_sibling_modules(path):
                 and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert not private, f"{path.name} reads private names of other modules: {private}"
+
+
+def test_estimator_reads_samples_not_functions():
+    # the estimator turns sampled arrays into certificates: v_h, its hull
+    # and its boundary evaluation stay with the driver, so it reads nothing
+    # of bfs and only the sample set of envelope
+    path = pathlib.Path(macert.__file__).parent / "estimator.py"
+    imported = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "macert"):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                name = alias.name if module in ("", "macert") else module
+                imported.setdefault(name, set()).add(alias.name)
+    assert "bfs" not in imported, f"estimator.py imports {imported['bfs']} from bfs"
+    assert imported.get("envelope", set()) <= {"SampleSet"}, imported["envelope"]

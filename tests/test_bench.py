@@ -27,11 +27,11 @@ from macert.bench import (
 )
 from macert.bfs import BfsSpace, QuadRule
 from macert.cli import main
-from macert.envelope import build_samples, contact_set, lower_hull
+from macert.envelope import boundary_residual, build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
 from macert import geometry
 from macert.geometry import init_uniform, refine
-from macert.hjb import SolverError, solve
+from macert.hjb import QUAD, HjbProblem, SolverError, solve
 
 
 def fd_hessian(u, x, y, h=1e-5):
@@ -264,7 +264,8 @@ class TestRunLoop:
             samples = build_samples(vh.space.mesh, QuadRule(20), per_edge=4)
             hull = lower_hull(samples, sample_values(vh, samples))
             hessians = sample_hessians(vh, samples)
-            fine = rhs0(exp.f, exp.g, hull, contact_set(hull, hessians), hessians).rhs0
+            mu = boundary_residual(hull, exp.g)
+            fine = rhs0(exp.f, mu, samples, contact_set(hull, hessians), hessians).rhs0
             assert row.eta2 >= 0.9 * fine, f"ndof {row.ndof}: {row.eta2:.3f} vs {fine:.3f}"
 
     @pytest.mark.parametrize(
@@ -280,7 +281,7 @@ class TestRunLoop:
         # finer agrees with evaluating the hull at every quadrature and grid point
         run_config = RunConfig(**config)
         exact = EXPERIMENTS[run_config.experiment].exact
-        quad = bench._QUAD
+        quad = QUAD
         kinds = set()
         for step in steps(run_config):
             mesh, hull, lhs = step.solve.u_h.space.mesh, step.hull, step.row.LHS
@@ -454,10 +455,19 @@ class TestRunLoop:
             RunConfig(experiment=7)
         with pytest.raises(ValueError):
             RunConfig(experiment=1, mode="sideways")
-        for name, value in (("initial_level", -1), ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3)):
-            with pytest.raises(ValueError):
+        for name, value in (
+            ("initial_level", -1), ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3),
+            # eps is one real number; a bool is no integer
+            ("eps", np.array([0.01, 0.1])), ("eps", [0.1]), ("eps", np.array(0.1)),
+            ("max_ndof", True), ("initial_level", True),
+        ):
+            with pytest.raises(ValueError, match=name):
                 RunConfig(experiment=1, **{name: value})
+        for eps in (np.array([0.01, 0.1]), [0.1], True):
+            with pytest.raises(ValueError, match="eps"):
+                HjbProblem(eps, EXPERIMENTS[1].f)
         RunConfig(experiment=1, eps=0.5, initial_level=0)
+        RunConfig(experiment=1, eps=np.float64(0.1), max_ndof=np.int64(60))
 
     @pytest.mark.parametrize("name, value", [("max_ndof", 200.0), ("initial_level", 0.5)])
     def test_non_integer_config_rejected(self, name, value):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     boundary_residual_reference,
+    boundary_values,
     envelope_gap,
     lp_envelope,
     on_hull_reference,
@@ -12,8 +13,10 @@ from oracles import (
     rows_of,
     sample_hessians,
     sample_values,
+    trace_error,
 )
 
+from macert import bench
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.bench import EXPERIMENTS
 from macert.envelope import (
@@ -29,6 +32,7 @@ from macert.envelope import (
     edge_values,
     lower_hull,
 )
+from macert.estimator import max_boundary_trace_error
 from macert.geometry import SIDES, init_uniform, refine
 
 
@@ -227,9 +231,27 @@ class TestBoundaryValues:
         samples = build_samples(mesh, QuadRule(2), per_edge=per_edge, min_level=2)
         _, pts = edge_values(vh, np.arange(per_edge + 1) / per_edge)
         assert np.array_equal(samples.boundary[samples.edge_rows], pts)
-        got = samples.boundary_values(vh)
+        got = boundary_values(vh, samples)
         want = point_values(vh, samples.boundary)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_trace_grid_nests_the_sample_grid(self):
+        # one evaluation on the trace grid serves the hull and the trace
+        # error: its every fourth column is the sample grid, bit for bit
+        vh = self.graded_fe(5)
+        mesh = vh.space.mesh
+        assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
+        per_edge = bench._BOUNDARY_SEGMENTS
+        n = bench._TRACE_REFINE * per_edge
+        fine_vals, fine_pts = edge_values(vh, np.arange(n + 1) / n)
+        vals, pts = edge_values(vh, np.arange(per_edge + 1) / per_edge)
+        assert np.array_equal(fine_vals[:, :: bench._TRACE_REFINE], vals)
+        assert np.array_equal(fine_pts[:, :: bench._TRACE_REFINE], pts)
+        # the trace error reads the whole grid, the points of linspace(0, 1, 17)
+        g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+        errs, worst = max_boundary_trace_error(fine_vals, fine_pts, g)
+        want_errs, want_worst = trace_error(vh, g, 17)
+        assert np.array_equal(errs, want_errs) and worst == want_worst
 
     def test_edge_endpoints_are_value_coefficients(self):
         # every owner of a shared endpoint or corner returns the vertex's
@@ -389,7 +411,7 @@ class TestBucketIndex:
         mesh, vh = getattr(cls, setup)()
         samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
         values = np.concatenate(
-            [samples.interior_fields(vh, ("N",))["N"], samples.boundary_values(vh)]
+            [samples.interior_fields(vh, ("N",))["N"], boundary_values(vh, samples)]
         )
         return samples, values, lower_hull(samples, values)
 
@@ -571,7 +593,7 @@ class TestContactSet:
         vals = point_values(vh, pts)
         for k in range(0, len(pts), 7):
             exact = lp_envelope(samples.points, np.concatenate(
-                [vals, samples.boundary_values(vh)]), pts[k])
+                [vals, boundary_values(vh, samples)]), pts[k])
             if abs(vals[k] - exact) < 1e-13:
                 assert contact[k]
 

@@ -12,11 +12,19 @@ from oracles import (
     sample_hessians,
     sample_values,
     select_j_scalar,
+    trace_error,
 )
 
 from macert import estimator
 from macert.bfs import BfsSpace, FeFunction, QuadRule
-from macert.envelope import SampleSet, boundary_residual, build_samples, contact_set, lower_hull
+from macert.envelope import (
+    SampleSet,
+    boundary_residual,
+    build_samples,
+    contact_set,
+    edge_values,
+    lower_hull,
+)
 from macert.estimator import (
     _certificate,
     contact_density,
@@ -179,7 +187,7 @@ class TestCertificates:
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact, H)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, g), samples, contact, H)
         assert cert.rhs0 <= 1e-6
         assert cert.rhs0 >= cert.mu >= 0.0
         assert cert.sigma == pytest.approx(cert.rhs0 - cert.mu, abs=1e-15)
@@ -192,7 +200,8 @@ class TestCertificates:
         hull = envelope_of(vh, samples)
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
-        cert = rhs0(lambda x, y: 1.0 + 0 * x, lambda x, y: 0.0 * x, hull, contact, H)
+        mu = boundary_residual(hull, lambda x, y: 0.0 * x)
+        cert = rhs0(lambda x, y: 1.0 + 0 * x, mu, samples, contact, H)
         jd = cert.j * cert.delta
         expected = (
             cert.mu
@@ -216,7 +225,7 @@ class TestCertificates:
         f_h = contact_density(H, contact_set(envelope_of(vh, samples), H))
         assert np.allclose(f_h, 2.0, atol=1e-10)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        boundary_err = max_boundary_trace_error(vh, g)[1]
+        boundary_err = trace_error(vh, g)[1]
         cert = rhs_eps(lambda x, y: 2.0 + 0 * x, 0.1, samples, H, boundary_err)
         # xi(I) = 2 = f everywhere and the trace is exact
         assert cert.rhs0 <= 1e-9
@@ -234,7 +243,7 @@ class TestCertificates:
         f_h = xi_of_batch(eps, H[:, 0], H[:, 1], H[:, 2])
         for k in range(0, len(f_h), 5):
             assert f_h[k] == pytest.approx(bisect_xi(eps, H[k]), abs=1e-9)
-        boundary_err = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)[1]
+        boundary_err = trace_error(vh, lambda x, y: 0.0 * x)[1]
         cert = rhs_eps(lambda x, y: 0.0 * x, eps, samples, tuple(H.T), boundary_err)
         assert cert.rhs0 >= 0.0
 
@@ -247,7 +256,7 @@ class TestCertificates:
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, g, hull, contact, H)
+        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, g), samples, contact, H)
         pts = np.random.default_rng(1).uniform(0, 1, size=(500, 2))
         lhs = float(np.max(np.abs(g(pts[:, 0], pts[:, 1]) - hull.evaluate(pts))))
         # the certified bound controls the true envelope; the computed hull
@@ -329,9 +338,9 @@ class TestMarking:
 def test_boundary_trace_error_per_edge():
     mesh = init_uniform(1)
     vh = quadratic_fe(mesh)
-    errs, worst = max_boundary_trace_error(vh, lambda x, y: 0.5 * (x**2 + y**2))
+    errs, worst = trace_error(vh, lambda x, y: 0.5 * (x**2 + y**2))
     assert worst <= 1e-12  # quadratic trace is in the space
-    errs, worst = max_boundary_trace_error(vh, lambda x, y: 0.0 * x)
+    errs, worst = trace_error(vh, lambda x, y: 0.0 * x)
     assert worst == pytest.approx(1.0, abs=1e-12)  # |g - v_h| peaks at (1,1)
 
 
@@ -343,10 +352,10 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     space = BfsSpace(mesh)
     vh = FeFunction(space, np.random.default_rng(4).standard_normal(space.nfull))
     g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
-    errs, worst = max_boundary_trace_error(vh, g, points_per_edge=9)
+    t = np.linspace(0.0, 1.0, 9)
+    errs, worst = max_boundary_trace_error(*edge_values(vh, t), g)
     assert errs.shape == (len(mesh.boundary_edges),)
     assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
-    t = np.linspace(0.0, 1.0, 9)
     scale = 1.0 + float(np.max(np.abs(vh.coeffs)))
     for (ci, side), err in zip(mesh.boundary_edges.tolist(), errs.tolist()):
         (xa, ya), (xb, yb) = boundary_edge_segment(mesh, ci, SIDES[side])

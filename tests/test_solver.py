@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from macert.bench import EXPERIMENTS, ExactSolution, norms_vs_exact
 from macert.bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
 from macert.geometry import init_uniform, refine
-from macert.hjb import HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
+from macert.hjb import QUAD, HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
 
 from oracles import assemble_reference, dirichlet_solve, rows_of
 
@@ -27,7 +27,7 @@ class TestQuadraticReproduction:
         exact = quadratic_exact()
         coarse = init_uniform(1)
         for mesh in (coarse, refine(coarse, rows_of(coarse, [(1, 1, 1)]))):
-            res = dirichlet_solve(BfsSpace(mesh), 0.5, TWO, exact.u, exact.grad, QuadRule(5))
+            res = dirichlet_solve(BfsSpace(mesh), 0.5, TWO, exact.u, exact.grad)
             assert res.converged
             linf = norms_vs_exact(res.u_h, exact)[0]
             assert linf <= 1e-9
@@ -35,7 +35,7 @@ class TestQuadraticReproduction:
     @pytest.mark.parametrize("eps", [0.2, 0.1, 1e-3])
     def test_inactive_regularisation(self, eps):
         exact = quadratic_exact()
-        res = dirichlet_solve(BfsSpace(init_uniform(2)), eps, TWO, exact.u, exact.grad, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(init_uniform(2)), eps, TWO, exact.u, exact.grad)
         assert res.converged
         linf = norms_vs_exact(res.u_h, exact)[0]
         assert linf <= 1e-8
@@ -44,7 +44,7 @@ class TestQuadraticReproduction:
         exact = quadratic_exact()
         mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
-        res = dirichlet_solve(BfsSpace(mesh), 0.2, TWO, exact.u, exact.grad, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), 0.2, TWO, exact.u, exact.grad)
         linf = norms_vs_exact(res.u_h, exact)[0]
         assert linf <= 1e-8
 
@@ -55,7 +55,7 @@ class TestBenchmarkSolves:
         # reference history value 3.2142e-3
         exp = EXPERIMENTS[1]
         space = BfsSpace(init_uniform(2))
-        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g)
         assert res.converged
         linf = norms_vs_exact(res.u_h, exp.exact)[0]
         assert 0.5 * 3.2142e-3 <= linf <= 2.0 * 3.2142e-3
@@ -67,7 +67,7 @@ class TestBenchmarkSolves:
         space = BfsSpace(init_uniform(2))
         sols = []
         for eps in (0.2, 1e-2, 1e-3):
-            res = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
+            res = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g)
             sols.append(res.u_h.coeffs)
         assert np.max(np.abs(sols[0] - sols[1])) <= 1e-7
         assert np.max(np.abs(sols[1] - sols[2])) <= 1e-7
@@ -75,7 +75,7 @@ class TestBenchmarkSolves:
     def test_oscillating_density_matches_reference(self):
         exp = EXPERIMENTS[3]
         space = BfsSpace(init_uniform(2))
-        res = dirichlet_solve(space, 1e-4, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(space, 1e-4, exp.f, exp.g, exp.grad_g)
         linf = norms_vs_exact(res.u_h, exp.exact)[0]
         # reference history: 1.1503e-2 at this mesh
         assert 0.5 * 1.1503e-2 <= linf <= 2.0 * 1.1503e-2
@@ -83,7 +83,7 @@ class TestBenchmarkSolves:
     def test_niter_reported(self):
         exp = EXPERIMENTS[1]
         space = BfsSpace(init_uniform(1))
-        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g)
         assert 1 <= res.niter <= 50
         assert res.residual >= 0.0
 
@@ -91,15 +91,13 @@ class TestBenchmarkSolves:
     def test_backward_error_measured(self, number, eps):
         exp = EXPERIMENTS[number]
         mesh = _corner_graded_mesh(2)
-        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g)
         assert np.isfinite(res.backward_error)
         assert 0.0 <= res.backward_error < 1e-8
 
     def test_max_iter_flags_without_raising(self):
         exp = EXPERIMENTS[3]
-        res = dirichlet_solve(
-            BfsSpace(init_uniform(1)), 1e-4, exp.f, exp.g, exp.grad_g, QuadRule(5), max_iter=2
-        )
+        res = dirichlet_solve(BfsSpace(init_uniform(1)), 1e-4, exp.f, exp.g, exp.grad_g, max_iter=2)
         assert res.niter == 2
         assert not res.converged
         assert res.stop == "max_iter"
@@ -137,7 +135,7 @@ class TestDiagonalPivoting:
     ):
         exp = EXPERIMENTS[number]
         calls = _record_splu(monkeypatch)
-        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(BfsSpace(mesh), eps, exp.f, exp.g, exp.grad_g)
         # late policy systems are solved by sweeps with the latest LU
         assert res.converged and 2 <= len(calls) < res.niter
         assert res.factorisations == len(calls)
@@ -156,8 +154,8 @@ class TestDiagonalPivoting:
         # that minimises A:D^2 v Lap v for the worst v found so far
         mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
         assert len(mesh.hanging)
-        space, quad = BfsSpace(mesh), QuadRule(5)
-        asm = _Assembler(space, quad)
+        space = BfsSpace(mesh)
+        asm = _Assembler(space)
         zero = lambda x, y: 0.0 * x
         red = space.reduction(*interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
         ones = np.ones(asm.weights.shape)
@@ -170,7 +168,7 @@ class TestDiagonalPivoting:
         v = np.random.default_rng(0).standard_normal(red.ndof)
         hess = ("Nxx", "Nxy", "Nyy")
         for _ in range(5):
-            H = FeFunction(space, red.full_vector(v)).on_cells(cells, quad.ref_points, hess)
+            H = FeFunction(space, red.full_vector(v)).on_cells(cells, QUAD.ref_points, hess)
             sign = np.sign(H["Nxx"] + H["Nyy"])
             # with f = 0 the operator's policy minimises A:(sign D^2 v)
             policy = eval_F_batch(eps, 0.0 * sign, *(sign * H[k] for k in hess))[2:]
@@ -221,11 +219,11 @@ class TestAssembly:
     @pytest.mark.parametrize("name", MESHES)
     def test_matches_coo_assembly(self, name):
         mesh = self.MESHES[name]
-        space, quad = BfsSpace(mesh), QuadRule(5)
-        asm = _Assembler(space, quad)
+        space = BfsSpace(mesh)
+        asm = _Assembler(space)
         policy = _random_policy(asm.weights.shape, 0)
         K = asm.linear_system(*policy, np.ones(asm.weights.shape))[0]
-        ref = assemble_reference(space, quad, *policy)
+        ref = assemble_reference(space, QUAD, *policy)
         assert ref.has_canonical_format  # sorted indices, no duplicates
         # K is CSC; its pattern is symmetric, so its arrays are those of the CSR ref
         assert K.format == "csc"
@@ -238,8 +236,8 @@ class TestAssembly:
     def test_reduced_matrix_is_sorted_csc(self):
         # splu takes CSC; sorted indices keep K_r equal to a CSR -> CSC round trip
         mesh = refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)]))
-        space, quad = BfsSpace(mesh), QuadRule(5)
-        asm = _Assembler(space, quad)
+        space = BfsSpace(mesh)
+        asm = _Assembler(space)
         zero = lambda x, y: 0.0 * x
         red = space.reduction(*interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2))
         K = asm.linear_system(*_random_policy(asm.weights.shape, 1), np.ones(asm.weights.shape))[0]
@@ -251,8 +249,8 @@ class TestAssembly:
         assert np.array_equal(Kr.data, ref.data)
 
     def test_repeat_calls_are_bitwise_equal(self):
-        space, quad = BfsSpace(self.MESHES["ex1-graded"]), QuadRule(5)
-        asm = _Assembler(space, quad)
+        space = BfsSpace(self.MESHES["ex1-graded"])
+        asm = _Assembler(space)
         policy = _random_policy(asm.weights.shape, 2)
         rhs = np.ones(asm.weights.shape)
         K1, load1 = asm.linear_system(*policy, rhs)
@@ -289,7 +287,7 @@ class TestSweeps:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_Assembler, "linear_system", recording)
-            solve(space, HjbProblem(1e-4, exp.f), QuadRule(5), reduction=red)
+            solve(space, HjbProblem(1e-4, exp.f), reduction=red)
         return systems
 
     def test_late_policy_refined_with_previous_lu(self, ex3_systems):
@@ -332,7 +330,7 @@ class TestFloorStop:
         exp = EXPERIMENTS[2]
         space = BfsSpace(_graded_toward_half(4))
         assert count_free_dofs(space.mesh) >= 570
-        res = dirichlet_solve(space, 0.1, exp.f, exp.g, exp.grad_g, QuadRule(5))
+        res = dirichlet_solve(space, 0.1, exp.f, exp.g, exp.grad_g)
         assert res.stop == "floor"
         assert len(res.history) == res.niter
         *earlier, (last_res, last_lin) = res.history
@@ -351,16 +349,14 @@ class TestFloorStop:
     )
     def test_restart_from_converged_solution_takes_one_solve(self, number, eps, mesh):
         exp = EXPERIMENTS[number]
-        space, quad = BfsSpace(mesh), QuadRule(5)
-        first = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, quad)
+        space = BfsSpace(mesh)
+        first = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g)
         assert first.converged
-        again = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, quad,
-                                initial=first.u_h.coeffs)
+        again = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, initial=first.u_h.coeffs)
         assert again.niter == len(again.history) == 1
         assert again.stop in ("tol", "floor")
 
     def test_max_iter_below_one_rejected(self):
         exp = EXPERIMENTS[1]
         with pytest.raises(ValueError, match="max_iter"):
-            dirichlet_solve(BfsSpace(init_uniform(1)), 1e-3, exp.f, exp.g, exp.grad_g,
-                            QuadRule(5), max_iter=0)
+            dirichlet_solve(BfsSpace(init_uniform(1)), 1e-3, exp.f, exp.g, exp.grad_g, max_iter=0)
