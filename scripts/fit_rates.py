@@ -18,6 +18,8 @@ def main(argv=None) -> int:
         help="comma-separated column names",
     )
     args = ap.parse_args(argv)
+    if args.window is not None and args.window < 2:
+        ap.error(f"--window must be at least 2, got {args.window}")
     columns = args.columns.split(",")
     unknown = [c for c in columns if c not in DAT_COLUMNS]
     if unknown:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import envelope as env
 from . import estimator as est
-from .bfs import BfsSpace, FeFunction, count_free_dofs, interpolate_boundary
-from .geometry import init_uniform, refine
+from .bfs import BfsSpace, FeFunction, count_free_dofs, interpolate_boundary, uniform_free_dofs
+from .geometry import MAX_LEVEL, init_uniform, refine
 from .hjb import QUAD, HjbProblem, SolveResult, SolverError, check_eps, solve
 
 _TINY = 1e-300
@@ -25,7 +25,7 @@ _TINY = 1e-300
 # the 1x1 or 2x2 mesh misjudges the contact set and ||f - f_h||.
 _SAMPLE_LEVEL = 2
 _BOUNDARY_SEGMENTS = 4  # hull samples subdivide every boundary edge this often
-_TRACE_REFINE = 4  # the trace grid subdivides every hull segment this often
+_TRACE_REFINE = 4  # the trace grid splits every hull segment this often; even, to hold midpoints
 _LINF_GRID = 8  # points per direction of the per-cell L-infinity grid, corners included
 
 
@@ -40,8 +40,6 @@ class ExactSolution:
 class Experiment:
     """One benchmark: exact solution, data fields and default regularisation."""
 
-    id: int
-    name: str
     default_eps: float
     exact: ExactSolution
     f: object  # HJB right-hand side, 2 sqrt(det D2 u)
@@ -84,8 +82,6 @@ def _experiment1() -> Experiment:
         return 2.0 / np.sqrt(np.where(r0 > 0, r0, _TINY))
 
     return Experiment(
-        1,
-        "radial",
         1e-3,
         ExactSolution(u, grad, hess),
         f,
@@ -106,8 +102,6 @@ def _experiment2() -> Experiment:
         return _zeros(x, y), _zeros(x, y), _zeros(x, y)
 
     return Experiment(
-        2,
-        "boundary-envelope",
         1e-3,
         ExactSolution(u, grad, hess),
         _zeros,
@@ -161,8 +155,6 @@ def _experiment3() -> Experiment:
         return _zeros(x, y), _zeros(x, y)
 
     return Experiment(
-        3,
-        "oscillating-density",
         1e-4,
         ExactSolution(u, grad, hess),
         f,
@@ -221,8 +213,9 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.initial_level < 0:
-            raise ValueError(f"initial_level must be at least 0, got {self.initial_level}")
+        if not 0 <= self.initial_level <= MAX_LEVEL:  # the finest level a mesh holds
+            raise ValueError(f"initial_level must be at least 0 and at most {MAX_LEVEL}, "
+                             f"got {self.initial_level}")
         if self.eps is not None:
             check_eps(self.eps, scalar=True)
 
@@ -289,6 +282,8 @@ def steps(config: RunConfig):
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
     problem = HjbProblem(eps, exp.f)
+    if uniform_free_dofs(config.initial_level) > config.max_ndof:
+        return  # before building a mesh that may not fit in memory
     mesh = init_uniform(config.initial_level)
     prev: FeFunction | None = None
     while count_free_dofs(mesh) <= config.max_ndof:
@@ -349,8 +344,9 @@ def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     The samples are the points of ``QUAD`` on every leaf, no coarser than
     ``_SAMPLE_LEVEL``, plus ``_BOUNDARY_SEGMENTS`` segments on every boundary
     edge; they serve the hull, the contact set and both data-error quadratures.
-    The one boundary evaluation of v_h has ``_TRACE_REFINE`` times as many
-    segments: the hull reads every ``_TRACE_REFINE``-th point, the trace error all.
+    The one boundary evaluation of v_h and of g has ``_TRACE_REFINE`` times as
+    many segments: the hull reads every ``_TRACE_REFINE``-th value of v_h, the
+    boundary residual the samples and midpoints of g, the trace error all.
     """
     samples = env.build_samples(
         v_h.space.mesh, QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL
@@ -362,9 +358,13 @@ def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     values = np.concatenate([fields["N"], samples.boundary_values(edge_vals[:, ::_TRACE_REFINE])])
     hull = env.lower_hull(samples, values)
     contact = env.contact_set(hull, hessians)
-    cert = est.rhs0(exp.f, env.boundary_residual(hull, exp.g), samples, contact, hessians)
-    edge_errors, boundary_err = est.max_boundary_trace_error(edge_vals, edge_pts, exp.g)
-    eta = est.rhs_eps(exp.f, eps, samples, hessians, boundary_err).rhs0
+    fvals = exp.f(*samples.interior.T)
+    # a constant g may come back as a scalar
+    gvals = np.broadcast_to(exp.g(*np.moveaxis(edge_pts, -1, 0)), edge_vals.shape)
+    mu = env.boundary_residual(hull, gvals[:, ::_TRACE_REFINE // 2])
+    cert = est.rhs0(fvals, mu, samples, contact, hessians)
+    edge_errors, boundary_err = est.max_boundary_trace_error(edge_vals, gvals)
+    eta = est.rhs_eps(fvals, eps, samples, hessians, boundary_err).rhs0
     return hull, cert, eta, edge_errors
 
 

@@ -216,7 +216,7 @@ class Reduction:
 
     @cached_property
     def _PT(self) -> sp.csc_matrix:
-        """P^T in CSC, converted once per reduction for ``reduce_matrix``."""
+        """P^T in CSC, converted once per reduction for both reductions."""
         return self.P.T.tocsc()
 
     @property
@@ -241,7 +241,7 @@ class Reduction:
         return Kr
 
     def reduce_vector(self, r: np.ndarray) -> np.ndarray:
-        return self.P.T @ r
+        return self._PT @ r
 
 
 class FeFunction:
@@ -288,6 +288,11 @@ def count_free_dofs(mesh: RectMesh) -> int:
     """Free DOFs without building the space: boundary vertices lose their
     ``_fixed_kinds``, hanging vertices all four DOFs to their master edges."""
     return 4 * (len(mesh.vertex_keys) - len(mesh.hanging)) - int(_fixed_kinds(mesh).sum())
+
+
+def uniform_free_dofs(level: int) -> int:
+    """``count_free_dofs`` of the uniform mesh of ``level`` without building it."""
+    return 4 ** (level + 1)
 
 
 def interpolate_boundary(space: BfsSpace, g, grad_g) -> tuple[np.ndarray, np.ndarray]:

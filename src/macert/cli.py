@@ -5,8 +5,7 @@ import argparse
 import sys
 
 from .bench import RunAborted, RunConfig, emit_dat, run
-from .bfs import count_free_dofs
-from .geometry import init_uniform
+from .bfs import uniform_free_dofs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +51,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not rows:
-        ndof = count_free_dofs(init_uniform(config.initial_level))
+        ndof = uniform_free_dofs(config.initial_level)
         parser.error(f"max_ndof {config.max_ndof} is below the {ndof} free DOFs "
                      "of the initial mesh")
     emit_dat(rows, out)

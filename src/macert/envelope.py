@@ -11,9 +11,8 @@ the squares its bounding box meets, at most eight of them, or for a sliver
 (a long, thin box, as the fans Qhull builds along a side with affine data)
 at most twice the box's aspect ratio, capped at 256.  The side plane of the
 square supports the hull, so on a side the envelope is affine between
-consecutive samples, and the boundary residual reads it edge by edge at the
-boundary samples: the grid points of every boundary edge, each once.  One
-``edge_values`` batch on a finer grid gives values to the hull and the trace error.
+consecutive samples, and the boundary residual reads it at the boundary
+samples and their midpoints, against g sampled there.  Only v_h is evaluated here.
 """
 from __future__ import annotations
 
@@ -367,19 +366,19 @@ def contact_set(hull: LowerHull, hessians) -> np.ndarray:
     return hull.on_hull[: hull.samples.n_interior] & (half - rad >= -tol)
 
 
-def boundary_residual(hull: LowerHull, g) -> float:
+def boundary_residual(hull: LowerHull, gvals: np.ndarray) -> float:
     """max |g - envelope| over boundary sample points and their midpoints.
 
-    The side plane supports the hull, so on a side the envelope is the 1D
-    lower hull of the side's samples: affine between consecutive samples,
+    ``gvals`` is g at parameters i / (2 per_edge) of every boundary edge, in
+    the rows of ``samples.edge_rows``: the samples, then their midpoints, in
+    turn.  The side plane supports the hull, so on a side the envelope is the
+    1D lower hull of the side's samples: affine between consecutive samples,
     and at their midpoint the mean of its values at the two.  The edges of a
     side tile it, so those pairs are consecutive grid points of one edge.
     """
-    def with_midpoints(a):
-        return np.concatenate([a, 0.5 * (a[:, :-1] + a[:, 1:])], axis=1)
-
     samples = hull.samples
-    pts = with_midpoints(samples.boundary[samples.edge_rows]).reshape(-1, 2)
-    gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
-    trace = with_midpoints(hull.gamma[samples.n_interior + samples.edge_rows])
-    return float(np.max(np.abs(gv - trace.ravel())))
+    at = hull.gamma[samples.n_interior + samples.edge_rows]
+    trace = np.empty(gvals.shape)
+    trace[:, ::2] = at
+    trace[:, 1::2] = 0.5 * (at[:, :-1] + at[:, 1:])
+    return float(np.max(np.abs(gvals - trace)))

@@ -10,7 +10,7 @@ with mu the boundary residual of the convex envelope and
 f_h = 2 * chi_contact * sqrt(det D2_pw v_h).  The HJB variant replaces mu by
 the boundary trace error of v_h itself and f_h by the exact pointwise
 right-hand side xi(D2_pw v_h) of the regularised operator.  Both boundary
-terms and v_h come in as numbers and sampled arrays; only f is evaluated here.
+terms, f and v_h come in as numbers and sampled arrays; nothing is evaluated here.
 
 The norms of f - f_h are quadrature values over the interior samples of a
 ``SampleSet`` (the same points decide the contact set), not bounds on the
@@ -123,40 +123,37 @@ def _certificate(mu, samples: SampleSet, residual, j=None) -> ErrorCertificate:
     )
 
 
-def rhs0(f, mu: float, samples: SampleSet, contact: np.ndarray, hessians) -> ErrorCertificate:
+def rhs0(fvals, mu: float, samples: SampleSet, contact: np.ndarray, hessians) -> ErrorCertificate:
     """Certificate for ||u - envelope(v_h)||_Linf from envelope outputs.
 
     ``mu`` is the boundary residual, e.g. ``boundary_residual``, which can
-    undershoot sup |g - envelope| between the boundary samples.  ``contact``
+    undershoot sup |g - envelope| between the boundary samples.  f, ``contact``
     and ``hessians`` (m11, m12, m22) of v_h are given at the interior samples.
     """
-    fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     return _certificate(mu, samples, fvals - contact_density(hessians, contact))
 
 
-def rhs_eps(f, eps: float, samples: SampleSet, hessians, boundary_err: float) -> ErrorCertificate:
+def rhs_eps(fvals, eps: float, samples: SampleSet, hessians,
+            boundary_err: float) -> ErrorCertificate:
     """Certificate for ||u_eps - v_h||_Linf via the exact HJB right-hand side.
 
     f_h(x) = xi(D2_pw v_h(x)) makes the regularised operator vanish at v_h
     pointwise, so the bound needs no envelope; the boundary term
     ``boundary_err`` is the trace error of v_h itself, the second value of
-    ``max_boundary_trace_error``.  ``hessians`` is (m11, m12, m22) of v_h at
-    the interior samples.
+    ``max_boundary_trace_error``.  f and ``hessians`` (m11, m12, m22) of v_h
+    are given at the interior samples.
     """
-    fvals = np.asarray(f(samples.interior[:, 0], samples.interior[:, 1]), dtype=float)
     return _certificate(boundary_err, samples, fvals - xi_of_batch(eps, *hessians))
 
 
-def max_boundary_trace_error(vals: np.ndarray, pts: np.ndarray, g) -> tuple[np.ndarray, float]:
+def max_boundary_trace_error(vals: np.ndarray, gvals: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-boundary-edge and global sup of |g - v_h| over points of the boundary.
 
-    ``vals`` (ne, nt) and ``pts`` (ne, nt, 2) are v_h and its points on every
-    boundary edge, as ``edge_values`` gives them; the per-edge errors are
+    ``vals`` and ``gvals`` (ne, nt) are v_h and g at the same points of every
+    boundary edge, v_h as ``edge_values`` gives it; the per-edge errors are
     aligned with ``mesh.boundary_edges``.
     """
-    pts = pts.reshape(-1, 2)
-    gv = np.broadcast_to(np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float), len(pts))
-    errs = np.max(np.abs(gv.reshape(vals.shape) - vals), axis=1)
+    errs = np.max(np.abs(gvals - vals), axis=1)
     return errs, float(errs.max(initial=0.0))
 
 

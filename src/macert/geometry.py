@@ -22,7 +22,7 @@ SIDES = ("bottom", "right", "top", "left")  # counter-clockwise, as boundary sam
 # per cell edge bottom, top, left, right: its two local corners (local corner
 # order (0,0), (1,0), (0,1), (1,1) as in cell_corners) and the axis it runs along
 _EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
-_MAX_LEVEL = 30  # vertex keys, below (2**(level+1) + 1)**2, fit in int64
+MAX_LEVEL = 30  # vertex keys, below (2**(level+1) + 1)**2, fit in int64
 
 
 class RectMesh:
@@ -89,9 +89,9 @@ class RectMesh:
         """Raise ``ValueError`` unless the cells tile the unit square once: in
         range, no leaf is an ancestor of a finer one, and the areas sum to one."""
         level, ix, iy = self.cell_array.T
-        if self.min_level < 0 or self.max_level > _MAX_LEVEL or np.any(
+        if self.min_level < 0 or self.max_level > MAX_LEVEL or np.any(
                 (np.minimum(ix, iy) < 0) | (np.maximum(ix, iy) >> level != 0)):
-            raise ValueError(f"cell out of range: need 0 <= level <= {_MAX_LEVEL}, "
+            raise ValueError(f"cell out of range: need 0 <= level <= {MAX_LEVEL}, "
                              "0 <= ix, iy < 2**level")
         for L in range(self.min_level, self.max_level):
             finer = self.cell_array[level > L]

@@ -29,7 +29,18 @@ def boundary_values(vh, samples):
 def trace_error(vh, g, npoints=17):
     """``max_boundary_trace_error`` of vh on ``npoints`` equispaced points of
     every boundary edge, 17 as on the trace grid of ``bench``."""
-    return max_boundary_trace_error(*edge_values(vh, np.linspace(0.0, 1.0, npoints)), g)
+    vals, pts = edge_values(vh, np.linspace(0.0, 1.0, npoints))
+    return max_boundary_trace_error(vals, g(pts[..., 0], pts[..., 1]))
+
+
+def boundary_g(samples, g):
+    """g at the boundary samples of every edge and their midpoints, in turn,
+    (ne, 2 per_edge + 1) as ``boundary_residual`` reads it; the points are
+    the samples' own coordinates and their means."""
+    ends = samples.boundary[samples.edge_rows]
+    pts = np.empty((len(ends), 2 * ends.shape[1] - 1, 2))
+    pts[:, ::2], pts[:, 1::2] = ends, 0.5 * (ends[:, :-1] + ends[:, 1:])
+    return g(pts[..., 0], pts[..., 1])
 
 
 def point_fields(vh, pts, what):

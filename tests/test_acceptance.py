@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import dirichlet_solve, lp_envelope, sample_hessians, sample_values
+from oracles import boundary_g, dirichlet_solve, lp_envelope, sample_hessians, sample_values
 
 from macert.bench import RunConfig, norms_vs_exact, rate_fit, run, steps
 from macert.bfs import BfsSpace, QuadRule
@@ -207,7 +207,8 @@ def test_criterion_3_quadratic_reproduction():
         hull = lower_hull(samples, sample_values(v_h, samples))
         hessians = sample_hessians(v_h, samples)
         contact = contact_set(hull, hessians)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, u), samples, contact, hessians)
+        mu = boundary_residual(hull, boundary_g(samples, u))
+        cert = rhs0(np.full(samples.n_interior, 2.0), mu, samples, contact, hessians)
         assert cert.rhs0 <= 1e-6
     _report("3 quadratic reproduction", "Linf <= 1e-8, RHS0 <= 1e-6")
 

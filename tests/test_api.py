@@ -78,3 +78,22 @@ def test_estimator_reads_samples_not_functions():
                 imported.setdefault(name, set()).add(alias.name)
     assert "bfs" not in imported, f"estimator.py imports {imported['bfs']} from bfs"
     assert imported.get("envelope", set()) <= {"SampleSet"}, imported["envelope"]
+
+
+def _own_parameters_called(func):
+    params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+    return sorted({node.func.id for node in ast.walk(func) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name) and node.func.id in params})
+
+
+def test_certificates_take_sampled_data():
+    # f and g come in as arrays: the driver evaluates each once per step for
+    # both certificates, the trace error and the boundary residual
+    root = pathlib.Path(macert.__file__).parent
+    funcs = [node for node in ast.walk(ast.parse((root / "estimator.py").read_text()))
+             if isinstance(node, ast.FunctionDef)]
+    funcs += [node for node in ast.walk(ast.parse((root / "envelope.py").read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "boundary_residual"]
+    assert "boundary_residual" in {func.name for func in funcs}
+    called = {func.name: _own_parameters_called(func) for func in funcs}
+    assert not {name: params for name, params in called.items() if params}, called

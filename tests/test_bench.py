@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -9,7 +10,9 @@ import textwrap
 
 import numpy as np
 import pytest
-from oracles import point_fields, point_values, rows_of, sample_hessians, sample_values
+from oracles import (
+    boundary_g, point_fields, point_values, rows_of, sample_hessians, sample_values,
+)
 
 import macert.bench as bench
 from macert.bench import (
@@ -264,8 +267,9 @@ class TestRunLoop:
             samples = build_samples(vh.space.mesh, QuadRule(20), per_edge=4)
             hull = lower_hull(samples, sample_values(vh, samples))
             hessians = sample_hessians(vh, samples)
-            mu = boundary_residual(hull, exp.g)
-            fine = rhs0(exp.f, mu, samples, contact_set(hull, hessians), hessians).rhs0
+            mu = boundary_residual(hull, boundary_g(samples, exp.g))
+            fvals = exp.f(*samples.interior.T)
+            fine = rhs0(fvals, mu, samples, contact_set(hull, hessians), hessians).rhs0
             assert row.eta2 >= 0.9 * fine, f"ndof {row.ndof}: {row.eta2:.3f} vs {fine:.3f}"
 
     @pytest.mark.parametrize(
@@ -297,6 +301,41 @@ class TestRunLoop:
         assert {(False,), (True,)} <= kinds
         assert ((False, True) in kinds) == (config["mode"] == "adaptive")
 
+    def test_f_and_g_evaluated_twice_per_step(self, monkeypatch):
+        # f by the solve and once for both certificates, g by the Dirichlet
+        # data and once on the trace grid for the trace error and mu
+        exp = EXPERIMENTS[1]
+        calls = {"f": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapper(x, y):
+                calls[name] += 1
+                return fn(x, y)
+            return wrapper
+
+        monkeypatch.setitem(bench.EXPERIMENTS, 1, dataclasses.replace(
+            exp, f=counted("f", exp.f), g=counted("g", exp.g)))
+        rows = run(RunConfig(experiment=1, mode="adaptive", max_ndof=300, initial_level=0))
+        assert len(rows) >= 4
+        assert calls == {"f": 2 * len(rows), "g": 2 * len(rows)}
+
+    def test_over_budget_initial_level_builds_no_mesh(self, monkeypatch, tmp_path, capsys):
+        # the budget is checked against the closed-form DOF count; a level-12
+        # mesh would not fit in memory
+        def no_fine_mesh(level):
+            if level >= 9:
+                raise AssertionError(f"built the level-{level} mesh")
+            return init_uniform(level)
+
+        monkeypatch.setattr(bench, "init_uniform", no_fine_mesh)
+        assert run(RunConfig(experiment=1, initial_level=12)) == []
+        out = tmp_path / "a.dat"
+        with pytest.raises(SystemExit) as exc:
+            main(["--experiment", "1", "--initial-level", "12", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "below the 67108864 free DOFs of the initial mesh" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_aborts_with_finished_rows(self, monkeypatch, tmp_path, capsys):
         # no solver failure occurs on the benchmarks, so one is forced on the
         # third mesh; run and the CLI keep the two rows finished before it
@@ -327,7 +366,7 @@ class TestRunLoop:
         config = RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0)
         want = run(config)[:2]
 
-        monkeypatch.setattr(geometry, "_MAX_LEVEL", 1)
+        monkeypatch.setattr(geometry, "MAX_LEVEL", 1)
         message = "refinement failed at ndof 16: cell out of range: need 0 <= level <= 1"
         with pytest.raises(RunAborted, match=f"^{message}") as info:
             run(config)
@@ -418,7 +457,7 @@ class TestRunLoop:
 
     def test_fit_rates_script_prints_rate_fit(self, tmp_path):
         # scripts/fit_rates.py prints rate_fit of every column to 3 decimals,
-        # and an unknown column is a usage error
+        # and an unknown column or a window below 2 is a usage error
         rows = run(RunConfig(experiment=1, mode="uniform", max_ndof=70, initial_level=0))
         path = tmp_path / "history.dat"
         emit_dat(rows, path)
@@ -440,6 +479,12 @@ class TestRunLoop:
         assert proc.returncode == 2
         assert "unknown columns nope" in proc.stderr
         assert proc.stdout == ""
+        # so is a window rate_fit rejects
+        for window in ("1", "0", "-2"):
+            proc = fit_rates("--window", window)
+            assert proc.returncode == 2
+            assert f"--window must be at least 2, got {window}" in proc.stderr
+            assert proc.stdout == ""
         # a malformed file is a usage error too, and no file is reported
         bad = tmp_path / "bad.dat"
         lines = path.read_text().splitlines(keepends=True)
@@ -457,6 +502,8 @@ class TestRunLoop:
             RunConfig(experiment=1, mode="sideways")
         for name, value in (
             ("initial_level", -1), ("eps", 0.7), ("eps", 0.0), ("eps", -1e-3),
+            # past the finest level a mesh holds, before any DOF count of it
+            ("initial_level", 31), ("initial_level", 10**9),
             # eps is one real number; a bool is no integer
             ("eps", np.array([0.01, 0.1])), ("eps", [0.1]), ("eps", np.array(0.1)),
             ("max_ndof", True), ("initial_level", True),
@@ -467,6 +514,7 @@ class TestRunLoop:
             with pytest.raises(ValueError, match="eps"):
                 HjbProblem(eps, EXPERIMENTS[1].f)
         RunConfig(experiment=1, eps=0.5, initial_level=0)
+        RunConfig(experiment=1, initial_level=30)
         RunConfig(experiment=1, eps=np.float64(0.1), max_ndof=np.int64(60))
 
     @pytest.mark.parametrize("name, value", [("max_ndof", 200.0), ("initial_level", 0.5)])
@@ -503,6 +551,7 @@ class TestCli:
         "flag, value, message",
         [
             ("--initial-level", "-1", "initial_level must be at least 0"),
+            ("--initial-level", "31", "initial_level must be at least 0 and at most 30, got 31"),
             ("--epsilon", "0.7", "eps must lie in (0, 1/2]"),
             ("--max-ndof", "-5", "below the 4 free DOFs of the initial mesh"),
         ],

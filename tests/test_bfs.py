@@ -10,6 +10,7 @@ from macert.bfs import (
     interpolate_boundary,
     level_scale,
     tabulate_basis,
+    uniform_free_dofs,
 )
 from macert.geometry import RectMesh, init_uniform, refine
 
@@ -287,7 +288,8 @@ class TestBoundaryInterpolation:
             space = BfsSpace(init_uniform(level))
             red = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
             vh = FeFunction(space, red.full_vector(np.zeros(red.ndof)))
-            errs.append(max_boundary_trace_error(*edge_values(vh, t), exp.g)[1])
+            vals, pts = edge_values(vh, t)
+            errs.append(max_boundary_trace_error(vals, exp.g(pts[..., 0], pts[..., 1]))[1])
         assert errs[1] < 0.5 * errs[0]
         assert errs[2] < 0.5 * errs[1]
 
@@ -313,6 +315,12 @@ class TestNdof:
         space2 = BfsSpace(refine(mesh, np.arange(len(mesh))))
         n2 = space2.reduction(*interpolate_boundary(space2, zero, gz)).ndof
         assert n2 == 4 * n1
+
+    def test_uniform_closed_form(self):
+        # the budget check of an initial level reads this instead of a mesh
+        for level in range(7):
+            assert count_free_dofs(init_uniform(level)) == 4 ** (level + 1)
+            assert uniform_free_dofs(level) == 4 ** (level + 1)
 
     def test_count_matches_reduction(self):
         # uniform meshes, meshes graded toward a corner and an adaptive history

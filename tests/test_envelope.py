@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    boundary_g,
     boundary_residual_reference,
     boundary_values,
     envelope_gap,
@@ -249,7 +250,7 @@ class TestBoundaryValues:
         assert np.array_equal(fine_pts[:, :: bench._TRACE_REFINE], pts)
         # the trace error reads the whole grid, the points of linspace(0, 1, 17)
         g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
-        errs, worst = max_boundary_trace_error(fine_vals, fine_pts, g)
+        errs, worst = max_boundary_trace_error(fine_vals, g(fine_pts[..., 0], fine_pts[..., 1]))
         want_errs, want_worst = trace_error(vh, g, 17)
         assert np.array_equal(errs, want_errs) and worst == want_worst
 
@@ -605,7 +606,7 @@ class TestBoundaryResidual:
         vh = nodal_fe(mesh, lambda x, y: x + y, one, one)
         samples = build_samples(mesh, QuadRule(2), per_edge=4)
         hull = lower_hull(samples, sample_values(vh, samples))
-        mu = boundary_residual(hull, lambda x, y: x + y)
+        mu = boundary_residual(hull, boundary_g(samples, lambda x, y: x + y))
         assert mu <= 1e-12
 
     def test_zero_data_nonnegative_function(self):
@@ -618,7 +619,8 @@ class TestBoundaryResidual:
         )
         samples = build_samples(mesh, QuadRule(2), per_edge=4)
         hull = lower_hull(samples, sample_values(vh, samples))
-        assert boundary_residual(hull, lambda x, y: 0.0 * x) == pytest.approx(0.0, abs=1e-12)
+        mu = boundary_residual(hull, boundary_g(samples, lambda x, y: 0.0 * x))
+        assert mu == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_interp_gap(self):
         # convex quadratic data: mu equals the chord gap of the trace hull
@@ -627,7 +629,7 @@ class TestBoundaryResidual:
         per_edge = 8  # 16 boundary segments per unit length
         samples = build_samples(mesh, QuadRule(3), per_edge)
         hull = lower_hull(samples, sample_values(vh, samples))
-        mu = boundary_residual(hull, lambda x, y: 0.5 * (x**2 + y**2))
+        mu = boundary_residual(hull, boundary_g(samples, lambda x, y: 0.5 * (x**2 + y**2)))
         assert mu == pytest.approx((1 / 16) ** 2 / 8, rel=1e-10)
 
     @pytest.mark.parametrize("setup", ["graded", "random", "quadratic", "planar", "zero_boundary"])
@@ -657,7 +659,8 @@ class TestBoundaryResidual:
             values = np.random.default_rng(5).uniform(-1, 1, size=len(values))
         hull = lower_hull(samples, values)
         assert hull.planar == (setup == "planar")
-        mu, want = boundary_residual(hull, g), boundary_residual_reference(hull, g)
+        mu = boundary_residual(hull, boundary_g(samples, g))
+        want = boundary_residual_reference(hull, g)
         assert abs(mu - want) <= 1e-15 * (1.0 + np.max(np.abs(values)))
 
 

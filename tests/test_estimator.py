@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     bisect_xi,
     boundary_edge_segment,
+    boundary_g,
     envelope_gap,
     mark_reference,
     point_fields,
@@ -57,7 +58,7 @@ def rhs0_in_band(f, g, hull, contact, hessians, j):
     samples = hull.samples
     fvals = f(samples.interior[:, 0], samples.interior[:, 1])
     residual = fvals - contact_density(hessians, contact)
-    return _certificate(boundary_residual(hull, g), samples, residual, j)
+    return _certificate(boundary_residual(hull, boundary_g(samples, g)), samples, residual, j)
 
 
 def samples_at(dist, weights, mesh):
@@ -187,7 +188,8 @@ class TestCertificates:
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, g), samples, contact, H)
+        mu = boundary_residual(hull, boundary_g(samples, g))
+        cert = rhs0(np.full(samples.n_interior, 2.0), mu, samples, contact, H)
         assert cert.rhs0 <= 1e-6
         assert cert.rhs0 >= cert.mu >= 0.0
         assert cert.sigma == pytest.approx(cert.rhs0 - cert.mu, abs=1e-15)
@@ -200,8 +202,8 @@ class TestCertificates:
         hull = envelope_of(vh, samples)
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
-        mu = boundary_residual(hull, lambda x, y: 0.0 * x)
-        cert = rhs0(lambda x, y: 1.0 + 0 * x, mu, samples, contact, H)
+        mu = boundary_residual(hull, boundary_g(samples, lambda x, y: 0.0 * x))
+        cert = rhs0(np.full(samples.n_interior, 1.0), mu, samples, contact, H)
         jd = cert.j * cert.delta
         expected = (
             cert.mu
@@ -226,7 +228,7 @@ class TestCertificates:
         assert np.allclose(f_h, 2.0, atol=1e-10)
         g = lambda x, y: 0.5 * (x**2 + y**2)
         boundary_err = trace_error(vh, g)[1]
-        cert = rhs_eps(lambda x, y: 2.0 + 0 * x, 0.1, samples, H, boundary_err)
+        cert = rhs_eps(np.full(samples.n_interior, 2.0), 0.1, samples, H, boundary_err)
         # xi(I) = 2 = f everywhere and the trace is exact
         assert cert.rhs0 <= 1e-9
 
@@ -244,7 +246,7 @@ class TestCertificates:
         for k in range(0, len(f_h), 5):
             assert f_h[k] == pytest.approx(bisect_xi(eps, H[k]), abs=1e-9)
         boundary_err = trace_error(vh, lambda x, y: 0.0 * x)[1]
-        cert = rhs_eps(lambda x, y: 0.0 * x, eps, samples, tuple(H.T), boundary_err)
+        cert = rhs_eps(np.zeros(samples.n_interior), eps, samples, tuple(H.T), boundary_err)
         assert cert.rhs0 >= 0.0
 
     def test_guaranteed_bound_on_quadratic(self):
@@ -256,7 +258,8 @@ class TestCertificates:
         H = sample_hessians(vh, samples)
         contact = contact_set(hull, H)
         g = lambda x, y: 0.5 * (x**2 + y**2)
-        cert = rhs0(lambda x, y: 2.0 + 0 * x, boundary_residual(hull, g), samples, contact, H)
+        mu = boundary_residual(hull, boundary_g(samples, g))
+        cert = rhs0(np.full(samples.n_interior, 2.0), mu, samples, contact, H)
         pts = np.random.default_rng(1).uniform(0, 1, size=(500, 2))
         lhs = float(np.max(np.abs(g(pts[:, 0], pts[:, 1]) - hull.evaluate(pts))))
         # the certified bound controls the true envelope; the computed hull
@@ -353,7 +356,8 @@ def test_boundary_trace_error_matches_pointwise_evaluation():
     vh = FeFunction(space, np.random.default_rng(4).standard_normal(space.nfull))
     g = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
     t = np.linspace(0.0, 1.0, 9)
-    errs, worst = max_boundary_trace_error(*edge_values(vh, t), g)
+    vals, pts = edge_values(vh, t)
+    errs, worst = max_boundary_trace_error(vals, g(pts[..., 0], pts[..., 1]))
     assert errs.shape == (len(mesh.boundary_edges),)
     assert len(set(mesh.levels[mesh.boundary_edges[:, 0]].tolist())) >= 3
     scale = 1.0 + float(np.max(np.abs(vh.coeffs)))
