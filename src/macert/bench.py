@@ -277,7 +277,9 @@ def steps(config: RunConfig):
     Each solve after the first starts from the previous solution prolongated
     to the refined mesh.  A solver failure, or a refinement past the finest
     level a ``RectMesh`` holds, raises ``SolverError`` naming the DOFs of the
-    mesh it failed on.
+    mesh it failed on.  Between steps the loop keeps only the mesh, the
+    marked rows and, until its prolongation, the previous solution: a step
+    the caller has let go of is freed before the next solve.
     """
     exp = EXPERIMENTS[config.experiment]
     eps = config.resolved_eps()
@@ -290,39 +292,46 @@ def steps(config: RunConfig):
         space = BfsSpace(mesh)
         reduction = space.reduction(*interpolate_boundary(space, exp.g, exp.grad_g))
         initial = prolongate(prev, space) if prev is not None else None
+        ndof, prev = reduction.ndof, None
         try:
             result = solve(space, problem, reduction=reduction, initial=initial)
         except SolverError as exc:
-            raise SolverError(f"solver failed at ndof {reduction.ndof}: {exc}") from exc
-        v_h = result.u_h
-        hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
-
-        linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact)
-        lhs = _envelope_error(v_h, exp.exact, hull)
-        row = HistoryRow(
-            ndof=reduction.ndof,
-            hinv=1.0 / (np.sqrt(2.0) * mesh.max_cell_size()),
-            Linferr=linf,
-            LHS=lhs,
-            L2error=l2,
-            H1error=h1,
-            H2error=h2,
-            eta=eta,
-            eta2=cert.rhs0,
-            niter=result.niter,
-        )
-
-        marked = []
-        if config.mode == "adaptive":
-            marked = est.indicators_and_mark(cert, edge_errors, mesh)
-        if not len(marked):  # uniform, or vanished indicator and boundary error
-            marked = np.arange(len(mesh))
-        yield Step(row, result, hull, cert, marked)
+            raise SolverError(f"solver failed at ndof {ndof}: {exc}") from exc
+        del reduction, initial  # inputs of the solve only
+        step = _finish_step(result, ndof, exp, eps, config.mode)
+        prev, marked = result.u_h, step.marked
+        yield step
+        del step, result  # the caller holds the step for as long as it needs it
         try:
             mesh = refine(mesh, marked)
         except ValueError as exc:  # the marked rows are valid, so the level cap
-            raise SolverError(f"refinement failed at ndof {reduction.ndof}: {exc}") from exc
-        prev = v_h
+            raise SolverError(f"refinement failed at ndof {ndof}: {exc}") from exc
+
+
+def _finish_step(result: SolveResult, ndof: int, exp: Experiment, eps: float, mode: str) -> Step:
+    """The step of a solve: certificates, exact-error diagnostics and marks."""
+    v_h = result.u_h
+    mesh = v_h.space.mesh
+    hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
+    linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact)
+    row = HistoryRow(
+        ndof=ndof,
+        hinv=1.0 / (np.sqrt(2.0) * mesh.max_cell_size()),
+        Linferr=linf,
+        LHS=_envelope_error(v_h, exp.exact, hull),
+        L2error=l2,
+        H1error=h1,
+        H2error=h2,
+        eta=eta,
+        eta2=cert.rhs0,
+        niter=result.niter,
+    )
+    marked = []
+    if mode == "adaptive":
+        marked = est.indicators_and_mark(cert, edge_errors, mesh)
+    if not len(marked):  # uniform, or vanished indicator and boundary error
+        marked = np.arange(len(mesh))
+    return Step(row, result, hull, cert, marked)
 
 
 def run(config: RunConfig) -> list[HistoryRow]:
@@ -332,7 +341,7 @@ def run(config: RunConfig) -> list[HistoryRow]:
     try:
         for step in steps(config):
             rows.append(step.row)
-            del step  # else its hull stays alive through the next step's diagnostics
+            del step  # the last reference: its hull and solution go before the next solve
     except SolverError as exc:
         raise RunAborted(str(exc), rows) from exc
     return rows

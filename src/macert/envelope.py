@@ -208,7 +208,7 @@ class LowerHull:
     def __post_init__(self):
         pts = self.samples.points
         top = min(self.samples.mesh.max_level + 2, _MAX_DEPTH)
-        self._buckets = _bucket_index(pts[self.simplices], top)
+        self._buckets = _bucket_index(pts, self.simplices, top)
         rest = np.ones(len(pts), dtype=bool)
         rest[self.simplices] = False
         self.gamma = self.values.copy()
@@ -286,34 +286,47 @@ def _square_budget(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(np.ceil(aspect2), _MIN_SQUARES).astype(np.int64)
 
 
-def _bucket_index(tri: np.ndarray, top: int):
+def _bucket_index(pts: np.ndarray, simplices: np.ndarray, top: int):
     """Sorted square keys with their facet ids, and the depths in use.
 
-    Each facet (triangle ``tri[f]`` in [0, 1]^2) is filed in every square of
-    side 2**-d its bounding box meets, d <= ``top`` the deepest depth with at
-    most ``_square_budget`` of them; so a point's square at d holds the
-    facet.  The keys are expanded ``_CHUNK`` entries at a time.
+    Each facet (the triangle ``pts[simplices[f]]`` in [0, 1]^2) is filed in
+    every square of side 2**-d its bounding box meets, d <= ``top`` the
+    deepest depth with at most ``_square_budget`` of them; so a point's
+    square at d holds the facet.  The keys are expanded ``_CHUNK`` entries
+    at a time, and every per-facet array is freed before the sort, so the
+    peak is the keys, the ids and the sort order.
     """
-    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    lo = pts[simplices[:, 0]]
+    hi = lo.copy()
+    for k in (1, 2):
+        corner = pts[simplices[:, k]]
+        np.minimum(lo, corner, out=lo)
+        np.maximum(hi, corner, out=hi)
+    del corner
     budget = _square_budget(lo, hi)
-    depth = np.zeros(len(tri), dtype=np.int64)
+    depth = np.zeros(len(lo), dtype=np.int64)
     for d in range(1, top + 1):
         w = _square(hi, 1 << d) - _square(lo, 1 << d) + 1
         depth[w[:, 0] * w[:, 1] <= budget] = d
+    del budget
     n = np.left_shift(1, depth)
     i0 = _square(lo, n[:, None])
     w = _square(hi, n[:, None]) - i0 + 1
+    del lo, hi
     size = w[:, 0] * w[:, 1]
     start = np.cumsum(size) - size
-    ids = np.repeat(np.arange(len(tri), dtype=np.int32), size)
+    ids = np.repeat(np.arange(len(size), dtype=np.int32), size)
+    del size
     keys = np.empty(len(ids), dtype=np.int64)
     for a in range(0, len(ids), _CHUNK):
         f = ids[a:a + _CHUNK]
         k = np.arange(a, a + len(f)) - start[f]  # the k-th square of facet f
         wf = w[f, 0]
         keys[a:a + len(f)] = _square_key(i0[f] + np.column_stack([k % wf, k // wf]), n[f])
-    order = np.argsort(keys)
-    return keys[order], ids[order], np.unique(depth)
+    del n, i0, w, start
+    ids = ids[np.argsort(keys)]
+    keys.sort()  # the same values as keys[argsort(keys)]
+    return keys, ids, np.unique(depth)
 
 
 def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:

@@ -144,6 +144,9 @@ class SolverError(RuntimeError):
     """Linearised system is singular or iterates became non-finite."""
 
 
+_CHUNK_CELLS = 256  # cells per chunk of element blocks: 512 KiB of float64, cache-sized
+
+
 class _Assembler:
     """Per-mesh workspace shared by every policy solve on one mesh.
 
@@ -174,7 +177,10 @@ class _Assembler:
         # pairs sharing a cell, each expanded to 4 x 4: row 4v + k holds the
         # columns 4w + l of every neighbour w of v in ascending order.  It is
         # symmetric, so its CSR arrays serve as CSC, where entry (c, i, j)
-        # takes the CSR slot of (c, j, i).
+        # takes the CSR slot of (c, j, i).  With i = 4a + k and j = 4b + l
+        # that is base[c, b, a] + row_len[c, b] * l + k, written in place in
+        # (c, a, k, b, l) order; ``indices`` is filled by broadcast.  Neither
+        # makes a full-size temporary.
         corners = space.mesh.cell_corners
         nc, nv = len(corners), space.nvertices
         pairs = (corners[:, :, None] * nv + corners[:, None, :]).ravel()
@@ -184,16 +190,12 @@ class _Assembler:
         base = 16 * first + 4 * (pair_slot.reshape(nc, 4, 4) - first)  # (nc, a, b)
         row_len = 4 * degree[corners]  # (nc, a)
         k = np.arange(4)
-        csr_slot = (
-            base[:, :, None, :, None]
-            + row_len[:, :, None, None, None] * k[:, None, None]
-            + k
-        ).reshape(nc, 16, 16)  # (c, a, k, b, l) order, i = 4a + k and j = 4b + l
-        self.slot = csr_slot.transpose(0, 2, 1).ravel()
+        slot = np.empty((nc, 4, 4, 4, 4), dtype=np.int64)  # (c, a, k, b, l)
+        slot[...] = base.transpose(0, 2, 1)[:, :, None, :, None] + k[:, None, None]
+        slot += row_len[:, None, None, :, None] * k
+        self.slot = slot.reshape(-1)
         self.indices = np.empty(16 * len(unique), dtype=np.int32)
-        self.indices[self.slot] = np.broadcast_to(
-            space.cell_dofs[:, :, None], (nc, 16, 16)
-        ).ravel()
+        self.indices[slot.reshape(nc, 16, 16)] = space.cell_dofs[:, :, None]
         row_nnz = np.repeat(4 * degree, 4)
         self.indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
 
@@ -207,17 +209,22 @@ class _Assembler:
     def linear_system(self, a11, a12, a22, rhs_vals):
         """Matrix of (A:D^2 w, Lap phi) and load vector of (rhs, Lap phi).
 
-        The element blocks are one product [w a11 | w a12 | w a22] @ M over
-        all cells, scaled in place by each cell's factor for i and for j, and
-        summed into the fixed CSC pattern by one ``bincount``.
+        The element blocks are built ``_CHUNK_CELLS`` cells at a time: one
+        product [w a11 | w a12 | w a22] @ M, one in-place scaling by each
+        cell's factors s_i s_j (powers of two, so exact), and one
+        ``np.add.at`` into the fixed CSC pattern.  Chunk after chunk, each
+        entry sums its terms in block order from zero, as one ``bincount``
+        over all cells would, so the matrix does not depend on the chunk.
         """
         nfull = self.space.nfull
         w, s = self.weights, self.scale
-        blocks = np.hstack([w * a11, w * a12, w * a22]) @ self.table
-        b = blocks.reshape(-1, 16, 16)
-        b *= s[:, :, None]
-        b *= s[:, None, :]
-        data = np.bincount(self.slot, weights=blocks.ravel(), minlength=len(self.indices))
+        data = np.zeros(len(self.indices))
+        for lo in range(0, len(w), _CHUNK_CELLS):
+            c = slice(lo, lo + _CHUNK_CELLS)
+            blocks = np.hstack([w[c] * a11[c], w[c] * a12[c], w[c] * a22[c]]) @ self.table
+            blocks = blocks.reshape(-1, 16, 16)
+            blocks *= s[c, :, None] * s[c, None, :]
+            np.add.at(data, self.slot[256 * lo:256 * lo + blocks.size], blocks.ravel())
         K = sp.csc_matrix((data, self.indices, self.indptr), shape=(nfull, nfull))
         return K, self.load(rhs_vals)
 
@@ -293,6 +300,7 @@ def solve(
         K, load = asm.linear_system(a11, a12, a22, rhs)
         Kr = reduction.reduce_matrix(K)
         Fr = reduction.reduce_vector(load - K @ reduction.offset)
+        del K, load  # from here on, one policy system is held: the reduced one
         swept = _sweeps(last["lu"], Kr, Fr, last["u"], 2.0 * last["berr"]) if last else None
         if swept is not None:
             u_red, berr = swept

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 from scipy.spatial import Delaunay
 
 from macert.bfs import _hermite1d, interpolate_boundary
-from macert.envelope import _side_point, edge_values
+from macert.envelope import _side_point, _square, _square_budget, _square_key, edge_values
 from macert.estimator import bound_value, max_boundary_trace_error
 from macert.geometry import SIDES
 from macert.hjb import HjbProblem, eval_F_batch, solve
@@ -235,6 +235,43 @@ def assemble_reference(space, quad, a11, a12, a22):
     return sp.coo_matrix(
         (blocks.ravel(), (rows, cols)), shape=(space.nfull, space.nfull)
     ).tocsr()
+
+
+def assemble_bincount(asm, a11, a12, a22, rhs_vals):
+    """``asm.linear_system`` in one shot: the element blocks of all cells in
+    one product, scaled in place by each cell's factor for i and for j, and
+    summed into the fixed CSC pattern by one ``bincount``."""
+    w, s = asm.weights, asm.scale
+    blocks = np.hstack([w * a11, w * a12, w * a22]) @ asm.table
+    b = blocks.reshape(-1, 16, 16)
+    b *= s[:, :, None]
+    b *= s[:, None, :]
+    data = np.bincount(asm.slot, weights=blocks.ravel(), minlength=len(asm.indices))
+    nfull = asm.space.nfull
+    K = sp.csc_matrix((data, asm.indices, asm.indptr), shape=(nfull, nfull))
+    return K, asm.load(rhs_vals)
+
+
+def bucket_index_reference(tri, top):
+    """``_bucket_index`` from the triangles themselves, with every per-facet
+    array alive through one ``argsort`` and two gathers."""
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    budget = _square_budget(lo, hi)
+    depth = np.zeros(len(tri), dtype=np.int64)
+    for d in range(1, top + 1):
+        w = _square(hi, 1 << d) - _square(lo, 1 << d) + 1
+        depth[w[:, 0] * w[:, 1] <= budget] = d
+    n = np.left_shift(1, depth)
+    i0 = _square(lo, n[:, None])
+    w = _square(hi, n[:, None]) - i0 + 1
+    size = w[:, 0] * w[:, 1]
+    start = np.cumsum(size) - size
+    ids = np.repeat(np.arange(len(tri), dtype=np.int32), size)
+    k = np.arange(len(ids)) - start[ids]  # the k-th square of its facet
+    wf = w[ids, 0]
+    keys = _square_key(i0[ids] + np.column_stack([k % wf, k // wf]), n[ids])
+    order = np.argsort(keys)
+    return keys[order], ids[order], np.unique(depth)
 
 
 def rows_of(mesh, ids):

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +301,27 @@ class TestRunLoop:
         # meshes below the floor, at or above it, and (adaptive) both at once
         assert {(False,), (True,)} <= kinds
         assert ((False, True) in kinds) == (config["mode"] == "adaptive")
+
+    def test_no_earlier_hull_alive_at_a_solve(self, monkeypatch):
+        # steps() lets go of a step once the caller has, so no earlier
+        # step's lower hull lives on into the next solve and its LU
+        hulls, alive = [], []
+        certify, solve_ = bench._certify, bench.solve
+
+        def recorded(*args, **kwargs):
+            out = certify(*args, **kwargs)
+            hulls.append(weakref.ref(out[0]))
+            return out
+
+        def checked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in hulls))
+            return solve_(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "_certify", recorded)
+        monkeypatch.setattr(bench, "solve", checked)
+        rows = run(RunConfig(experiment=3, mode="uniform", max_ndof=1100, initial_level=0))
+        assert [r.ndof for r in rows] == [4, 16, 64, 256, 1024]
+        assert len(hulls) == 5 and alive == [0] * 5
 
     def test_f_and_g_evaluated_twice_per_step(self, monkeypatch):
         # f by the solve and once for both certificates, g by the Dirichlet

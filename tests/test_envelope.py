@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 from oracles import (
     boundary_g,
     boundary_residual_reference,
     boundary_values,
+    bucket_index_reference,
     envelope_gap,
     lp_envelope,
     on_hull_reference,
@@ -23,6 +27,7 @@ from macert.bench import EXPERIMENTS
 from macert.envelope import (
     _CHUNK,
     SampleSet,
+    _bucket_index,
     _side_point,
     _square,
     _square_budget,
@@ -407,6 +412,12 @@ class TestBucketIndex:
         mesh = init_uniform(3)
         return mesh, exact_fe(mesh, 3, zero_boundary=True)
 
+    @staticmethod
+    def _uniform():
+        # ex1's u on a uniform mesh: convex, so every sample is a vertex
+        mesh = init_uniform(4)
+        return mesh, exact_fe(mesh, 1)
+
     @classmethod
     def _hull(cls, setup):
         mesh, vh = getattr(cls, setup)()
@@ -481,6 +492,38 @@ class TestBucketIndex:
         ])
         scale = 1.0 + np.max(np.abs(values))
         assert np.max(np.abs(hull.evaluate(queries) - brute)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("setup", ["_corner_graded", "_corner_graded_30", "_uniform"])
+    def test_matches_reference_index(self, setup):
+        # the lean build files the same entries, in the same order, as the
+        # reference that keeps every per-facet array alive through the sort
+        samples, _, hull = self._hull(setup)
+        top = min(samples.mesh.max_level + 2, 31)
+        tri = samples.points[hull.simplices]
+        if setup != "_uniform":  # ex1's data fan slivers out of the corner
+            assert np.sum(_square_budget(tri.min(axis=1), tri.max(axis=1)) > 8) >= 100
+        want = bucket_index_reference(tri, top)
+        got = _bucket_index(samples.points, hull.simplices, top)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(np.array_equal(a, b) for a, b in zip(hull._buckets, want))
+
+    def test_peak_memory_per_entry(self):
+        # the per-facet arrays are freed before the sort, so the build peaks
+        # at the keys, the ids and the sort order: 36 B per index entry on
+        # this 50k-facet hull, against 61 B when they all lived through it
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0.0, 1.0, size=(25000, 2))
+        simplices = Delaunay(pts).simplices  # the lower hull of the lifted paraboloid
+        assert len(simplices) > 49000
+        _bucket_index(pts, simplices, 12)
+        tracemalloc.start()
+        try:
+            keys = _bucket_index(pts, simplices, 12)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * len(keys)
 
     def test_slivers_get_a_larger_budget(self):
         # max(8, min(ceil(2 * aspect), 256)), a flat box taking the cap

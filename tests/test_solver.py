@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,9 +8,17 @@ import scipy.sparse.linalg as spla
 from macert.bench import EXPERIMENTS, ExactSolution, norms_vs_exact
 from macert.bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
 from macert.geometry import init_uniform, refine
-from macert.hjb import QUAD, HjbProblem, _Assembler, _sweeps, eval_F_batch, solve
+from macert.hjb import (
+    _CHUNK_CELLS,
+    QUAD,
+    HjbProblem,
+    _Assembler,
+    _sweeps,
+    eval_F_batch,
+    solve,
+)
 
-from oracles import assemble_reference, dirichlet_solve, rows_of
+from oracles import assemble_bincount, assemble_reference, dirichlet_solve, rows_of
 
 
 TWO = lambda x, y: 2.0 + 0 * x  # f of u = (x^2 + y^2) / 2
@@ -247,6 +257,44 @@ class TestAssembly:
         assert np.array_equal(Kr.indptr, ref.indptr)
         assert np.array_equal(Kr.indices, ref.indices)
         assert np.array_equal(Kr.data, ref.data)
+
+    @pytest.mark.parametrize("name", ["uniform-6", "graded-hanging"])
+    def test_chunks_match_one_bincount_bitwise(self, name):
+        # chunk after chunk, np.add.at sums each entry's terms in the order
+        # of one bincount over all cells: on full chunks only, and on a mesh
+        # with hanging nodes that ends on a partial chunk
+        if name == "uniform-6":
+            mesh = init_uniform(6)
+        else:
+            mesh = init_uniform(5)
+            mesh = refine(mesh, rows_of(mesh, [(5, i, j) for i in range(6) for j in range(6)]))
+            mesh = refine(mesh, rows_of(mesh, [(6, i, j) for i in range(4) for j in range(4)]))
+            assert len(mesh.hanging) and len(mesh) % _CHUNK_CELLS
+        assert len(mesh) > _CHUNK_CELLS
+        space = BfsSpace(mesh)
+        asm = _Assembler(space)
+        policy = _random_policy(asm.weights.shape, 3)
+        rhs = np.random.default_rng(4).standard_normal(asm.weights.shape)
+        K, load = asm.linear_system(*policy, rhs)
+        ref, ref_load = assemble_bincount(asm, *policy, rhs)
+        assert np.array_equal(K.data, ref.data)
+        assert np.array_equal(load, ref_load)
+
+    def test_peak_memory_below_one_block_array(self):
+        # one call holds the matrix data and one chunk of element blocks:
+        # below the data plus the (nc, 256) blocks of all cells at once
+        space = BfsSpace(init_uniform(6))
+        asm = _Assembler(space)
+        policy = _random_policy(asm.weights.shape, 5)
+        rhs = np.ones(asm.weights.shape)
+        asm.linear_system(*policy, rhs)
+        tracemalloc.start()
+        try:
+            K = asm.linear_system(*policy, rhs)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < K.data.nbytes + len(space.mesh) * 256 * 8
 
     def test_repeat_calls_are_bitwise_equal(self):
         space = BfsSpace(self.MESHES["ex1-graded"])
