@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import RectMesh
+from .geometry import RectMesh, dissection_order
 
 # DOF kinds per vertex
 V, DX, DY, DXY = 0, 1, 2, 3
@@ -145,7 +145,9 @@ class BfsSpace:
         p is a corner of the coarse cell K (level L) and of a finer cell F
         (level L+1) across K's edge, and for p to be the midpoint of a leaf
         edge, that leaf would have to face F from level L-1 or coarser.
-        Raises ``ValueError`` when a master is a slave.
+        Raises ``ValueError`` when a master is a slave.  The free DOFs, the
+        columns of P, are numbered in elimination order: vertices by
+        ``dissection_order``, the DOFs of one vertex by kind.
         """
         nfull = self.nfull
         value = np.zeros(nfull)
@@ -176,7 +178,8 @@ class BfsSpace:
         if np.any(is_slave[masters]):
             raise ValueError("a master DOF is itself a slave: hanging-node constraints "
                              "chain, so the mesh is not 1-irregular")
-        free = np.flatnonzero(~is_fixed & ~is_slave)
+        order = (4 * dissection_order(self.mesh)[:, None] + np.arange(4)).ravel()
+        free = order[~is_fixed[order] & ~is_slave[order]]
         col = np.full(nfull, -1)
         col[free] = np.arange(len(free))
         offset = np.where(is_fixed, value, 0.0)

@@ -329,11 +329,16 @@ def _bucket_index(pts: np.ndarray, simplices: np.ndarray, top: int):
     return keys, ids, np.unique(depth)
 
 
+_AREA_TOL = 1e-9  # lower facets tile the unit square: their areas sum to 1 up to rounding
+
+
 def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
     """Lower convex hull of the lifted samples (x, y, v).
 
     Facets are the Qhull simplices whose outward normal points downward.
     Affine data (a degenerate 3D hull) falls back to the fitted plane.
+    Raises ``ValueError`` when the lower facets' projections do not tile the
+    unit square: their areas must sum to 1 within ``_AREA_TOL``.
     """
     pts = samples.points
     values = np.asarray(values, dtype=float)
@@ -358,6 +363,15 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
     lower = eq[:, 2] < -1e-12
     simplices, eq = hull.simplices[lower], eq[lower]
     del hull, lifted  # alive while the index is built, Qhull's output sets the peak memory
+    x, y = samples.points.T
+    a, b, c = simplices.T
+    area = 0.5 * np.sum(np.abs((x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])))
+    if not abs(area - 1.0) <= _AREA_TOL:
+        raise ValueError(
+            f"the lower facets cover an area of {area:.6g}, not the unit square's 1 "
+            f"(tolerance {_AREA_TOL:g}): values in [{values.min():.3g}, {values.max():.3g}] "
+            "span too wide a range for the hull's floating-point arithmetic"
+        )
     # plane z = a0 x + a1 y + b from nx x + ny y + nz z + off = 0
     planes = np.column_stack([-eq[:, 0] / eq[:, 2], -eq[:, 1] / eq[:, 2], -eq[:, 3] / eq[:, 2]])
     return LowerHull(samples, values, planes, simplices, False)

@@ -152,6 +152,38 @@ def min_edge_length(mesh: RectMesh) -> float:
     return 0.5**mesh.max_level
 
 
+def dissection_order(mesh: RectMesh) -> np.ndarray:
+    """Vertex rows in quadtree nested-dissection order (George 1973).
+
+    With L = ``max_level`` and R = ``res`` = 2**(L+1), a key 0 < k < R first
+    lies on a dyadic midline at depth m(k) = L + 1 - tz(k), where tz(k)
+    counts the trailing zero bits of k; a key on the boundary lies on none
+    and counts as depth L + 1.  A vertex belongs to the cross (the two
+    midlines) of the node at depth min(m(kx), m(ky)) - 1 that contains it,
+    the dyadic square of side 2**-depth: a boundary coordinate defers to the
+    other one, and a corner goes to the finest square at that corner.  Each
+    vertex is a corner of a leaf finer than its node, and every leaf inside
+    such a node is finer than the node, so its cross is a union of leaf
+    edges: no cell joins two of its quadrants, and no hanging-node
+    constraint either, as a slave and its masters lie on one leaf edge.  So
+    two vertices that share a cell or a constraint lie in nested nodes.
+    Nodes go in postorder, the quadrants (in Morton order) before their
+    cross; within a node, vertices go by row.
+    """
+    L = mesh.max_level
+    keys = mesh.vertex_keys
+    inner = (keys > 0) & (keys < mesh.res)
+    tz = np.frexp(np.where(inner, keys & -keys, 1))[1] - 1  # frexp(2**t) = (0.5, t + 1)
+    depth = (L + 1 - tz).min(axis=1) - 1
+    node = np.minimum(keys >> (L + 1 - depth)[:, None], (1 << depth)[:, None] - 1)
+    morton = np.zeros(len(keys), dtype=np.int64)
+    for bit in range(L):
+        morton |= ((node[:, 0] >> bit & 1) << 2 * bit) | ((node[:, 1] >> bit & 1) << 2 * bit + 1)
+    # the Morton index of the node's last depth-L square, finer nodes first on ties
+    last = (morton + 1 << 2 * (L - depth)) - 1
+    return np.lexsort((np.arange(len(keys)), -depth, last))
+
+
 def refine(mesh: RectMesh, rows) -> RectMesh:
     """Split the leaves at the given rows into 4 children each and restore
     1-irregularity.

@@ -121,9 +121,10 @@ class SolveResult:
     linear system) or "max_iter".  Only "max_iter" counts as not converged.
     ``niter`` counts the linear systems solved and ``factorisations`` the
     sparse LU factorisations among them; the others were solved by sweeps
-    with an earlier LU.  ``backward_error`` is the largest ||K_r u - F_r|| /
-    ||F_r|| over the accepted solutions of its linear systems, whether
-    solved directly or by sweeps.  ``history`` holds one (residual, linear
+    with an earlier LU.  ``lu_nnz`` is the ``SuperLU.nnz`` of the last
+    factorisation, the entries it stores for L and U.  ``backward_error`` is
+    the largest ||K_r u - F_r|| / ||F_r|| over the accepted solutions of its
+    linear systems, whether solved directly or by sweeps.  ``history`` holds one (residual, linear
     residual) pair per full policy step, before any damping.
     """
 
@@ -134,6 +135,7 @@ class SolveResult:
     backward_error: float
     history: list[tuple[float, float]]
     factorisations: int
+    lu_nnz: int
 
     @property
     def converged(self) -> bool:
@@ -150,19 +152,17 @@ _CHUNK_CELLS = 256  # cells per chunk of element blocks: 512 KiB of float64, cac
 class _Assembler:
     """Per-mesh workspace shared by every policy solve on one mesh.
 
-    Holds the ``QUAD`` points and weights; on the unit cell, Lap(phi_i) at
-    the quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q)
+    Holds the ``QUAD`` weights; on the unit cell, Lap(phi_i) at the
+    quadrature points and the table M[m*nq + q, 16*i + j] = Lap(phi_i)(x_q)
     * H_m(phi_j)(x_q) for H = (Nxx, 2 Nxy, Nyy); the per-cell factor
     ``level_scale(levels, 2)`` that takes both to a cell's size; and the CSC
-    pattern of the full matrix with the slot of each of the nc*256
+    pattern of the full matrix with the int32 slot of each of the nc*256
     element-block entries.
     """
 
     def __init__(self, space: BfsSpace):
         self.space = space
         ref = QUAD.ref_points
-        cells = np.arange(len(space.mesh))
-        self.points = space.mesh.cell_points(cells, ref)  # (nc, nq, 2)
         areas = space.mesh.cell_sizes() ** 2
         self.weights = areas[:, None] * QUAD.ref_weights[None, :]  # (nc, nq)
         tab = space.tabulation(ref)
@@ -190,7 +190,7 @@ class _Assembler:
         base = 16 * first + 4 * (pair_slot.reshape(nc, 4, 4) - first)  # (nc, a, b)
         row_len = 4 * degree[corners]  # (nc, a)
         k = np.arange(4)
-        slot = np.empty((nc, 4, 4, 4, 4), dtype=np.int64)  # (c, a, k, b, l)
+        slot = np.empty((nc, 4, 4, 4, 4), dtype=np.int32)  # (c, a, k, b, l)
         slot[...] = base.transpose(0, 2, 1)[:, :, None, :, None] + k[:, None, None]
         slot += row_len[:, None, None, :, None] * k
         self.slot = slot.reshape(-1)
@@ -247,11 +247,13 @@ def solve(
     Starting from the eps = 1/2 case (a Poisson problem, A = I/2), each step
     freezes the pointwise argmax policy and solves the resulting linear,
     nonsymmetric system K_r u = F_r.  A factorisation is sparse LU (SuperLU)
-    with diagonal pivots in a minimum-degree order of K_r + K_r^T.  No row
-    interchange is needed: A has eigenvalues in [eps, 1-eps] and unit trace,
-    and the Miranda-Talenti identity holds under the Gauss rule ``QUAD``, so
-    v^T K_r v >= eps v^T B_r v with B_r = ((Lap w, Lap phi)) SPD, and no
-    pivot vanishes.
+    with diagonal pivots, in the natural order of K_r: ``reduction`` numbers
+    the free DOFs in quadtree nested-dissection order.  No row interchange
+    is needed in that order or any other symmetric one: A has eigenvalues in
+    [eps, 1-eps] and unit trace, and the Miranda-Talenti identity holds
+    under the Gauss rule ``QUAD``, so v^T K_r v >= eps v^T B_r v with
+    B_r = ((Lap w, Lap phi)) SPD, for K_r and every symmetric permutation of
+    it, and no pivot vanishes.
     Late policy matrices barely differ, so the latest LU on the mesh is
     reused: from the previous solution, sweeps u <- u + LU^-1 (F_r - K_r u)
     run until the relative residual ||K_r u - F_r|| / ||F_r|| is at most
@@ -280,14 +282,15 @@ def solve(
         raise ValueError("max_iter must be at least 1")
     eps = problem.eps
     asm = _Assembler(space)
-    pts = asm.points.reshape(-1, 2)
+    cells = np.arange(len(space.mesh))
+    pts = space.mesh.cell_points(cells, QUAD.ref_points).reshape(-1, 2)
     fvals = np.asarray(problem.f(pts[:, 0], pts[:, 1]), dtype=float)
     if fvals.ndim == 0:
         fvals = np.full(pts.shape[0], float(fvals))
     fvals = fvals.reshape(asm.weights.shape)
+    del pts
     if not np.all(np.isfinite(fvals)):
         raise SolverError("right-hand side not finite at quadrature points")
-    cells = np.arange(len(space.mesh))
     hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
@@ -308,7 +311,7 @@ def solve(
             last.clear()  # never hold two factorisations at once
             try:
                 lu = spla.splu(
-                    Kr, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    Kr, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True),
                 )
             except RuntimeError as exc:  # singular factorisation
@@ -377,7 +380,9 @@ def solve(
             stop = "floor"
 
     best = FeFunction(space, best_coeffs)
-    return SolveResult(best, niter, best_res, stop or "max_iter", max(berrs), history, nfact)
+    return SolveResult(
+        best, niter, best_res, stop or "max_iter", max(berrs), history, nfact, last["lu"].nnz
+    )
 
 
 _MAX_SWEEPS = 12

@@ -404,6 +404,48 @@ def topology_reference(mesh):
     )
 
 
+def dissection_node_reference(mesh):
+    """Per vertex row, the node (depth, nx, ny) whose cross holds it, by a
+    loop over the depths: the coarsest dyadic square, closed, one of whose
+    midlines passes through the vertex; a corner, on no midline, takes the
+    finest square at its corner."""
+    R, L = mesh.res, mesh.max_level
+    nodes = []
+    for kx, ky in mesh.vertex_keys.tolist():
+        for depth in range(L + 1):
+            side = R >> depth
+            if kx % side == side // 2 or ky % side == side // 2:
+                break
+        else:
+            depth, side = L, R >> L
+        last = (1 << depth) - 1
+        nodes.append((depth, min(kx // side, last), min(ky // side, last)))
+    return nodes
+
+
+def dissection_order_reference(mesh):
+    """Vertex rows in postorder of their nodes, by row within a node: a node
+    sorts by its path of quadrant digits (Morton, x bit first) from the root,
+    padded with 4, so that a node follows every node inside it."""
+    L = mesh.max_level
+
+    def path(node):
+        depth, nx, ny = node
+        shifts = range(depth - 1, -1, -1)  # root first
+        return [(nx >> i & 1) + 2 * (ny >> i & 1) for i in shifts] + [4] * (L - depth)
+
+    nodes = dissection_node_reference(mesh)
+    return sorted(range(len(nodes)), key=lambda v: (path(nodes[v]), v))
+
+
+def elimination_permutation(free, order):
+    """Indices that put ``free`` (ascending DOFs) in elimination order:
+    vertices by ``order``, the DOFs of one vertex by kind."""
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return np.argsort(4 * rank[free // 4] + free % 4, kind="stable")
+
+
 def boundary_reference(space, g, grad_g):
     """{dof: value} of the Dirichlet data by a loop over the vertices: the
     value on the boundary, d/dx on y = 0 and 1, d/dy on x = 0 and 1."""

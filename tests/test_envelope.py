@@ -347,6 +347,21 @@ class TestLowerHull:
         with pytest.raises(ValueError):
             lower_hull(samples, pts[:, 0].copy())
 
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_values_past_the_hulls_precision_rejected(self, level):
+        # ex3's exact Hessian is singular at the corners, so the nodal
+        # interpolant's corner coefficients reach 2e16: the lower facets Qhull
+        # returns cover none of the square at levels 3 and 4, and 0.993 of it
+        # at level 5, and the error names the values' range
+        mesh = init_uniform(level)
+        vh = exact_fe(mesh, 3)
+        samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
+        values = np.concatenate(
+            [samples.interior_fields(vh, ("N",))["N"], boundary_values(vh, samples)]
+        )
+        with pytest.raises(ValueError, match=r"cover an area of .* values in \[-.*e\+1[12], 0\]"):
+            lower_hull(samples, values)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))

@@ -7,10 +7,12 @@ from macert.bench import prolongate
 from macert.bfs import BfsSpace, FeFunction, QuadRule, interpolate_boundary
 from macert.envelope import SampleSet, build_samples
 from macert.estimator import _certificate, select_j
-from macert.geometry import SIDES, RectMesh, init_uniform, min_edge_length, refine
+from macert.geometry import SIDES, RectMesh, dissection_order, init_uniform, min_edge_length, refine
 
 from oracles import (
     cell_rect,
+    dissection_order_reference,
+    elimination_permutation,
     locate_scalar,
     prolongate_reference,
     reduction_reference,
@@ -140,6 +142,8 @@ def assert_matches_reference(coarse, marked, rng):
     edges = tuple((ci, SIDES[side]) for ci, side in mesh.boundary_edges.tolist())
     assert edges == ref.boundary_edges
 
+    order = dissection_order_reference(mesh)
+    assert np.array_equal(dissection_order(mesh), order)
     space = BfsSpace(mesh)
     g = lambda x, y: np.sin(x + 2 * y)
     boundary = interpolate_boundary(space, g, lambda x, y: (np.cos(x + 2 * y), 2 * np.cos(x + 2 * y)))
@@ -148,9 +152,12 @@ def assert_matches_reference(coarse, marked, rng):
     for dofs, values in (boundary, (some, rng.standard_normal(len(some)))):
         red = space.reduction(dofs, values)
         P, offset, free = reduction_reference(space, dict(zip(dofs.tolist(), values.tolist())))
+        # the free DOFs are numbered in the documented elimination order
+        perm = elimination_permutation(free, order)
+        P, free = P.tocsc()[:, perm], free[perm]
         assert red.P.format == "csc"
         for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(red.P, name), getattr(P.tocsc(), name))
+            assert np.array_equal(getattr(red.P, name), getattr(P, name))
         assert np.array_equal(red.offset, offset)
         assert np.array_equal(red.free_dofs, free)
 

@@ -18,7 +18,14 @@ from macert.hjb import (
     solve,
 )
 
-from oracles import assemble_bincount, assemble_reference, dirichlet_solve, rows_of
+from oracles import (
+    assemble_bincount,
+    assemble_reference,
+    dirichlet_solve,
+    dissection_node_reference,
+    reduction_reference,
+    rows_of,
+)
 
 
 TWO = lambda x, y: 2.0 + 0 * x  # f of u = (x^2 + y^2) / 2
@@ -149,9 +156,10 @@ class TestDiagonalPivoting:
         # late policy systems are solved by sweeps with the latest LU
         assert res.converged and 2 <= len(calls) < res.niter
         assert res.factorisations == len(calls)
+        assert res.lu_nnz == calls[-1][1].nnz
         for kwargs, lu in calls:
             assert kwargs == {
-                "permc_spec": "MMD_AT_PLUS_A",
+                "permc_spec": "NATURAL",
                 "diag_pivot_thresh": 0.0,
                 "options": {"SymmetricMode": True},
             }
@@ -211,6 +219,62 @@ class TestDiagonalPivoting:
             assert relative <= 1e-12
         else:
             assert relative >= 1e-2
+
+
+def _zero_boundary(space):
+    zero = lambda x, y: 0.0 * x
+    return interpolate_boundary(space, zero, lambda x, y: (zero(x, y),) * 2)
+
+
+def _policy_matrix(space, red, seed):
+    """K_r of a random policy with unit trace and eigenvalues in [0.01, 0.99],
+    like the solver's."""
+    asm = _Assembler(space)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.01, 0.99, asm.weights.shape)
+    theta = rng.uniform(0.0, np.pi, t.shape)
+    c, s = np.cos(theta), np.sin(theta)
+    policy = (t * s * s + (1 - t) * c * c, (1 - 2 * t) * c * s, t * c * c + (1 - t) * s * s)
+    return red.reduce_matrix(asm.linear_system(*policy, np.ones(t.shape))[0])
+
+
+class TestDissectionOrder:
+    MESHES = {
+        "ex1-graded": _corner_graded_mesh(6),
+        "two-corners": refine(init_uniform(2), rows_of(init_uniform(2), [(2, 0, 0), (2, 3, 3)])),
+    }
+
+    @pytest.mark.parametrize("name", MESHES)
+    def test_policy_matrix_joins_nested_nodes_only(self, name):
+        # the reduction numbers each free DOF once, and K_r, hanging-node
+        # constraints folded in, never joins two quadrants of a node's cross
+        mesh = self.MESHES[name]
+        space = BfsSpace(mesh)
+        dofs, values = _zero_boundary(space)
+        red = space.reduction(dofs, values)
+        free = reduction_reference(space, dict(zip(dofs.tolist(), values.tolist())))[2]
+        assert np.array_equal(np.sort(red.free_dofs), free)
+        Kr = _policy_matrix(space, red, 0).tocoo()
+        nodes = np.array(dissection_node_reference(mesh))[red.free_dofs // 4]
+        a, b = nodes[Kr.row], nodes[Kr.col]  # (depth, nx, ny) per entry
+        coarse = a[:, :1] <= b[:, :1]
+        outer, inner = np.where(coarse, a, b), np.where(coarse, b, a)
+        assert np.array_equal(inner[:, 1:] >> (inner[:, :1] - outer[:, :1]), outer[:, 1:])
+        assert len(mesh.hanging)
+
+    @pytest.mark.parametrize("mesh", [init_uniform(5), _corner_graded_mesh(6)],
+                             ids=["uniform-5", "ex1-graded"])
+    def test_fill_at_most_minimum_degree(self, mesh):
+        # the entries of L and U in dissection order against a minimum-degree
+        # order of K_r + K_r^T, whether K_r comes in that order or by DOF
+        space = BfsSpace(mesh)
+        red = space.reduction(*_zero_boundary(space))
+        Kr = _policy_matrix(space, red, 1)
+        by_dof = np.argsort(red.free_dofs)
+        fill = spla.splu(Kr, **_LU_OPTIONS).nnz
+        options = dict(_LU_OPTIONS, permc_spec="MMD_AT_PLUS_A")
+        for K in (Kr, Kr[by_dof][:, by_dof].tocsc()):
+            assert fill <= spla.splu(K, **options).nnz
 
 
 def _random_policy(shape, seed):
@@ -307,7 +371,7 @@ class TestAssembly:
 
 
 _LU_OPTIONS = dict(
-    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+    permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
 )
 
 
