@@ -200,7 +200,6 @@ class LowerHull:
     values: np.ndarray  # v at samples.points, same order
     planes: np.ndarray  # (nf, 3): z = a0*x + a1*y + b per lower facet
     simplices: np.ndarray  # (nf, 3) indices into samples.points
-    planar: bool
     gamma: np.ndarray = field(init=False)  # envelope at samples.points
     on_hull: np.ndarray = field(init=False)  # bool per sample point
     _buckets: tuple = field(init=False, repr=False)  # see _bucket_index
@@ -224,9 +223,6 @@ class LowerHull:
         and no lower-facet plane rises above the envelope.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.planar:
-            a0, a1, b = self.planes[0]
-            return a0 * pts[:, 0] + a1 * pts[:, 1] + b
         keys, facet_ids, depths = self._buckets
         q = np.clip(pts, 0.0, 1.0)
         # facets of point i at the k-th depth: facet_ids[first[k, i]:][:count[k, i]]
@@ -336,7 +332,9 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
     """Lower convex hull of the lifted samples (x, y, v).
 
     Facets are the Qhull simplices whose outward normal points downward.
-    Affine data (a degenerate 3D hull) falls back to the fitted plane.
+    For affine data (a degenerate 3D hull) the facets are the two triangles
+    on the square's corner samples, both on the fitted plane; a corner that
+    is not a sample raises ``ValueError``.
     Raises ``ValueError`` when the lower facets' projections do not tile the
     unit square: their areas must sum to 1 within ``_AREA_TOL``.
     """
@@ -348,10 +346,11 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
     coef, *_ = np.linalg.lstsq(A, values, rcond=None)
     scale = 1.0 + float(np.max(np.abs(values)))
     if float(np.max(np.abs(A @ coef - values))) <= 1e-12 * scale:
-        if np.linalg.matrix_rank(A[:, :2] - A[:, :2].mean(axis=0)) < 2:
-            raise ValueError("sample points are collinear")
-        planes = np.array([[coef[0], coef[1], coef[2]]])
-        return LowerHull(samples, values, planes, np.zeros((0, 3), int), True)
+        is_corner = np.all(pts[:, None, :] == np.array([[0, 0], [1, 0], [1, 1], [0, 1]]), axis=2)
+        if not is_corner.any(axis=0).all():
+            raise ValueError("affine data needs a sample at every corner of the square")
+        corners = is_corner.argmax(axis=0)
+        return LowerHull(samples, values, np.tile(coef, (2, 1)), corners[[[0, 1, 2], [0, 2, 3]]])
 
     lifted = np.column_stack([pts, values])
     del A, pts
@@ -374,7 +373,7 @@ def lower_hull(samples: SampleSet, values: np.ndarray) -> LowerHull:
         )
     # plane z = a0 x + a1 y + b from nx x + ny y + nz z + off = 0
     planes = np.column_stack([-eq[:, 0] / eq[:, 2], -eq[:, 1] / eq[:, 2], -eq[:, 3] / eq[:, 2]])
-    return LowerHull(samples, values, planes, simplices, False)
+    return LowerHull(samples, values, planes, simplices)
 
 
 def contact_set(hull: LowerHull, hessians) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Guaranteed a posteriori L-infinity bounds and the adaptive marking rule.
 
-For the unit square (n = 2, Alexandrov constant 1, diam = sqrt(2)) and the
-interior band Omega_jd = [jd, 1-jd]^2 the certified bound reads
+For the unit square (n = 2, Alexandrov constant 1, diam = sqrt(2)) and
+every interior band Omega_jd = [jd, 1-jd]^2 with jd < 1/2 the certified
+bound of arXiv:2301.06805 reads
 
     RHS0 = mu + (1 - 2jd)/2 * ||f - f_h||_{L2(Omega_jd)}
               + 2**(1/4)/2 * sqrt(jd) * ||f - f_h||_{L2(Omega)}
@@ -66,33 +67,26 @@ def select_j(mu: float, dist: np.ndarray, wr2: np.ndarray, delta: float) -> int:
     ``dist`` is each interior sample's distance to the boundary and ``wr2``
     its weighted squared residual w * (f - f_h)**2.  Among j = 0, 1, ... with
     j*delta < 1/2 returns the first j with RHS0(j+1) > RHS0(j), or the last j
-    when the bound never rises.  ``delta`` is a power of two (a cell size),
-    so there are ceil(1/(2 delta)) candidates: millions on finely graded
-    meshes, while the answer is usually a few bands.  They are evaluated in
-    array blocks of growing length over a single distance sort, stopping at
-    the block with the first rise.  A data error that vanishes at every
-    sample makes every band's bound mu, so the answer is then the last j
-    without a sweep.
+    when the bound never rises.  ``delta`` is a power of two (a cell size).
+    A sample at distance d leaves Omega_jd at band b = floor(d/delta) + 1.
+    Between two such bands the inner norm is fixed, so RHS0 is concave in j
+    there: its steps shrink along the stretch, and a rise inside it comes
+    first at the stretch's first band.  So the first rise can only fall at a
+    candidate j in {0} or {b - 1, b} over the samples.  RHS0 is compared at
+    each of these at most 2n + 1 candidates and the band after it in one
+    pass, so the work is bounded by the sample count n, not by 1/delta.
     """
     order = np.argsort(dist, kind="stable")
-    wr2 = wr2[order]
     dist_sorted = dist[order]
-    suffix = np.concatenate([np.cumsum(wr2[::-1])[::-1], [0.0]])
-    glob = np.sqrt(suffix[0])
-    n = max(1, int(np.ceil(0.5 / delta)))
-    if suffix[0] == 0.0:
-        return n - 1
-    lo, hi = 0, min(n, 64)
-    while True:
-        jd = np.arange(lo, hi) * delta
-        k = np.searchsorted(dist_sorted, jd, side="left")
-        vals = bound_value(mu, jd, np.sqrt(np.maximum(suffix[k], 0.0)), glob)
-        rises = np.flatnonzero(vals[1:] > vals[:-1])
-        if rises.size:
-            return lo + int(rises[0])
-        if hi == n:
-            return n - 1
-        lo, hi = hi - 1, min(n, 8 * hi)  # overlap one j to compare across blocks
+    suffix = np.concatenate([np.cumsum(wr2[order][::-1])[::-1], [0.0]])
+    last = max(1, int(np.ceil(0.5 / delta))) - 1
+    d = dist_sorted[np.concatenate([[True], dist_sorted[1:] != dist_sorted[:-1]])]  # distinct
+    held = (d * (1.0 / delta)).astype(np.int64)  # b - 1, exact as delta = 2**-m
+    j = np.concatenate([[0], held, held + 1])
+    jd = np.stack([j, j + 1]) * delta
+    inner = np.sqrt(suffix[np.searchsorted(dist_sorted, jd, side="left")])
+    vals = bound_value(mu, jd, inner, np.sqrt(suffix[0]))
+    return int(j[(vals[1] > vals[0]) & (j < last)].min(initial=last))
 
 
 def _certificate(mu, samples: SampleSet, residual, j=None) -> ErrorCertificate:

@@ -277,16 +277,39 @@ class TestBoundaryValues:
         assert np.all(np.bincount(vertex.ravel())[vertex] == 2)
 
 
+def is_corner_plane(hull):
+    """One plane over two triangles that tile the square on its corner samples."""
+    tris = [{tuple(p) for p in hull.samples.points[t]} for t in hull.simplices]
+    corners = {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
+    diagonals = ({(0.0, 0.0), (1.0, 1.0)}, {(1.0, 0.0), (0.0, 1.0)})
+    return (
+        len(tris) == 2
+        and tris[0] | tris[1] == corners
+        and tris[0] & tris[1] in diagonals
+        and np.array_equal(hull.planes[0], hull.planes[1])
+    )
+
+
 class TestLowerHull:
     def test_affine_values(self):
         samples = grid_samples(4)
         pts = samples.points
         values = 0.3 + 1.2 * pts[:, 0] - 0.7 * pts[:, 1]
         hull = lower_hull(samples, values)
-        assert hull.planar
+        assert is_corner_plane(hull)
         assert hull.on_hull.all()
         q = np.array([[0.3, 0.4], [0.9, 0.1]])
         assert np.allclose(hull.evaluate(q), 0.3 + 1.2 * q[:, 0] - 0.7 * q[:, 1])
+
+    def test_affine_values_without_a_corner_rejected(self):
+        # the plane is spanned over the corner samples, so one must be present
+        full = grid_samples(4)
+        boundary = full.boundary[np.any(full.boundary != [1.0, 0.0], axis=1)]
+        samples = SampleSet(full.mesh, full.interior, full.cell_index, full.weights,
+                            boundary, np.zeros((0, 2), int))
+        pts = samples.points
+        with pytest.raises(ValueError, match="corner"):
+            lower_hull(samples, 0.3 + 1.2 * pts[:, 0] - 0.7 * pts[:, 1])
 
     def test_center_spike_ignored(self):
         samples = grid_samples(3)
@@ -583,7 +606,7 @@ class TestVertexRule:
         samples = grid_samples(5)
         pts = samples.points
         hull = lower_hull(samples, 0.3 + 1.2 * pts[:, 0] - 0.7 * pts[:, 1])
-        assert hull.planar
+        assert is_corner_plane(hull)
         self._check(hull)
 
 
@@ -716,7 +739,7 @@ class TestBoundaryResidual:
         if setup == "random":
             values = np.random.default_rng(5).uniform(-1, 1, size=len(values))
         hull = lower_hull(samples, values)
-        assert hull.planar == (setup == "planar")
+        assert is_corner_plane(hull) == (setup == "planar")
         mu = boundary_residual(hull, boundary_g(samples, g))
         want = boundary_residual_reference(hull, g)
         assert abs(mu - want) <= 1e-15 * (1.0 + np.max(np.abs(values)))

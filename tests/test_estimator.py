@@ -17,6 +17,7 @@ from oracles import (
 )
 
 from macert import estimator
+from macert.bench import EXPERIMENTS
 from macert.bfs import BfsSpace, FeFunction, QuadRule
 from macert.envelope import (
     SampleSet,
@@ -28,6 +29,7 @@ from macert.envelope import (
 )
 from macert.estimator import (
     _certificate,
+    bound_value,
     contact_density,
     indicators_and_mark,
     max_boundary_trace_error,
@@ -66,6 +68,29 @@ def samples_at(dist, weights, mesh):
     interior = np.column_stack([dist, np.full(len(dist), 0.5)])
     return SampleSet(mesh, interior, np.zeros(len(dist), dtype=int), weights,
                      np.empty((0, 2)), np.empty((0, 2), dtype=int))
+
+
+def graded_certificate_data(levels=10):
+    """Sample distances and weighted squared residuals w * (f - f_h)**2 of
+    ex1's ``rhs0`` for the nodal interpolant of its u on a mesh graded
+    ``levels`` times into the corner (0, 0)."""
+    mesh = init_uniform(0)
+    for level in range(levels):
+        mesh = refine(mesh, rows_of(mesh, [(level, 0, 0)]))
+    exact = EXPERIMENTS[1].exact
+    space = BfsSpace(mesh)
+    xs, ys = mesh.vertex_coords.T
+    coeffs = np.zeros(space.nfull)
+    coeffs[0::4] = exact.u(xs, ys)
+    coeffs[1::4], coeffs[2::4] = exact.grad(xs, ys)
+    coeffs[3::4] = exact.hess(xs, ys)[1]
+    vh = FeFunction(space, coeffs)
+    samples = build_samples(mesh, QuadRule(5), per_edge=4, min_level=2)
+    hull = envelope_of(vh, samples)
+    H = sample_hessians(vh, samples)
+    x, y = samples.interior.T
+    residual = EXPERIMENTS[1].f(x, y) - contact_density(H, contact_set(hull, H))
+    return samples.boundary_dist, samples.weights * residual**2
 
 
 class TestDataErrorNorms:
@@ -166,17 +191,40 @@ class TestSelectJ:
         wr2, delta = np.zeros(n), 2.0**-16
         assert select_j(0.0, dist, wr2, delta) == select_j_scalar(0.0, dist, wr2, delta) == 2**15 - 1
 
-    def test_zero_residual_skips_the_sweep(self, monkeypatch):
-        # every band's bound is mu, so the last band is known without
-        # evaluating any of the 2**21 candidates
+    def test_candidates_bounded_by_the_sample_count(self, monkeypatch):
+        # 2**21 bands, every bound mu: the last band is the answer, and the
+        # bound is compared at no more than 2n + 1 of them, each with the next
         n = 500
         dist = np.random.default_rng(7).uniform(0, 0.5, n)
+        compared = []
 
-        def unexpected(*args):
-            raise AssertionError("bound_value called")
+        def counting(mu, jd, inner, glob):
+            assert np.array_equal(jd[1], jd[0] + 2.0**-22)
+            compared.append(jd.shape[1])
+            return bound_value(mu, jd, inner, glob)
 
-        monkeypatch.setattr(estimator, "bound_value", unexpected)
+        monkeypatch.setattr(estimator, "bound_value", counting)
         assert select_j(1e-3, dist, np.zeros(n), 2.0**-22) == 2**21 - 1
+        assert sum(compared) <= 2 * n + 1
+
+    def test_matches_scalar_sweep_on_graded_samples(self):
+        # ex1's residual on a mesh graded into a corner leaves the band at a
+        # few bands b only; the first rise falls inside a stretch of bands
+        # with one inner norm, at its first band b, and on a step b - 1 -> b
+        dist, wr2 = graded_certificate_data()
+        kinds = set()
+        for m in range(2, 11):
+            delta = 2.0**-m
+            leave = set((np.floor(dist / delta) + 1).astype(int).tolist())
+            for scale in (0.01, 0.1, np.inf):
+                w = wr2 * np.exp(-dist / scale)
+                for mu in (0.0, 1e-3):
+                    j = select_j(mu, dist, w, delta)
+                    assert j == select_j_scalar(mu, dist, w, delta)
+                    if 0 < j < 0.5 / delta - 1:
+                        kinds.add(("start" if j in leave else "inside",
+                                   "step" if j + 1 in leave else "stretch"))
+        assert kinds == {("start", "stretch"), ("start", "step")}
 
 
 class TestCertificates:
