@@ -205,14 +205,15 @@ class RunConfig:
     initial_level: int = 1
 
     def __post_init__(self):
+        # before the registry lookup, where True and 1.0 would find experiment 1
+        for name in ("experiment", "max_ndof", "initial_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
             raise ValueError(f"mode must be uniform or adaptive, got {self.mode!r}")
-        for name in ("max_ndof", "initial_level"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.initial_level <= MAX_LEVEL:  # the finest level a mesh holds
             raise ValueError(f"initial_level must be at least 0 and at most {MAX_LEVEL}, "
                              f"got {self.initial_level}")
@@ -312,7 +313,7 @@ def _finish_step(result: SolveResult, ndof: int, exp: Experiment, eps: float, mo
     """The step of a solve: certificates, exact-error diagnostics and marks."""
     v_h = result.u_h
     mesh = v_h.space.mesh
-    hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
+    hull, cert, eta, edge_errors = _certify(result, exp, eps)
     linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact)
     row = HistoryRow(
         ndof=ndof,
@@ -347,27 +348,36 @@ def run(config: RunConfig) -> list[HistoryRow]:
     return rows
 
 
-def _certify(v_h: FeFunction, exp: Experiment, eps: float):
+def _certify(result: SolveResult, exp: Experiment, eps: float):
     """Hull of v_h, certificate RHS0, bound RHS_eps and per-edge trace errors.
 
     The samples are the points of ``QUAD`` on every leaf, no coarser than
     ``_SAMPLE_LEVEL``, plus ``_BOUNDARY_SEGMENTS`` segments on every boundary
     edge; they serve the hull, the contact set and both data-error quadratures.
+    When no leaf is coarser than ``_SAMPLE_LEVEL``, the interior samples are
+    the solve's ``QUAD`` points in the same order, so f is read from
+    ``result.fvals``; otherwise it is evaluated at the samples.
     The one boundary evaluation of v_h and of g has ``_TRACE_REFINE`` times as
     many segments: the hull reads every ``_TRACE_REFINE``-th value of v_h, the
     boundary residual the samples and midpoints of g, the trace error all.
     """
-    samples = env.build_samples(
-        v_h.space.mesh, QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL
-    )
+    v_h = result.u_h
+    mesh = v_h.space.mesh
+    samples = env.build_samples(mesh, QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL)
     fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
     hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
     n = _TRACE_REFINE * _BOUNDARY_SEGMENTS
     edge_vals, edge_pts = env.edge_values(v_h, np.arange(n + 1) / n)
-    values = np.concatenate([fields["N"], samples.boundary_values(edge_vals[:, ::_TRACE_REFINE])])
+    # N goes once copied: the hull build sets the peak on large meshes, and
+    # result.fvals is alive through it
+    boundary = samples.boundary_values(edge_vals[:, ::_TRACE_REFINE])
+    values = np.concatenate([fields.pop("N"), boundary])
     hull = env.lower_hull(samples, values)
     contact = env.contact_set(hull, hessians)
-    fvals = exp.f(*samples.interior.T)
+    if mesh.min_level >= _SAMPLE_LEVEL:
+        fvals = result.fvals.ravel()
+    else:
+        fvals = exp.f(*samples.interior.T)
     # a constant g may come back as a scalar
     gvals = np.broadcast_to(exp.g(*np.moveaxis(edge_pts, -1, 0)), edge_vals.shape)
     mu = env.boundary_residual(hull, gvals[:, ::_TRACE_REFINE // 2])

@@ -116,16 +116,20 @@ def xi_of_batch(eps, m11, m12, m22):
 class SolveResult:
     """Best iterate of policy iteration and why the iteration stopped.
 
-    ``stop`` is "tol" (residual below tolerance), "policy" (policy fixed
-    point), "floor" (residual down to the residual of its own frozen-policy
-    linear system) or "max_iter".  Only "max_iter" counts as not converged.
+    ``stop`` is "tol" (residual below tolerance), "floor" (a step's
+    residual down to r_lin, the residual of its own frozen-policy linear
+    system through the same quadrature; at a policy fixed point the two are
+    one vector, so a fixed point stops here) or "max_iter".  Only
+    "max_iter" counts as not converged.
     ``niter`` counts the linear systems solved and ``factorisations`` the
     sparse LU factorisations among them; the others were solved by sweeps
     with an earlier LU.  ``lu_nnz`` is the ``SuperLU.nnz`` of the last
     factorisation, the entries it stores for L and U.  ``backward_error`` is
     the largest ||K_r u - F_r|| / ||F_r|| over the accepted solutions of its
     linear systems, whether solved directly or by sweeps.  ``history`` holds one (residual, linear
-    residual) pair per full policy step, before any damping.
+    residual) pair per full policy step, before any damping.  ``fvals``
+    holds f at the ``QUAD`` points of every cell, (ncells, ``QUAD.npoints``),
+    in the order of ``RectMesh.cell_points``.
     """
 
     u_h: FeFunction
@@ -136,6 +140,7 @@ class SolveResult:
     history: list[tuple[float, float]]
     factorisations: int
     lu_nnz: int
+    fvals: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -229,12 +234,6 @@ class _Assembler:
         return K, self.load(rhs_vals)
 
 
-def _policy_fields(eps, fvals, m11, m12, m22):
-    value, t, a11, a12, a22 = eval_F_batch(eps, fvals, m11, m12, m22)
-    rhs = fvals * np.sqrt(t * (1.0 - t))  # f * sqrt(det A)
-    return value, a11, a12, a22, rhs
-
-
 def solve(
     space: BfsSpace,
     problem: HjbProblem,
@@ -262,14 +261,15 @@ def solve(
     rate observed cannot reach that target within 12 sweeps.  The LU lives
     for one call, one mesh, and is dropped before the next factorisation.
     Iteration stops when the Euclidean norm of the reduced residual falls
-    below 1e-11 (1 + ||f||_L2) ("tol"), when the policy reaches a fixed
-    point ("policy"), when a full step's residual is at most twice the
-    residual r_lin of the frozen-policy linear system it solved ("floor":
-    the nonlinear residual has reached the rounding floor of the linear
-    solve and further steps cannot lower it), or after ``max_iter`` linear
-    solves ("max_iter": not converged, best iterate returned);
-    ``SolveResult.stop`` records which.  r_lin = ||P^T (rhs - A:D^2 u_h,
-    Lap phi)|| is taken through the same quadrature as the residual.  A
+    below 1e-11 (1 + ||f||_L2) ("tol"), when a full step's residual is at
+    most twice the residual r_lin of the frozen-policy linear system it
+    solved ("floor": the nonlinear residual has reached the rounding floor
+    of the linear solve and further steps cannot lower it), or after
+    ``max_iter`` linear solves ("max_iter": not converged, best iterate
+    returned); ``SolveResult.stop`` records which.  r_lin = ||P^T (rhs -
+    A:D^2 u_h, Lap phi)|| is taken through the same quadrature as the
+    residual, so at a policy fixed point, where the step's policy is the
+    one it solved, the two are one vector and the step stops "floor".  A
     full step that overshoots the previous residual, without reaching the
     floor, is damped.
 
@@ -294,12 +294,12 @@ def solve(
     hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
-    berrs = []  # ||Kr u - Fr|| / ||Fr|| of every accepted linear solution
+    berr_max = 0.0  # largest ||Kr u - Fr|| / ||Fr|| of an accepted linear solution
     last = {}  # latest LU on this mesh: "lu", its own "berr", last solution "u"
     nfact = 0
 
     def solve_linear(a11, a12, a22, rhs):
-        nonlocal nfact
+        nonlocal nfact, berr_max
         K, load = asm.linear_system(a11, a12, a22, rhs)
         Kr = reduction.reduce_matrix(K)
         Fr = reduction.reduce_vector(load - K @ reduction.offset)
@@ -323,11 +323,19 @@ def solve(
             berr = np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0)
             last.update(lu=lu, berr=berr)
         last["u"] = u_red
-        berrs.append(berr)
+        berr_max = max(berr, berr_max)
         return reduction.full_vector(u_red)
 
     def reduced_norm(vals):
         return float(np.linalg.norm(reduction.reduce_vector(asm.load(vals))))
+
+    def policy_of(coeffs):
+        """Hessian and F_eps at the quadrature points, and the argmax policy
+        (a11, a12, a22, f sqrt(det A)) at ``coeffs``."""
+        H = FeFunction(space, coeffs).on_cells(cells, QUAD.ref_points, hess)
+        hxx, hxy, hyy = (H[k] for k in hess)
+        value, t, a11, a12, a22 = eval_F_batch(eps, fvals, hxx, hxy, hyy)
+        return (hxx, hxy, hyy), value, (a11, a12, a22, fvals * np.sqrt(t * (1.0 - t)))
 
     def residual_of(coeffs, solved_policy=None):
         """Residual, linear residual and policy at ``coeffs``.
@@ -335,20 +343,18 @@ def solve(
         The linear residual is that of the frozen-policy system ``coeffs``
         solves, ``solved_policy``; it is None without one.
         """
-        H = FeFunction(space, coeffs).on_cells(cells, QUAD.ref_points, hess)
-        hxx, hxy, hyy = (H[k] for k in hess)
-        value, a11, a12, a22, rhs = _policy_fields(eps, fvals, hxx, hxy, hyy)
+        (hxx, hxy, hyy), value, policy = policy_of(coeffs)
         r_lin = None
         if solved_policy is not None:
             p11, p12, p22, p_rhs = solved_policy
             r_lin = reduced_norm(p_rhs - (p11 * hxx + 2.0 * p12 * hxy + p22 * hyy))
-        return reduced_norm(value), r_lin, (a11, a12, a22, rhs)
+        return reduced_norm(value), r_lin, policy
 
     if initial is None:
         ones = np.ones_like(fvals)
         policy = (0.5 * ones, 0.0 * ones, 0.5 * ones, 0.5 * fvals)
     else:
-        _, _, policy = residual_of(np.asarray(initial, dtype=float))
+        policy = policy_of(np.asarray(initial, dtype=float))[2]  # holds no Hessian or F_eps
     history = []  # (residual, linear residual) of every full policy step
     niter, stop = 0, None
     coeffs, res = None, np.inf
@@ -368,20 +374,18 @@ def solve(
                 if trial_res < new_res:
                     new_coeffs, new_res, new_policy = trial, trial_res, trial_policy
                     break
-        policy_fixed = niter > 1 and _policy_close(policy, new_policy)
         coeffs, res, policy = new_coeffs, new_res, new_policy
         if best_coeffs is None or res < best_res:
             best_res, best_coeffs = res, coeffs
         if res <= tol:
             stop = "tol"
-        elif policy_fixed:
-            stop = "policy"
         elif at_floor:
             stop = "floor"
 
     best = FeFunction(space, best_coeffs)
     return SolveResult(
-        best, niter, best_res, stop or "max_iter", max(berrs), history, nfact, last["lu"].nnz
+        best, niter, best_res, stop or "max_iter", berr_max, history, nfact, last["lu"].nnz,
+        fvals,
     )
 
 
@@ -413,10 +417,3 @@ def _sweeps(lu, Kr, Fr, u, target):
             return None
         rel = new
     return u, rel
-
-
-def _policy_close(p, q) -> bool:
-    scale = 1.0 + max(float(np.max(np.abs(a))) for a in q[:3])
-    return all(
-        float(np.max(np.abs(a - b))) <= 1e-12 * scale for a, b in zip(p[:3], q[:3])
-    )

@@ -324,8 +324,10 @@ class TestRunLoop:
         assert len(hulls) == 5 and alive == [0] * 5
 
     def test_f_and_g_evaluated_twice_per_step(self, monkeypatch):
-        # f by the solve and once for both certificates, g by the Dirichlet
-        # data and once on the trace grid for the trace error and mu
+        # f by the solve, and once more for both certificates only where a
+        # leaf is coarser than the sampling floor (elsewhere the samples are
+        # the solve's points); g by the Dirichlet data and once on the trace
+        # grid for the trace error and mu
         exp = EXPERIMENTS[1]
         calls = {"f": 0, "g": 0}
 
@@ -337,9 +339,24 @@ class TestRunLoop:
 
         monkeypatch.setitem(bench.EXPERIMENTS, 1, dataclasses.replace(
             exp, f=counted("f", exp.f), g=counted("g", exp.g)))
-        rows = run(RunConfig(experiment=1, mode="adaptive", max_ndof=300, initial_level=0))
-        assert len(rows) >= 4
-        assert calls == {"f": 2 * len(rows), "g": 2 * len(rows)}
+        coarse = []
+        for step in steps(RunConfig(experiment=1, mode="adaptive", max_ndof=300, initial_level=0)):
+            coarse.append(step.solve.u_h.space.mesh.min_level < bench._SAMPLE_LEVEL)
+        assert len(coarse) >= 4 and 0 < sum(coarse) < len(coarse)
+        assert calls == {"f": len(coarse) + sum(coarse), "g": 2 * len(coarse)}
+
+    def test_solve_f_values_are_f_at_the_samples_at_the_floor(self):
+        # _certify reads the solve's f values where no leaf is coarser than
+        # the sampling floor: there they are f at the interior samples, bit
+        # for bit and in order, also on a mesh with leaves of two levels
+        exp = EXPERIMENTS[1]
+        levels = []
+        for step in steps(RunConfig(experiment=1, mode="adaptive", max_ndof=200, initial_level=2)):
+            mesh = step.solve.u_h.space.mesh
+            samples = build_samples(mesh, QUAD, per_edge=4, min_level=bench._SAMPLE_LEVEL)
+            assert np.array_equal(step.solve.fvals.ravel(), exp.f(*samples.interior.T))
+            levels.append(len(np.unique(mesh.levels)))
+        assert levels[0] == 1 and max(levels) > 1
 
     def test_over_budget_initial_level_builds_no_mesh(self, monkeypatch, tmp_path, capsys):
         # the budget is checked against the closed-form DOF count; a level-12
@@ -477,6 +494,32 @@ class TestRunLoop:
         ]
         assert printed.err == "error: solver failed at ndof 64: forced\n"
 
+    def test_compare_histories_script(self, monkeypatch, capsys):
+        # scripts/compare_histories.py runs history_digest.py against two
+        # source trees; this checkout against itself is identical, and a
+        # difference is reported by its first line with exit code 1
+        root = pathlib.Path(bench.__file__).parents[2]
+        script = root / "scripts" / "compare_histories.py"
+        flags = "--experiment 1 --mode uniform --max-ndof 70 --initial-level 0"
+        proc = subprocess.run(
+            [sys.executable, str(script), str(root / "src"), str(root / "src"), "--run", flags],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{flags}: identical\n"
+
+        spec = importlib.util.spec_from_file_location("compare_histories", script)
+        compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(compare)
+        outputs = {"a": ["dat x", "step 0 ok", "exit 0"],
+                   "b": ["dat x", "step 0 changed", "exit 0"]}
+        monkeypatch.setattr(compare, "digest", lambda src, _: outputs[pathlib.Path(src).name])
+        monkeypatch.setattr(compare.pathlib.Path, "is_dir", lambda self: True)
+        assert compare.main(["a", "b", "--run", flags]) == 1
+        assert capsys.readouterr().out == (
+            f"{flags}: line 2 differs\n  parent: step 0 ok\n  change: step 0 changed\n"
+        )
+
     def test_fit_rates_script_prints_rate_fit(self, tmp_path):
         # scripts/fit_rates.py prints rate_fit of every column to 3 decimals,
         # and an unknown column or a window below 2 is a usage error
@@ -529,15 +572,17 @@ class TestRunLoop:
             # eps is one real number; a bool is no integer
             ("eps", np.array([0.01, 0.1])), ("eps", [0.1]), ("eps", np.array(0.1)),
             ("max_ndof", True), ("initial_level", True),
+            # True == 1 and 1.0 hashes like 1, so both would find experiment 1
+            ("experiment", True), ("experiment", 1.0),
         ):
             with pytest.raises(ValueError, match=name):
-                RunConfig(experiment=1, **{name: value})
+                RunConfig(**{"experiment": 1, name: value})
         for eps in (np.array([0.01, 0.1]), [0.1], True):
             with pytest.raises(ValueError, match="eps"):
                 HjbProblem(eps, EXPERIMENTS[1].f)
         RunConfig(experiment=1, eps=0.5, initial_level=0)
         RunConfig(experiment=1, initial_level=30)
-        RunConfig(experiment=1, eps=np.float64(0.1), max_ndof=np.int64(60))
+        RunConfig(experiment=np.int64(1), eps=np.float64(0.1), max_ndof=np.int64(60))
 
     @pytest.mark.parametrize("name, value", [("max_ndof", 200.0), ("initial_level", 0.5)])
     def test_non_integer_config_rejected(self, name, value):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from macert.bench import EXPERIMENTS, ExactSolution, norms_vs_exact
+from macert.bench import EXPERIMENTS, ExactSolution, RunConfig, norms_vs_exact, steps
 from macert.bfs import BfsSpace, FeFunction, QuadRule, count_free_dofs, interpolate_boundary
 from macert.geometry import init_uniform, refine
 from macert.hjb import (
@@ -467,6 +467,16 @@ class TestFloorStop:
         again = dirichlet_solve(space, eps, exp.f, exp.g, exp.grad_g, initial=first.u_h.coeffs)
         assert again.niter == len(again.history) == 1
         assert again.stop in ("tol", "floor")
+
+    def test_policy_fixed_point_stops_at_the_floor(self):
+        # on ex3 adaptive from level 5 the last mesh reaches a policy fixed
+        # point: the step's policy is the one it solved, so its residual and
+        # r_lin are one vector and the floor test ends the iteration
+        *_, last = steps(RunConfig(experiment=3, mode="adaptive", max_ndof=4800, initial_level=5))
+        assert last.row.ndof == 4780
+        assert last.solve.stop == "floor" and last.solve.niter == 6
+        last_res, last_lin = last.solve.history[-1]
+        assert last_res <= 2.0 * last_lin
 
     def test_max_iter_below_one_rejected(self):
         exp = EXPERIMENTS[1]
