@@ -16,7 +16,7 @@ import numpy as np
 from . import envelope as env
 from . import estimator as est
 from .bfs import BfsSpace, FeFunction, count_free_dofs, interpolate_boundary, uniform_free_dofs
-from .geometry import MAX_LEVEL, init_uniform, refine
+from .geometry import MAX_LEVEL, check_integer, init_uniform, refine
 from .hjb import QUAD, HjbProblem, SolveResult, SolverError, check_eps, solve
 
 _TINY = 1e-300
@@ -207,9 +207,7 @@ class RunConfig:
     def __post_init__(self):
         # before the registry lookup, where True and 1.0 would find experiment 1
         for name in ("experiment", "max_ndof", "initial_level"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment}")
         if self.mode not in ("uniform", "adaptive"):
@@ -502,8 +500,7 @@ def rate_fit(rows: list[HistoryRow], column: str, window: int | None = None) -> 
     if column not in DAT_COLUMNS:
         raise ValueError(f"unknown column {column!r}, expected one of {', '.join(DAT_COLUMNS)}")
     if window is not None:
-        if not isinstance(window, (int, np.integer)) or window < 2:
-            raise ValueError(f"window must be an integer at least 2, got {window!r}")
+        check_integer("window", window, 2)
         rows = rows[-window:]
     if len(rows) < 2:
         raise ValueError("need at least two rows to fit a rate")

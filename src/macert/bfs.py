@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import RectMesh, dissection_order
+from .geometry import RectMesh, check_integer, dissection_order
 
 # DOF kinds per vertex
 V, DX, DY, DXY = 0, 1, 2, 3
@@ -99,8 +99,7 @@ class QuadRule:
     degree: int = 5
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("quadrature degree must be >= 1")
+        check_integer("degree", self.degree, 1)
 
     @cached_property
     def ref_points(self) -> np.ndarray:

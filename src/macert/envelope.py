@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .bfs import FeFunction, QuadRule
-from .geometry import SIDES, RectMesh
+from .geometry import SIDES, RectMesh, check_integer
 
 
 @dataclass
@@ -116,23 +116,20 @@ def _side_point(side: str, t: np.ndarray) -> np.ndarray:
 def _leaf_rules(mesh: RectMesh, quad: QuadRule, min_level: int):
     """Sampling rules per group of leaves, and the sample count of each leaf.
 
-    Each rule is (cells, reference points, reference weights).  Leaves at
-    level ``min_level`` or finer use ``quad`` itself; a leaf at a coarser
+    Each rule is (cells, reference points, reference weights).  A leaf at
     level L uses ``quad`` on each of its split x split sub-cells,
-    split = 2**(min_level - L), with the weights scaled to sum to one.
+    split = 2**max(min_level - L, 0), with the weights scaled to sum to one;
+    at split 1 these are the points and weights of ``quad`` itself.
     Samples are numbered leaf by leaf in cell order.
     """
     splits = 2 ** np.maximum(min_level - mesh.levels, 0)
     rules = []
     for split in np.unique(splits).tolist():
         cells = np.nonzero(splits == split)[0]
-        ref, weights = quad.ref_points, quad.ref_weights
-        if split > 1:
-            k = np.arange(split)
-            corners = np.column_stack([np.repeat(k, split), np.tile(k, split)])
-            ref = ((corners[:, None, :] + ref[None, :, :]) / split).reshape(-1, 2)
-            weights = np.tile(weights, split * split) / (split * split)
-        rules.append((cells, ref, weights))
+        k = np.arange(split)
+        corners = np.column_stack([np.repeat(k, split), np.tile(k, split)])
+        ref = ((corners[:, None, :] + quad.ref_points[None, :, :]) / split).reshape(-1, 2)
+        rules.append((cells, ref, np.tile(quad.ref_weights, split * split) / (split * split)))
     return rules, quad.npoints * splits**2
 
 
@@ -161,10 +158,8 @@ def build_samples(
     edge endpoints are always present.  The boundary lists each grid point
     once, by its first side in ``SIDES`` and then its coordinate along it.
     """
-    if not isinstance(per_edge, (int, np.integer)) or per_edge < 1:
-        raise ValueError(f"per_edge must be an integer at least 1, got {per_edge!r}")
-    if min_level < 0:
-        raise ValueError("min_level must be nonnegative")
+    check_integer("per_edge", per_edge, 1)
+    check_integer("min_level", min_level, 0)
     sizes = mesh.cell_sizes()
     rules, counts = _leaf_rules(mesh, quad, min_level)
     cell_index = np.repeat(np.arange(len(mesh)), counts)

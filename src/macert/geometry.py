@@ -25,6 +25,15 @@ _EDGES = np.array([[0, 1, 0], [2, 3, 0], [0, 2, 1], [1, 3, 1]])
 MAX_LEVEL = 30  # vertex keys, below (2**(level+1) + 1)**2, fit in int64
 
 
+def check_integer(name: str, value, minimum=None):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer,
+    numpy's included but not a bool, and at least ``minimum`` if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+            minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" at least {minimum}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 class RectMesh:
     """Immutable quadtree partition of the closed unit square.
 
@@ -141,8 +150,7 @@ class RectMesh:
 
 def init_uniform(levels: int) -> RectMesh:
     """Uniform mesh of ``4**levels`` congruent squares."""
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
+    check_integer("levels", levels, 0)
     iy, ix = np.divmod(np.arange(4**levels), 1 << levels)
     return RectMesh(np.column_stack([np.full_like(ix, levels), ix, iy]))
 

@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .bfs import BfsSpace, FeFunction, QuadRule, Reduction, level_scale
+from .geometry import check_integer
 
 # The Gauss rule of the solve: 3 or more points per coordinate keep the
 # Miranda-Talenti identity exact, so the diagonal-pivot LU needs no row interchanges.
@@ -114,7 +115,7 @@ def xi_of_batch(eps, m11, m12, m22):
 
 @dataclass
 class SolveResult:
-    """Best iterate of policy iteration and why the iteration stopped.
+    """Last iterate of policy iteration and why the iteration stopped.
 
     ``stop`` is "tol" (residual below tolerance), "floor" (a step's
     residual down to r_lin, the residual of its own frozen-policy linear
@@ -265,7 +266,7 @@ def solve(
     most twice the residual r_lin of the frozen-policy linear system it
     solved ("floor": the nonlinear residual has reached the rounding floor
     of the linear solve and further steps cannot lower it), or after
-    ``max_iter`` linear solves ("max_iter": not converged, best iterate
+    ``max_iter`` linear solves ("max_iter": not converged, last iterate
     returned); ``SolveResult.stop`` records which.  r_lin = ||P^T (rhs -
     A:D^2 u_h, Lap phi)|| is taken through the same quadrature as the
     residual, so at a policy fixed point, where the step's policy is the
@@ -278,8 +279,7 @@ def solve(
     a coarser mesh) replaces the Poisson warm start: only its policy is used,
     so it need not satisfy the boundary conditions.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    check_integer("max_iter", max_iter, 1)
     eps = problem.eps
     asm = _Assembler(space)
     cells = np.arange(len(space.mesh))
@@ -358,7 +358,6 @@ def solve(
     history = []  # (residual, linear residual) of every full policy step
     niter, stop = 0, None
     coeffs, res = None, np.inf
-    best_res, best_coeffs = np.inf, None
     while stop is None and niter < max_iter:
         new_coeffs = solve_linear(*policy)
         niter += 1
@@ -375,17 +374,14 @@ def solve(
                     new_coeffs, new_res, new_policy = trial, trial_res, trial_policy
                     break
         coeffs, res, policy = new_coeffs, new_res, new_policy
-        if best_coeffs is None or res < best_res:
-            best_res, best_coeffs = res, coeffs
         if res <= tol:
             stop = "tol"
         elif at_floor:
             stop = "floor"
 
-    best = FeFunction(space, best_coeffs)
     return SolveResult(
-        best, niter, best_res, stop or "max_iter", berr_max, history, nfact, last["lu"].nnz,
-        fvals,
+        FeFunction(space, coeffs), niter, res, stop or "max_iter", berr_max, history, nfact,
+        last["lu"].nnz, fvals,
     )
 
 

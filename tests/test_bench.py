@@ -449,9 +449,11 @@ class TestRunLoop:
 
     def test_history_digest_script_matches_emit_dat(self, tmp_path):
         # scripts/history_digest.py runs the steps itself; its history digest
-        # is that of the .dat text emit_dat writes for the same run
+        # is that of the .dat text emit_dat writes for the same run, and each
+        # step line names why that step's policy iteration stopped
         config = RunConfig(experiment=1, mode="adaptive", max_ndof=100, initial_level=0)
-        rows = run(config)
+        done = list(steps(config))
+        rows = [step.row for step in done]
         out = tmp_path / "history.dat"
         emit_dat(rows, out)
         root = pathlib.Path(bench.__file__).parents[2]
@@ -464,6 +466,7 @@ class TestRunLoop:
         lines = proc.stdout.splitlines()
         assert lines[0] == f"dat {hashlib.sha256(out.read_bytes()).hexdigest()}  rows {len(rows)}"
         assert [line.split()[:2] for line in lines[1:]] == [["step", str(k)] for k in range(len(rows))]
+        assert [line.split()[6:8] for line in lines[1:]] == [["stop", step.solve.stop] for step in done]
 
     def test_history_digest_script_reports_an_aborted_run(self, monkeypatch, tmp_path, capsys):
         # a solver failure forced on the third mesh: the script prints the
@@ -590,11 +593,19 @@ class TestRunLoop:
             RunConfig(experiment=1, mode="adaptive", **{name: value})
         RunConfig(experiment=1, mode="adaptive", **{name: np.int64(5)})
 
-    @pytest.mark.parametrize("value", [200.0, 0.5, 2.5, 3.5])
+    @pytest.mark.parametrize("value", [200.0, 0.5, 2.5, 3.5, True])
     def test_non_integer_per_edge_rejected(self, value):
-        # per_edge=2.5 would put a hull sample at x = 1.2, outside the square
+        # per_edge=2.5 would put a hull sample at x = 1.2, outside the square,
+        # and True would sample one segment per edge
         with pytest.raises(ValueError, match="per_edge"):
             build_samples(init_uniform(0), QuadRule(2), per_edge=value)
+
+    @pytest.mark.parametrize("value", [1.5, True, -1])
+    def test_invalid_min_level_rejected(self, value):
+        # min_level=True would set the floor to level 1, and 1.5 raised TypeError
+        with pytest.raises(ValueError, match="min_level"):
+            build_samples(init_uniform(0), QuadRule(2), per_edge=1, min_level=value)
+        build_samples(init_uniform(0), QuadRule(2), per_edge=np.int64(1), min_level=np.int64(1))
 
 
 class TestCli:

@@ -127,6 +127,13 @@ class TestQuadRule:
     def test_default_count(self):
         assert QuadRule(5).npoints == 25
 
+    @pytest.mark.parametrize("degree", [0, True, 2.5])
+    def test_non_integer_degree_rejected(self, degree):
+        # QuadRule(2.5) counted 6.25 points, and True made a 1-point rule
+        with pytest.raises(ValueError, match="degree"):
+            QuadRule(degree)
+        assert QuadRule(np.int64(2)).npoints == 4
+
     def test_points_and_weights_are_computed_once_and_read_only(self):
         quad = QuadRule(4)
         assert quad.ref_points is quad.ref_points

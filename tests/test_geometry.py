@@ -57,6 +57,13 @@ class TestInitUniform:
         with pytest.raises(ValueError):
             init_uniform(-1)
 
+    @pytest.mark.parametrize("levels", [True, 2.0, 2.5])
+    def test_non_integer_levels_rejected(self, levels):
+        # True would build the level-1 mesh; 2.0 raised TypeError
+        with pytest.raises(ValueError, match="levels"):
+            init_uniform(levels)
+        assert len(init_uniform(np.int64(1))) == 4
+
 
 class TestRectMeshPartition:
     @pytest.mark.parametrize(

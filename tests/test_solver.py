@@ -119,6 +119,21 @@ class TestBenchmarkSolves:
         assert not res.converged
         assert res.stop == "max_iter"
 
+    def test_max_iter_returns_the_last_iterate(self):
+        # ex3 on the uniform level-5 mesh: step 2's full step (22.44) is
+        # damped to 7.79, step 3's (16.96) to 8.70, above step 2's; so
+        # max_iter=3 returns the third iterate, not the lower second one
+        exp = EXPERIMENTS[3]
+        space = BfsSpace(init_uniform(5))
+        two, three = (
+            dirichlet_solve(space, 1e-4, exp.f, exp.g, exp.grad_g, max_iter=m) for m in (2, 3)
+        )
+        assert three.niter == 3 and len(three.history) == 3
+        assert three.stop == "max_iter" and not three.converged
+        assert three.residual > two.residual
+        assert three.residual < three.history[-1][0]  # the damped trial was taken
+        assert not np.array_equal(three.u_h.coeffs, two.u_h.coeffs)
+
 
 def _record_splu(monkeypatch):
     """Replace scipy's splu by a wrapper that records (kwargs, lu) per call."""
@@ -482,3 +497,13 @@ class TestFloorStop:
         exp = EXPERIMENTS[1]
         with pytest.raises(ValueError, match="max_iter"):
             dirichlet_solve(BfsSpace(init_uniform(1)), 1e-3, exp.f, exp.g, exp.grad_g, max_iter=0)
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, True])
+    def test_non_integer_max_iter_rejected(self, value):
+        # max_iter=2.5 would run 3 solves and True 1
+        exp = EXPERIMENTS[1]
+        space = BfsSpace(init_uniform(1))
+        with pytest.raises(ValueError, match="max_iter"):
+            dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, max_iter=value)
+        res = dirichlet_solve(space, 1e-3, exp.f, exp.g, exp.grad_g, max_iter=np.int64(1))
+        assert res.niter == 1
