@@ -4,8 +4,9 @@
 Runs this checkout's ``history_digest.py`` once against each tree (each
 given as the directory that holds the ``macert`` package, put first on
 ``PYTHONPATH``), with BLAS on one thread, one process at a time.  For each
-run it prints ``identical`` or the first output line that differs, and it
-exits with code 1 on any difference:
+run it prints ``identical``, or the first output line that differs after
+the ``dat`` digest line (which changes with any row) and the number of step
+lines that differ; it exits with code 1 on any difference:
 
     python scripts/compare_histories.py PARENT/src src
 
@@ -15,6 +16,7 @@ them by one string of ``history_digest.py`` flags.  The exit code of
 in one tree only differs too.
 """
 import argparse
+import itertools
 import os
 import pathlib
 import shlex
@@ -45,14 +47,20 @@ def digest(src: str, flags: str) -> list[str]:
     return [*proc.stdout.splitlines(), *proc.stderr.splitlines(), f"exit {proc.returncode}"]
 
 
-def first_difference(a: list[str], b: list[str]):
-    """(line number, line of a, line of b) of the first difference, or None."""
-    for k in range(max(len(a), len(b))):
-        left = a[k] if k < len(a) else "<none>"
-        right = b[k] if k < len(b) else "<none>"
-        if left != right:
-            return k + 1, left, right
-    return None
+def difference(a: list[str], b: list[str]):
+    """None if ``a`` equals ``b``, else (line number, line of a, line of b,
+    number of step lines that differ).  The line named is the first that
+    differs after the ``dat`` digest, which changes whenever any row does;
+    it is the ``dat`` line only when nothing else differs."""
+    pairs = [(k, left, right) for k, (left, right)
+             in enumerate(itertools.zip_longest(a, b, fillvalue="<none>"), 1) if left != right]
+    if not pairs:
+        return None
+    past_dat = [(k, left, right) for k, left, right in pairs
+                if not (left.startswith("dat ") and right.startswith("dat "))]
+    line, left, right = (past_dat or pairs)[0]
+    steps = sum(left.startswith("step ") or right.startswith("step ") for _, left, right in pairs)
+    return line, left, right, steps
 
 
 def main(argv=None) -> int:
@@ -67,13 +75,14 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no macert package")
     differ = False
     for flags in args.run or RUNS:
-        diff = first_difference(digest(args.parent, flags), digest(args.change, flags))
+        diff = difference(digest(args.parent, flags), digest(args.change, flags))
         if diff is None:
             print(f"{flags}: identical", flush=True)
         else:
             differ = True
-            line, left, right = diff
-            print(f"{flags}: line {line} differs\n  parent: {left}\n  change: {right}", flush=True)
+            line, left, right, steps = diff
+            print(f"{flags}: line {line} differs, {steps} step lines differ\n"
+                  f"  parent: {left}\n  change: {right}", flush=True)
     return 1 if differ else 0
 
 

@@ -119,29 +119,33 @@ class SolveResult:
 
     ``stop`` is "tol" (residual below tolerance), "floor" (a step's
     residual down to r_lin, the residual of its own frozen-policy linear
-    system through the same quadrature; at a policy fixed point the two are
-    one vector, so a fixed point stops here) or "max_iter".  Only
-    "max_iter" counts as not converged.
-    ``niter`` counts the linear systems solved and ``factorisations`` the
-    sparse LU factorisations among them; the others were solved by sweeps
-    with an earlier LU.  ``lu_nnz`` is the ``SuperLU.nnz`` of the last
-    factorisation, the entries it stores for L and U.  ``backward_error`` is
-    the largest ||K_r u - F_r|| / ||F_r|| over the accepted solutions of its
-    linear systems, whether solved directly or by sweeps.  ``history`` holds one (residual, linear
-    residual) pair per full policy step, before any damping.  ``fvals``
-    holds f at the ``QUAD`` points of every cell, (ncells, ``QUAD.npoints``),
-    in the order of ``RectMesh.cell_points``.
+    system through the same quadrature, as at a policy fixed point) or
+    "max_iter", the only stop not counted as converged.  ``history`` holds
+    the (residual, r_lin) pair of every step, one linear solve each, so
+    ``niter`` and ``residual`` are read from it.  ``factorisations`` counts
+    the sparse LU factorisations among the solves (the others were solved by
+    sweeps with an earlier LU), and ``lu_nnz`` is the ``SuperLU.nnz`` of the
+    last.  ``relative_residual`` is the largest ||K_r u - F_r|| / ||F_r||
+    over the accepted linear solutions, direct or swept.  ``fvals`` holds f
+    at the ``QUAD`` points of every cell, (ncells, ``QUAD.npoints``), in the
+    order of ``RectMesh.cell_points``.
     """
 
     u_h: FeFunction
-    niter: int
-    residual: float
     stop: str
-    backward_error: float
+    relative_residual: float
     history: list[tuple[float, float]]
     factorisations: int
     lu_nnz: int
     fvals: np.ndarray
+
+    @property
+    def niter(self) -> int:
+        return len(self.history)
+
+    @property
+    def residual(self) -> float:
+        return self.history[-1][0]
 
     @property
     def converged(self) -> bool:
@@ -261,18 +265,15 @@ def solve(
     refactorised instead once a sweep fails to halve the residual, or the
     rate observed cannot reach that target within 12 sweeps.  The LU lives
     for one call, one mesh, and is dropped before the next factorisation.
-    Iteration stops when the Euclidean norm of the reduced residual falls
-    below 1e-11 (1 + ||f||_L2) ("tol"), when a full step's residual is at
-    most twice the residual r_lin of the frozen-policy linear system it
-    solved ("floor": the nonlinear residual has reached the rounding floor
-    of the linear solve and further steps cannot lower it), or after
-    ``max_iter`` linear solves ("max_iter": not converged, last iterate
-    returned); ``SolveResult.stop`` records which.  r_lin = ||P^T (rhs -
-    A:D^2 u_h, Lap phi)|| is taken through the same quadrature as the
-    residual, so at a policy fixed point, where the step's policy is the
-    one it solved, the two are one vector and the step stops "floor".  A
-    full step that overshoots the previous residual, without reaching the
-    floor, is damped.
+    Every step takes the full solve.  Iteration stops when the Euclidean
+    norm of the reduced residual falls below 1e-11 (1 + ||f||_L2) ("tol"),
+    when it is at most twice the residual r_lin of the frozen-policy linear
+    system the step solved ("floor": the rounding floor of the linear
+    solve, which further steps cannot lower), or after ``max_iter`` solves
+    ("max_iter": not converged); the last iterate is returned.  r_lin =
+    ||P^T (rhs - A:D^2 u_h, Lap phi)|| is taken through the same quadrature
+    as the residual, so at a policy fixed point the two are one vector and
+    the step stops "floor".
 
     ``reduction`` fixes u = g, e.g. ``space.reduction(*interpolate_boundary(...))``.
     ``initial`` (a full coefficient vector, e.g. a solution prolongated from
@@ -294,19 +295,19 @@ def solve(
     hess = ("Nxx", "Nxy", "Nyy")
     fnorm = float(np.sqrt(np.sum(asm.weights * fvals**2)))
     tol = 1e-11 * (1.0 + fnorm)
-    berr_max = 0.0  # largest ||Kr u - Fr|| / ||Fr|| of an accepted linear solution
-    last = {}  # latest LU on this mesh: "lu", its own "berr", last solution "u"
+    rel_max = 0.0  # largest ||Kr u - Fr|| / ||Fr|| of an accepted linear solution
+    last = {}  # latest LU on this mesh: "lu", its own "rel", last solution "u"
     nfact = 0
 
     def solve_linear(a11, a12, a22, rhs):
-        nonlocal nfact, berr_max
+        nonlocal nfact, rel_max
         K, load = asm.linear_system(a11, a12, a22, rhs)
         Kr = reduction.reduce_matrix(K)
         Fr = reduction.reduce_vector(load - K @ reduction.offset)
         del K, load  # from here on, one policy system is held: the reduced one
-        swept = _sweeps(last["lu"], Kr, Fr, last["u"], 2.0 * last["berr"]) if last else None
+        swept = _sweeps(last["lu"], Kr, Fr, last["u"], 2.0 * last["rel"]) if last else None
         if swept is not None:
-            u_red, berr = swept
+            u_red, rel = swept
         else:
             last.clear()  # never hold two factorisations at once
             try:
@@ -320,10 +321,10 @@ def solve(
             u_red = lu.solve(Fr)
             if not np.all(np.isfinite(u_red)):
                 raise SolverError("linear solve produced non-finite values")
-            berr = np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0)
-            last.update(lu=lu, berr=berr)
+            rel = np.linalg.norm(Kr @ u_red - Fr) / (np.linalg.norm(Fr) or 1.0)
+            last.update(lu=lu, rel=rel)
         last["u"] = u_red
-        berr_max = max(berr, berr_max)
+        rel_max = max(rel, rel_max)
         return reduction.full_vector(u_red)
 
     def reduced_norm(vals):
@@ -337,50 +338,30 @@ def solve(
         value, t, a11, a12, a22 = eval_F_batch(eps, fvals, hxx, hxy, hyy)
         return (hxx, hxy, hyy), value, (a11, a12, a22, fvals * np.sqrt(t * (1.0 - t)))
 
-    def residual_of(coeffs, solved_policy=None):
-        """Residual, linear residual and policy at ``coeffs``.
-
-        The linear residual is that of the frozen-policy system ``coeffs``
-        solves, ``solved_policy``; it is None without one.
-        """
-        (hxx, hxy, hyy), value, policy = policy_of(coeffs)
-        r_lin = None
-        if solved_policy is not None:
-            p11, p12, p22, p_rhs = solved_policy
-            r_lin = reduced_norm(p_rhs - (p11 * hxx + 2.0 * p12 * hxy + p22 * hyy))
-        return reduced_norm(value), r_lin, policy
-
     if initial is None:
         ones = np.ones_like(fvals)
         policy = (0.5 * ones, 0.0 * ones, 0.5 * ones, 0.5 * fvals)
     else:
         policy = policy_of(np.asarray(initial, dtype=float))[2]  # holds no Hessian or F_eps
-    history = []  # (residual, linear residual) of every full policy step
-    niter, stop = 0, None
-    coeffs, res = None, np.inf
-    while stop is None and niter < max_iter:
-        new_coeffs = solve_linear(*policy)
-        niter += 1
-        new_res, r_lin, new_policy = residual_of(new_coeffs, policy)
-        history.append((new_res, r_lin))
-        # the residual has reached what the linear solve itself leaves
-        at_floor = new_res <= 2.0 * r_lin
-        if new_res > res and not at_floor:
-            # damped fallback when the full policy step overshoots
-            for alpha in (0.5, 0.25, 0.125):
-                trial = coeffs + alpha * (new_coeffs - coeffs)
-                trial_res, _, trial_policy = residual_of(trial)
-                if trial_res < new_res:
-                    new_coeffs, new_res, new_policy = trial, trial_res, trial_policy
-                    break
-        coeffs, res, policy = new_coeffs, new_res, new_policy
+    history = []  # (residual, linear residual) of every policy step
+    stop = None
+    while stop is None and len(history) < max_iter:
+        coeffs = solve_linear(*policy)
+        (hxx, hxy, hyy), value, new_policy = policy_of(coeffs)
+        a11, a12, a22, rhs = policy
+        res = reduced_norm(value)
+        # r_lin: the residual of the frozen-policy system this step solved
+        r_lin = reduced_norm(rhs - (a11 * hxx + 2.0 * a12 * hxy + a22 * hyy))
+        del hxx, hxy, hyy, value, a11, a12, a22, rhs  # the next solve holds one policy only
+        history.append((res, r_lin))
+        policy = new_policy
         if res <= tol:
             stop = "tol"
-        elif at_floor:
+        elif res <= 2.0 * r_lin:  # the residual has reached what the linear solve leaves
             stop = "floor"
 
     return SolveResult(
-        FeFunction(space, coeffs), niter, res, stop or "max_iter", berr_max, history, nfact,
+        FeFunction(space, coeffs), stop or "max_iter", rel_max, history, nfact,
         last["lu"].nnz, fvals,
     )
 

@@ -500,7 +500,7 @@ class TestRunLoop:
     def test_compare_histories_script(self, monkeypatch, capsys):
         # scripts/compare_histories.py runs history_digest.py against two
         # source trees; this checkout against itself is identical, and a
-        # difference is reported by its first line with exit code 1
+        # difference is reported with exit code 1
         root = pathlib.Path(bench.__file__).parents[2]
         script = root / "scripts" / "compare_histories.py"
         flags = "--experiment 1 --mode uniform --max-ndof 70 --initial-level 0"
@@ -514,13 +514,29 @@ class TestRunLoop:
         spec = importlib.util.spec_from_file_location("compare_histories", script)
         compare = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(compare)
-        outputs = {"a": ["dat x", "step 0 ok", "exit 0"],
-                   "b": ["dat x", "step 0 changed", "exit 0"]}
+        # as in a real digest, one changed step changes the dat digest too:
+        # the report names the step line and counts the step lines that differ
+        steps = [f"step {k:>3d}  ndof {16 * 4 ** k:>7d}  niter   3  row {k:016x}" for k in range(3)]
+        changed = [*steps[:1], steps[1].replace("niter   3", "niter   2"), *steps[2:]]
+        outputs = {"a": ["dat 1f2e  rows 3", *steps, "exit 0"],
+                   "b": ["dat 9c4d  rows 3", *changed, "exit 0"]}
         monkeypatch.setattr(compare, "digest", lambda src, _: outputs[pathlib.Path(src).name])
         monkeypatch.setattr(compare.pathlib.Path, "is_dir", lambda self: True)
         assert compare.main(["a", "b", "--run", flags]) == 1
         assert capsys.readouterr().out == (
-            f"{flags}: line 2 differs\n  parent: step 0 ok\n  change: step 0 changed\n"
+            f"{flags}: line 3 differs, 1 step lines differ\n"
+            f"  parent: {steps[1]}\n  change: {changed[1]}\n"
+        )
+        # a dat line that alone differs is still reported, and so is a step
+        # line missing from one side
+        outputs["b"] = ["dat 9c4d  rows 3", *steps, "exit 0"]
+        assert compare.main(["a", "b", "--run", flags]) == 1
+        assert capsys.readouterr().out.startswith(f"{flags}: line 1 differs, 0 step lines differ\n")
+        outputs["b"] = ["dat 1f2e  rows 3", *steps[:2], "error: boom", "exit 2"]
+        assert compare.main(["a", "b", "--run", flags]) == 1
+        assert capsys.readouterr().out == (
+            f"{flags}: line 4 differs, 1 step lines differ\n"
+            f"  parent: {steps[2]}\n  change: error: boom\n"
         )
 
     def test_fit_rates_script_prints_rate_fit(self, tmp_path):
