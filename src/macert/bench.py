@@ -311,7 +311,7 @@ def _finish_step(result: SolveResult, ndof: int, exp: Experiment, eps: float, mo
     """The step of a solve: certificates, exact-error diagnostics and marks."""
     v_h = result.u_h
     mesh = v_h.space.mesh
-    hull, cert, eta, edge_errors = _certify(result, exp, eps)
+    hull, cert, eta, edge_errors = _certify(v_h, exp, eps)
     linf, l2, h1, h2 = norms_vs_exact(v_h, exp.exact)
     row = HistoryRow(
         ndof=ndof,
@@ -346,36 +346,30 @@ def run(config: RunConfig) -> list[HistoryRow]:
     return rows
 
 
-def _certify(result: SolveResult, exp: Experiment, eps: float):
+def _certify(v_h: FeFunction, exp: Experiment, eps: float):
     """Hull of v_h, certificate RHS0, bound RHS_eps and per-edge trace errors.
 
     The samples are the points of ``QUAD`` on every leaf, no coarser than
     ``_SAMPLE_LEVEL``, plus ``_BOUNDARY_SEGMENTS`` segments on every boundary
     edge; they serve the hull, the contact set and both data-error quadratures.
-    When no leaf is coarser than ``_SAMPLE_LEVEL``, the interior samples are
-    the solve's ``QUAD`` points in the same order, so f is read from
-    ``result.fvals``; otherwise it is evaluated at the samples.
+    f is evaluated at the interior samples once the hull is built, so no
+    values of f are alive through the hull build.
     The one boundary evaluation of v_h and of g has ``_TRACE_REFINE`` times as
     many segments: the hull reads every ``_TRACE_REFINE``-th value of v_h, the
     boundary residual the samples and midpoints of g, the trace error all.
     """
-    v_h = result.u_h
     mesh = v_h.space.mesh
     samples = env.build_samples(mesh, QUAD, per_edge=_BOUNDARY_SEGMENTS, min_level=_SAMPLE_LEVEL)
     fields = samples.interior_fields(v_h, ("N", "Nxx", "Nxy", "Nyy"))
     hessians = (fields["Nxx"], fields["Nxy"], fields["Nyy"])
     n = _TRACE_REFINE * _BOUNDARY_SEGMENTS
     edge_vals, edge_pts = env.edge_values(v_h, np.arange(n + 1) / n)
-    # N goes once copied: the hull build sets the peak on large meshes, and
-    # result.fvals is alive through it
+    # N goes once copied: the hull build sets the peak on large meshes
     boundary = samples.boundary_values(edge_vals[:, ::_TRACE_REFINE])
     values = np.concatenate([fields.pop("N"), boundary])
     hull = env.lower_hull(samples, values)
     contact = env.contact_set(hull, hessians)
-    if mesh.min_level >= _SAMPLE_LEVEL:
-        fvals = result.fvals.ravel()
-    else:
-        fvals = exp.f(*samples.interior.T)
+    fvals = exp.f(*samples.interior.T)
     # a constant g may come back as a scalar
     gvals = np.broadcast_to(exp.g(*np.moveaxis(edge_pts, -1, 0)), edge_vals.shape)
     mu = env.boundary_residual(hull, gvals[:, ::_TRACE_REFINE // 2])

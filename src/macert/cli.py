@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import RunAborted, RunConfig, emit_dat, run
@@ -30,9 +31,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(parser: argparse.ArgumentParser, argv=None) -> tuple[RunConfig, str]:
     """The ``RunConfig`` and ``--out`` path of ``argv``; a value that
-    ``RunConfig`` rejects is a usage error."""
+    ``RunConfig`` rejects, or an ``--out`` that is a directory or lies in
+    none, is a usage error."""
     kw = vars(parser.parse_args(argv))
     out = kw.pop("out")
+    if os.path.isdir(out):
+        parser.error(f"--out {out} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        parser.error(f"--out {out}: no directory {os.path.dirname(out)}")
     try:
         return RunConfig(**kw), out
     except ValueError as exc:

@@ -52,7 +52,9 @@ class RectMesh:
             raise ValueError("mesh needs at least one cell")
         if cells.dtype.kind not in "iu":
             raise ValueError(f"cells must be integer (level, ix, iy), not {cells.dtype}")
-        cells = cells.astype(np.int64).reshape(-1, 3)
+        if cells.ndim != 2 or cells.shape[1] != 3:
+            raise ValueError(f"cells must be (level, ix, iy) rows, got shape {cells.shape}")
+        cells = cells.astype(np.int64)
         # (level, ix, iy) per cell, sorted, so each level is contiguous
         self.cell_array = np.unique(cells, axis=0)
         if len(self.cell_array) < len(cells):

@@ -126,9 +126,7 @@ class SolveResult:
     the sparse LU factorisations among the solves (the others were solved by
     sweeps with an earlier LU), and ``lu_nnz`` is the ``SuperLU.nnz`` of the
     last.  ``relative_residual`` is the largest ||K_r u - F_r|| / ||F_r||
-    over the accepted linear solutions, direct or swept.  ``fvals`` holds f
-    at the ``QUAD`` points of every cell, (ncells, ``QUAD.npoints``), in the
-    order of ``RectMesh.cell_points``.
+    over the accepted linear solutions, direct or swept.
     """
 
     u_h: FeFunction
@@ -137,7 +135,6 @@ class SolveResult:
     history: list[tuple[float, float]]
     factorisations: int
     lu_nnz: int
-    fvals: np.ndarray
 
     @property
     def niter(self) -> int:
@@ -361,8 +358,7 @@ def solve(
             stop = "floor"
 
     return SolveResult(
-        FeFunction(space, coeffs), stop or "max_iter", rel_max, history, nfact,
-        last["lu"].nnz, fvals,
+        FeFunction(space, coeffs), stop or "max_iter", rel_max, history, nfact, last["lu"].nnz
     )
 
 

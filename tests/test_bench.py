@@ -30,6 +30,7 @@ from macert.bench import (
     steps,
 )
 from macert.bfs import BfsSpace, QuadRule
+from macert import cli
 from macert.cli import main
 from macert.envelope import boundary_residual, build_samples, contact_set, lower_hull
 from macert.estimator import rhs0
@@ -324,39 +325,33 @@ class TestRunLoop:
         assert len(hulls) == 5 and alive == [0] * 5
 
     def test_f_and_g_evaluated_twice_per_step(self, monkeypatch):
-        # f by the solve, and once more for both certificates only where a
-        # leaf is coarser than the sampling floor (elsewhere the samples are
-        # the solve's points); g by the Dirichlet data and once on the trace
-        # grid for the trace error and mu
+        # f by the solve and once more, at the interior samples, for both
+        # certificates, on coarse meshes and at the sampling floor alike; g
+        # by the Dirichlet data and once on the trace grid for the trace
+        # error and mu
         exp = EXPERIMENTS[1]
         calls = {"f": 0, "g": 0}
+        points = []  # of the certificates' call of f, every second one
 
         def counted(name, fn):
             def wrapper(x, y):
                 calls[name] += 1
+                if name == "f" and calls["f"] % 2 == 0:
+                    points.append(np.column_stack([x, y]))
                 return fn(x, y)
             return wrapper
 
         monkeypatch.setitem(bench.EXPERIMENTS, 1, dataclasses.replace(
             exp, f=counted("f", exp.f), g=counted("g", exp.g)))
         coarse = []
-        for step in steps(RunConfig(experiment=1, mode="adaptive", max_ndof=300, initial_level=0)):
-            coarse.append(step.solve.u_h.space.mesh.min_level < bench._SAMPLE_LEVEL)
-        assert len(coarse) >= 4 and 0 < sum(coarse) < len(coarse)
-        assert calls == {"f": len(coarse) + sum(coarse), "g": 2 * len(coarse)}
-
-    def test_solve_f_values_are_f_at_the_samples_at_the_floor(self):
-        # _certify reads the solve's f values where no leaf is coarser than
-        # the sampling floor: there they are f at the interior samples, bit
-        # for bit and in order, also on a mesh with leaves of two levels
-        exp = EXPERIMENTS[1]
-        levels = []
-        for step in steps(RunConfig(experiment=1, mode="adaptive", max_ndof=200, initial_level=2)):
+        config = RunConfig(experiment=1, mode="adaptive", max_ndof=300, initial_level=0)
+        for k, step in enumerate(steps(config)):
             mesh = step.solve.u_h.space.mesh
+            coarse.append(mesh.min_level < bench._SAMPLE_LEVEL)
             samples = build_samples(mesh, QUAD, per_edge=4, min_level=bench._SAMPLE_LEVEL)
-            assert np.array_equal(step.solve.fvals.ravel(), exp.f(*samples.interior.T))
-            levels.append(len(np.unique(mesh.levels)))
-        assert levels[0] == 1 and max(levels) > 1
+            assert np.array_equal(points[k], samples.interior)
+        assert len(coarse) >= 4 and 0 < sum(coarse) < len(coarse)
+        assert calls == {"f": 2 * len(coarse), "g": 2 * len(coarse)}
 
     def test_over_budget_initial_level_builds_no_mesh(self, monkeypatch, tmp_path, capsys):
         # the budget is checked against the closed-form DOF count; a level-12
@@ -521,6 +516,8 @@ class TestRunLoop:
         outputs = {"a": ["dat 1f2e  rows 3", *steps, "exit 0"],
                    "b": ["dat 9c4d  rows 3", *changed, "exit 0"]}
         monkeypatch.setattr(compare, "digest", lambda src, _: outputs[pathlib.Path(src).name])
+        tables = {"a": None, "b": None}  # no .dat: no column report
+        monkeypatch.setattr(compare, "dat_table", lambda src, _: tables[pathlib.Path(src).name])
         monkeypatch.setattr(compare.pathlib.Path, "is_dir", lambda self: True)
         assert compare.main(["a", "b", "--run", flags]) == 1
         assert capsys.readouterr().out == (
@@ -538,6 +535,22 @@ class TestRunLoop:
             f"{flags}: line 4 differs, 1 step lines differ\n"
             f"  parent: {steps[2]}\n  change: error: boom\n"
         )
+        # with both .dat tables, each column that differs is named with its
+        # largest relative change and that change's row; a table with another
+        # number of rows is reported as such
+        outputs["b"] = ["dat 9c4d  rows 3", *changed, "exit 0"]
+        names = ["ndof", "LHS", "niter"]
+        tables["a"] = (names, [[4.0, 1.0, 3.0], [16.0, 0.5, 3.0], [64.0, 0.25, 3.0]])
+        tables["b"] = (names, [[4.0, 1.0 + 1e-12, 3.0], [16.0, 0.5, 2.0], [64.0, 0.25 - 1e-13, 3.0]])
+        assert compare.main(["a", "b", "--run", flags]) == 1
+        assert capsys.readouterr().out.splitlines()[3:] == [
+            "  LHS: largest relative change 1.0e-12 at row 0",
+            "  niter: largest relative change 3.3e-01 at row 1",
+        ]
+        tables["b"] = (names, tables["b"][1][:2])
+        assert compare.main(["a", "b", "--run", flags]) == 1
+        assert capsys.readouterr().out.splitlines()[3:] == [
+            "  .dat rows: 3 in parent, 2 in change"]
 
     def test_fit_rates_script_prints_rate_fit(self, tmp_path):
         # scripts/fit_rates.py prints rate_fit of every column to 3 decimals,
@@ -658,6 +671,24 @@ class TestCli:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cli_rejects_an_out_it_cannot_write(self, tmp_path, capsys, monkeypatch):
+        # a missing parent directory or a directory as --out is a usage
+        # error before any solve, not a traceback after the whole history
+        def fail(config):
+            raise AssertionError("run called")
+
+        monkeypatch.setattr(cli, "run", fail)
+        for out, message in ((tmp_path / "missing" / "a.dat", "no directory"),
+                             (tmp_path, "is a directory")):
+            argv = ["--experiment", "1", "--max-ndof", "20", "--initial-level", "0",
+                    "--out", str(out)]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"--out {out}" in err and message in err
+        assert not (tmp_path / "missing").exists()
 
     def test_cli_deterministic(self, tmp_path):
         a = self._run(tmp_path, "a.dat")

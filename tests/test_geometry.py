@@ -75,8 +75,14 @@ class TestRectMeshPartition:
             ([(-1, 0, 0)], "out of range"),
             ([(0, 0.5, 0)], "integer"),
             ([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 1, 1)], "repeated"),
+            # arrays that are not (level, ix, iy) rows: the level-1 cells as
+            # pairs or flat, and four columns
+            (np.array([[1, 0], [0, 1], [1, 0], [1, 0], [1, 1], [1, 1]]), r"shape \(6, 2\)"),
+            (np.array([[1, 0, 0, 1], [1, 0, 1, 1]]), r"shape \(2, 4\)"),
+            (np.array([1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 1]), r"shape \(12,\)"),
         ],
-        ids=["index-out-of-range", "overlap", "gap", "negative-level", "non-integer", "repeated"],
+        ids=["index-out-of-range", "overlap", "gap", "negative-level", "non-integer", "repeated",
+             "pairs", "four-columns", "flat"],
     )
     def test_non_partition_rejected(self, cells, message):
         with pytest.raises(ValueError, match=message):
